@@ -194,6 +194,10 @@ type snapMap[K comparable, V any] struct {
 	// the mutex to find their answer; crossing the promotion threshold
 	// publishes early (see lockedHit).
 	lockHits int
+
+	// version, when set, is the owning table's version word: every
+	// insert of a new entry moves it to a fresh value (see bumpLocked).
+	version *atomic.Uint64
 }
 
 // newSnapMap returns an empty snapMap ready for use.
@@ -253,6 +257,7 @@ func (m *snapMap[K, V]) lookup(k K, eval func() V) (V, bool) {
 	m.mu.Lock()
 	m.pending[k] = c.val
 	delete(m.flight, k)
+	m.bumpLocked()
 	m.maybePublishLocked()
 	m.mu.Unlock()
 	close(c.done)
@@ -338,6 +343,7 @@ func (m *snapMap[K, V]) lookupBatch(keys []K, out []V, eval func(K) V) (hits, mi
 			delete(m.flight, k)
 			m.pending[k] = vals[j]
 		}
+		m.bumpLocked()
 		m.maybePublishLocked()
 		m.mu.Unlock()
 		for _, c := range closes {
@@ -429,15 +435,36 @@ func (m *snapMap[K, V]) merge(keys []K, vals []V) {
 	for k, v := range m.pending {
 		merged[k] = v
 	}
+	grew := false
 	for i, k := range keys {
 		if _, ok := merged[k]; !ok {
 			merged[k] = vals[i]
+			grew = true
 		}
 	}
 	m.snap.Store(&merged)
 	m.pending = make(map[K]V)
 	m.lockHits = 0
+	if grew {
+		m.bumpLocked()
+	}
 	m.mu.Unlock()
+}
+
+// tableVersions is the process-wide source of table versions. Drawing
+// every version from one counter means a value is never stored twice —
+// not even by a table recreated after ResetResponseTables — so an
+// unchanged version proves that no entry was inserted since it was read.
+var tableVersions atomic.Uint64
+
+// bumpLocked moves the owning table's version to a fresh value after an
+// insert. It runs under m.mu after the entry is in pending or the
+// snapshot, so a reader that observes the new version also observes the
+// entry in any export taken afterwards.
+func (m *snapMap[K, V]) bumpLocked() {
+	if m.version != nil {
+		m.version.Store(tableVersions.Add(1))
+	}
 }
 
 // snapshot returns a private union of published and pending entries;
@@ -463,25 +490,34 @@ func (m *snapMap[K, V]) snapshot() map[K]V {
 // kinds live in snapMaps, so lookups are lock-free snapshot reads and
 // concurrent misses on one key evaluate once (see the snapMap doc). The
 // lut pointer holds the design's precomputed interpolation grid when
-// approximate mode is active (lut.go).
+// approximate mode is active (lut.go). version changes whenever either
+// map gains an entry, so persistence can tell a table that grew from one
+// that still matches the record it was loaded from (table.go).
 type responseTable struct {
 	fingerprint string
 
 	axis *snapMap[axisKey, axisResponse]
 	qwp  *snapMap[uint64, qwpResponse]
 
+	version atomic.Uint64
+
 	counters shardedStats
 
 	lut atomic.Pointer[lutGrid]
 }
 
-// newResponseTable returns an empty table for one design fingerprint.
+// newResponseTable returns an empty table for one design fingerprint,
+// at a version no other table has held.
 func newResponseTable(fp string) *responseTable {
-	return &responseTable{
+	t := &responseTable{
 		fingerprint: fp,
 		axis:        newSnapMap[axisKey, axisResponse](),
 		qwp:         newSnapMap[uint64, qwpResponse](),
 	}
+	t.version.Store(tableVersions.Add(1))
+	t.axis.version = &t.version
+	t.qwp.version = &t.version
+	return t
 }
 
 // stats sums the table's sharded counters.

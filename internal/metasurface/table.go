@@ -206,12 +206,8 @@ func fmtMat(row []string, m mat2.Mat) []string {
 	return fmtComplex(row, m.D)
 }
 
-// ExportResponseTables snapshots every registered design table in a
-// canonical order: tables sorted by fingerprint, axis entries by
-// (axis, frequency bits, bias bits), QWP entries by frequency bits.
-// Two processes holding the same entries export identical bytes, which
-// keeps persisted table records diff-stable.
-func ExportResponseTables() []TableExport {
+// registered returns every registered table, sorted by fingerprint.
+func registered() []*responseTable {
 	tablesMu.Lock()
 	list := make([]*responseTable, 0, len(tables))
 	for _, t := range tables {
@@ -219,12 +215,78 @@ func ExportResponseTables() []TableExport {
 	}
 	tablesMu.Unlock()
 	sort.Slice(list, func(i, j int) bool { return list[i].fingerprint < list[j].fingerprint })
+	return list
+}
 
+// ExportResponseTables snapshots every registered design table in a
+// canonical order: tables sorted by fingerprint, axis entries by
+// (axis, frequency bits, bias bits), QWP entries by frequency bits.
+// Two processes holding the same entries export identical bytes, which
+// keeps persisted table records diff-stable.
+func ExportResponseTables() []TableExport {
+	list := registered()
 	out := make([]TableExport, 0, len(list))
 	for _, t := range list {
 		out = append(out, t.export())
 	}
 	return out
+}
+
+// TableVersion describes one registered table without its rows.
+type TableVersion struct {
+	// Fingerprint is the DesignFingerprint of the table.
+	Fingerprint string
+	// Version changes whenever the table gains an entry. Versions are
+	// drawn from one process-wide counter, so a value is never reused —
+	// not even by a table recreated after ResetResponseTables.
+	Version uint64
+	// Entries is the table's entry count (axis plus QWP).
+	Entries int
+}
+
+// ResponseTableVersions lists every registered table with its version
+// and entry count, sorted by fingerprint, without exporting any rows.
+// Persistence compares a version with the one it saw when it last read
+// or wrote the table's record to skip tables that have not grown.
+func ResponseTableVersions() []TableVersion {
+	list := registered()
+	out := make([]TableVersion, 0, len(list))
+	for _, t := range list {
+		out = append(out, TableVersion{
+			Fingerprint: t.fingerprint,
+			Version:     t.version.Load(),
+			Entries:     t.axis.size() + t.qwp.size(),
+		})
+	}
+	return out
+}
+
+// ExportResponseTable snapshots the one table registered for
+// fingerprint fp, in the canonical order of ExportResponseTables, and
+// returns the version it holds every entry of: the version is read
+// before the rows, so the export may hold more than that version but
+// never less. ok is false when no table is registered for fp.
+func ExportResponseTable(fp string) (ex TableExport, version uint64, ok bool) {
+	tablesMu.Lock()
+	t := tables[fp]
+	tablesMu.Unlock()
+	if t == nil {
+		return TableExport{}, 0, false
+	}
+	version = t.version.Load()
+	return t.export(), version, true
+}
+
+// less orders axis keys canonically: by axis, then frequency bits, then
+// bias bits.
+func (a axisKey) less(b axisKey) bool {
+	if a.axis != b.axis {
+		return a.axis < b.axis
+	}
+	if a.f != b.f {
+		return a.f < b.f
+	}
+	return a.v < b.v
 }
 
 // export snapshots one table in canonical order. The snapshot unions
@@ -241,16 +303,7 @@ func (t *responseTable) export() TableExport {
 	for k := range qwpMap {
 		qwpKeys = append(qwpKeys, k)
 	}
-	sort.Slice(axisKeys, func(i, j int) bool {
-		a, b := axisKeys[i], axisKeys[j]
-		if a.axis != b.axis {
-			return a.axis < b.axis
-		}
-		if a.f != b.f {
-			return a.f < b.f
-		}
-		return a.v < b.v
-	})
+	sort.Slice(axisKeys, func(i, j int) bool { return axisKeys[i].less(axisKeys[j]) })
 	sort.Slice(qwpKeys, func(i, j int) bool { return qwpKeys[i] < qwpKeys[j] })
 
 	ex := TableExport{
@@ -334,8 +387,21 @@ func (r *rowReader) mat() mat2.Mat {
 // as "recompute from scratch". Imports do not advance any hit/miss
 // counters.
 func ImportResponseTable(ex TableExport) (int, error) {
+	n, _, _, err := ImportResponseTableVersion(ex)
+	return n, err
+}
+
+// ImportResponseTableVersion is ImportResponseTable that also reports
+// the table's version after the import and whether the table then holds
+// exactly the export's entries (exact). exact requires the export's
+// rows in strict canonical order, as ExportResponseTables writes them,
+// and no entry in the table beyond them. While the table stays at the
+// returned version, exporting it again would reproduce the same rows,
+// so a caller that read the export from a record need not write it
+// back. On an error nothing is imported and version is zero.
+func ImportResponseTableVersion(ex TableExport) (n int, version uint64, exact bool, err error) {
 	if ex.Fingerprint == "" {
-		return 0, fmt.Errorf("metasurface: table import: empty fingerprint")
+		return 0, 0, false, fmt.Errorf("metasurface: table import: empty fingerprint")
 	}
 	type axisEntry struct {
 		key axisKey
@@ -345,10 +411,13 @@ func ImportResponseTable(ex TableExport) (int, error) {
 		key uint64
 		val qwpResponse
 	}
+	// canonical tracks whether the rows are strictly ascending in export
+	// order, which also rules out duplicate keys.
+	canonical := true
 	axisEntries := make([]axisEntry, 0, len(ex.Axis))
 	for n, row := range ex.Axis {
 		if len(row) != axisEntryCols {
-			return 0, fmt.Errorf("metasurface: table import: axis row %d has %d columns, want %d", n, len(row), axisEntryCols)
+			return 0, 0, false, fmt.Errorf("metasurface: table import: axis row %d has %d columns, want %d", n, len(row), axisEntryCols)
 		}
 		var ax Axis
 		switch row[0] {
@@ -357,26 +426,32 @@ func ImportResponseTable(ex TableExport) (int, error) {
 		case AxisY.String():
 			ax = AxisY
 		default:
-			return 0, fmt.Errorf("metasurface: table import: axis row %d: unknown axis %q", n, row[0])
+			return 0, 0, false, fmt.Errorf("metasurface: table import: axis row %d: unknown axis %q", n, row[0])
 		}
 		r := rowReader{row: row, i: 1}
 		key := axisKey{axis: ax, f: math.Float64bits(r.next()), v: math.Float64bits(r.next())}
 		val := axisResponse{s: r.sparams(), shortGamma: r.complexVal()}
 		if r.err != nil {
-			return 0, fmt.Errorf("metasurface: table import: axis row %d: %w", n, r.err)
+			return 0, 0, false, fmt.Errorf("metasurface: table import: axis row %d: %w", n, r.err)
+		}
+		if n > 0 && !axisEntries[n-1].key.less(key) {
+			canonical = false
 		}
 		axisEntries = append(axisEntries, axisEntry{key: key, val: val})
 	}
 	qwpEntries := make([]qwpEntry, 0, len(ex.QWP))
 	for n, row := range ex.QWP {
 		if len(row) != qwpEntryCols {
-			return 0, fmt.Errorf("metasurface: table import: qwp row %d has %d columns, want %d", n, len(row), qwpEntryCols)
+			return 0, 0, false, fmt.Errorf("metasurface: table import: qwp row %d has %d columns, want %d", n, len(row), qwpEntryCols)
 		}
 		r := rowReader{row: row}
 		key := math.Float64bits(r.next())
 		val := qwpResponse{fastS: r.sparams(), slowS: r.sparams(), plus: r.mat(), minus: r.mat()}
 		if r.err != nil {
-			return 0, fmt.Errorf("metasurface: table import: qwp row %d: %w", n, r.err)
+			return 0, 0, false, fmt.Errorf("metasurface: table import: qwp row %d: %w", n, r.err)
+		}
+		if n > 0 && qwpEntries[n-1].key >= key {
+			canonical = false
 		}
 		qwpEntries = append(qwpEntries, qwpEntry{key: key, val: val})
 	}
@@ -396,5 +471,10 @@ func ImportResponseTable(ex TableExport) (int, error) {
 	// entries are lock-free from the first lookup.
 	t.axis.merge(axisKeys, axisVals)
 	t.qwp.merge(qwpKeys, qwpVals)
-	return len(axisEntries) + len(qwpEntries), nil
+	// Read the version before the sizes: an insert that lands before the
+	// read shows up in the sizes, and one that lands after moves the
+	// version away from the value returned here.
+	version = t.version.Load()
+	exact = canonical && t.axis.size() == len(axisEntries) && t.qwp.size() == len(qwpEntries)
+	return len(axisEntries) + len(qwpEntries), version, exact, nil
 }

@@ -263,3 +263,60 @@ func TestImportRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestTableVersions: a table's version moves exactly when it gains an
+// entry (a compute or a growing import), never on hits, and a table
+// recreated by ResetResponseTables never repeats it. An import reports
+// exact only when the table then holds the export's rows and nothing
+// else, in canonical order.
+func TestTableVersions(t *testing.T) {
+	ResetResponseTables()
+	d := OptimizedFR4Design(units.DefaultCarrierHz)
+	fp := DesignFingerprint(d)
+	s := MustNew(d)
+	s.SetBias(8, 8)
+	s.JonesTransmissive(units.DefaultCarrierHz)
+	ex, v0, ok := ExportResponseTable(fp)
+	if !ok || ex.Entries() != 3 {
+		t.Fatalf("export: ok=%v entries=%d, want 3", ok, ex.Entries())
+	}
+	if _, _, ok := ExportResponseTable("no-such-table"); ok {
+		t.Error("export of an unregistered fingerprint reported ok")
+	}
+	s.JonesTransmissive(units.DefaultCarrierHz) // hits only
+	if vs := ResponseTableVersions(); len(vs) != 1 || vs[0].Version != v0 || vs[0].Entries != 3 {
+		t.Fatalf("after hits: %+v, want version %d with 3 entries", vs, v0)
+	}
+
+	// Into an empty registry, a canonical export imports exactly.
+	ResetResponseTables()
+	_, v1, exact, err := ImportResponseTableVersion(ex)
+	if err != nil || !exact {
+		t.Fatalf("import into an empty table: exact=%v err=%v", exact, err)
+	}
+	if v1 == v0 {
+		t.Error("a recreated table repeated a version")
+	}
+	// Importing the same rows again adds nothing: same version, still exact.
+	if _, v, exact, _ := ImportResponseTableVersion(ex); v != v1 || !exact {
+		t.Errorf("idempotent import: version %d exact=%v, want %d true", v, exact, v1)
+	}
+	// A new entry moves the version; the table now holds more than ex.
+	warm := MustNew(d)
+	warm.SetBias(8, 9)
+	warm.JonesTransmissive(units.DefaultCarrierHz)
+	if _, v, exact, _ := ImportResponseTableVersion(ex); v == v1 || exact {
+		t.Errorf("import into a grown table: version %d (was %d) exact=%v, want a new version, not exact", v, v1, exact)
+	}
+
+	// Rows out of canonical order never import exactly.
+	ResetResponseTables()
+	reversed := TableExport{Fingerprint: fp, Axis: [][]string{ex.Axis[1], ex.Axis[0]}, QWP: ex.QWP}
+	if _, _, exact, err := ImportResponseTableVersion(reversed); err != nil || exact {
+		t.Errorf("non-canonical import: exact=%v err=%v, want not exact", exact, err)
+	}
+	// A rejected import reports no version.
+	if _, v, exact, err := ImportResponseTableVersion(TableExport{Fingerprint: fp, QWP: [][]string{{"1"}}}); err == nil || v != 0 || exact {
+		t.Errorf("rejected import: version %d exact=%v err=%v", v, exact, err)
+	}
+}

@@ -212,6 +212,11 @@ type Store struct {
 	// dirty marks manifest entries not yet flushed to index.jsonl; Put
 	// defers the manifest write so a batch of puts costs one rewrite.
 	dirty bool
+
+	// tablesMu guards synced: per table fingerprint, what this handle
+	// last read or wrote for it (see NoteTableSynced). It holds no rows.
+	tablesMu sync.Mutex
+	synced   map[string]tableSync
 }
 
 // Open creates (if needed) and opens a store directory, rebuilding the
@@ -518,33 +523,48 @@ func (s *Store) writeIndexLocked() error {
 // writeFileAtomic writes data to path via temp file + fsync + rename,
 // then fsyncs the parent directory so the rename itself is durable.
 func writeFileAtomic(path string, data []byte) error {
+	_, err := writeFileAtomicStat(path, data)
+	return err
+}
+
+// writeFileAtomicStat is writeFileAtomic that also returns the written
+// file's stat, taken from the temp file before the rename: the rename
+// keeps the inode, size and mtime, so the stat describes exactly the
+// bytes this call wrote even if another writer replaces path at once.
+func writeFileAtomicStat(path string, data []byte) (os.FileInfo, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return err
+		return nil, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return err
+		return nil, err
+	}
+	info, err := tmp.Stat()
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return nil, err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return err
+		return nil, err
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return err
+		return nil, err
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync() // best-effort: some filesystems refuse directory fsync
 		d.Close()
 	}
-	return nil
+	return info, nil
 }

@@ -14,6 +14,7 @@ package store
 // lossless round-trips.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,6 +48,9 @@ type TableRecord struct {
 	// Path is where the record was read from or written to; set by
 	// GetTable/PutTable/ListTables, never serialized.
 	Path string `json:"-"`
+	// file is the stat of the file read or written at Path, for
+	// NoteTableSynced.
+	file os.FileInfo
 }
 
 // Entries returns the total entry count of the record.
@@ -104,10 +108,11 @@ func (s *Store) PutTable(rec *TableRecord) error {
 		return fmt.Errorf("store: encode table %s: %w", rec.Fingerprint, err)
 	}
 	path := s.TablePath(rec.Fingerprint)
-	if err := writeFileAtomic(path, append(line, '\n')); err != nil {
+	info, err := writeFileAtomicStat(path, append(line, '\n'))
+	if err != nil {
 		return fmt.Errorf("store: write table %s: %w", rec.Fingerprint, err)
 	}
-	rec.Path = path
+	rec.Path, rec.file = path, info
 	return nil
 }
 
@@ -118,7 +123,7 @@ func (s *Store) PutTable(rec *TableRecord) error {
 // Callers treat a corrupt record as "start cold": warn and recompute.
 func (s *Store) GetTable(fingerprint string) (*TableRecord, error) {
 	path := s.TablePath(fingerprint)
-	data, err := os.ReadFile(path)
+	data, info, err := readFileStat(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, &TableNotFoundError{Fingerprint: fingerprint, Path: path}
@@ -133,15 +138,36 @@ func (s *Store) GetTable(fingerprint string) (*TableRecord, error) {
 		return nil, &CorruptError{ID: fingerprint, Path: path,
 			Err: fmt.Errorf("record labelled %s", rec.Fingerprint)}
 	}
-	rec.Path = path
+	rec.Path, rec.file = path, info
 	return rec, nil
 }
 
-// ListTables returns every readable table record, sorted by
-// fingerprint. Unreadable records are skipped — they stay on disk as
-// evidence and surface as *CorruptError from GetTable — so a single
-// damaged record never blocks warm-starting the rest.
-func (s *Store) ListTables() ([]*TableRecord, error) {
+// readFileStat reads a whole file together with the stat of the very
+// file read (not of whatever the path names a moment later).
+func readFileStat(path string) ([]byte, os.FileInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	// Size the buffer from the stat, as os.ReadFile does; +1 lets the
+	// read see EOF without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, info.Size()+1))
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, nil, err
+	}
+	return buf.Bytes(), info, nil
+}
+
+// TableFingerprints returns the fingerprint of every table record file
+// under DIR/tables, sorted, without reading any record. A file whose
+// name is not the escaped form of a fingerprint (TablePath) is not a
+// record this store writes, and is left out.
+func (s *Store) TableFingerprints() ([]string, error) {
 	entries, err := os.ReadDir(s.tablesDir())
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -149,29 +175,81 @@ func (s *Store) ListTables() ([]*TableRecord, error) {
 		}
 		return nil, fmt.Errorf("store: scan %s: %w", s.tablesDir(), err)
 	}
-	var out []*TableRecord
+	var fps []string
 	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".json") {
+		base, ok := strings.CutSuffix(ent.Name(), ".json")
+		if ent.IsDir() || !ok {
 			continue
 		}
-		path := filepath.Join(s.tablesDir(), name)
-		data, err := os.ReadFile(path)
-		if err != nil {
+		fp, err := url.PathUnescape(base)
+		if err != nil || fp == "" || url.PathEscape(fp) != base {
 			continue
 		}
-		rec, err := decodeTableRecord(data)
-		if err != nil {
-			continue
-		}
-		if name != url.PathEscape(rec.Fingerprint)+".json" {
-			continue // mislabelled file: evidence for GetTable, not a listing
-		}
-		rec.Path = path
-		out = append(out, rec)
+		fps = append(fps, fp)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
+	sort.Strings(fps)
+	return fps, nil
+}
+
+// ListTables returns every readable table record, sorted by
+// fingerprint. Unreadable records are skipped — they stay on disk as
+// evidence and surface as *CorruptError from GetTable — so a single
+// damaged record never blocks warm-starting the rest.
+func (s *Store) ListTables() ([]*TableRecord, error) {
+	fps, err := s.TableFingerprints()
+	if err != nil {
+		return nil, err
+	}
+	var out []*TableRecord
+	for _, fp := range fps {
+		if rec, err := s.GetTable(fp); err == nil {
+			out = append(out, rec)
+		}
+	}
 	return out, nil
+}
+
+// tableSync is what a handle saw of one table record: the in-memory
+// table version that matched it, and the record file's stat.
+type tableSync struct {
+	version uint64
+	file    os.FileInfo
+}
+
+// NoteTableSynced records that the caller's in-memory table for
+// rec.Fingerprint, at version, holds exactly rec's entries, where rec
+// came from GetTable or PutTable on this handle. Until the table's
+// version or the record file changes, TableSynced then reports that
+// there is nothing to write back. version is opaque to the store; the
+// caller must never reuse a value for different contents. The note is
+// scoped to this handle and holds no rows.
+func (s *Store) NoteTableSynced(rec *TableRecord, version uint64) {
+	if rec == nil || rec.file == nil {
+		return
+	}
+	s.tablesMu.Lock()
+	defer s.tablesMu.Unlock()
+	if s.synced == nil {
+		s.synced = make(map[string]tableSync)
+	}
+	s.synced[rec.Fingerprint] = tableSync{version: version, file: rec.file}
+}
+
+// TableSynced reports whether the record for fingerprint is still the
+// one this handle noted at the same version (NoteTableSynced): one
+// os.Stat, no read. The file counts as unchanged when it is the same
+// file (device and inode) with the same size and mtime; a record that
+// another writer replaced or deleted is not synced.
+func (s *Store) TableSynced(fingerprint string, version uint64) bool {
+	s.tablesMu.Lock()
+	seen, ok := s.synced[fingerprint]
+	s.tablesMu.Unlock()
+	if !ok || seen.version != version {
+		return false
+	}
+	info, err := os.Stat(s.TablePath(fingerprint))
+	return err == nil && os.SameFile(info, seen.file) &&
+		info.Size() == seen.file.Size() && info.ModTime().Equal(seen.file.ModTime())
 }
 
 // decodeTableRecord parses one single-line table record, enforcing the

@@ -193,3 +193,103 @@ func TestPutTableValidates(t *testing.T) {
 		t.Error("fingerprint-less record accepted")
 	}
 }
+
+// TestTableFingerprints: the listing names every record file by its
+// fingerprint, sorted, without reading it — a damaged record is listed
+// (GetTable reports it), while temp files and names that are not an
+// escaped fingerprint are not records at all.
+func TestTableFingerprints(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fps, err := s.TableFingerprints(); err != nil || len(fps) != 0 {
+		t.Fatalf("empty store: %v / %v", fps, err)
+	}
+	for _, fp := range []string{"zz", "a/b", "mm"} {
+		if err := s.PutTable(sampleTable(fp)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range map[string]string{
+		"broken.json":    "not json\n",
+		"zz.json.tmp123": "half-written",
+		"%zz.json":       "{}\n",
+		"a%2fb.json":     "{}\n", // not how TablePath escapes "a/b"
+	} {
+		if err := os.WriteFile(filepath.Join(s.tablesDir(), name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fps, err := s.TableFingerprints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a/b", "broken", "mm", "zz"}; strings.Join(fps, " ") != strings.Join(want, " ") {
+		t.Errorf("fingerprints = %q, want %q", fps, want)
+	}
+}
+
+// TestTableSynced: a noted record stays synced at the noted version
+// until its file is replaced or deleted; another version, another
+// handle, or a record never noted is not synced.
+func TestTableSynced(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sampleTable("fp-s")
+	if err := s.PutTable(rec); err != nil {
+		t.Fatal(err)
+	}
+	if s.TableSynced("fp-s", 7) {
+		t.Error("a record never noted is synced")
+	}
+	s.NoteTableSynced(rec, 7)
+	if !s.TableSynced("fp-s", 7) {
+		t.Error("a just-written record is not synced at its version")
+	}
+	if s.TableSynced("fp-s", 8) {
+		t.Error("synced at a version that was never noted")
+	}
+	other, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.TableSynced("fp-s", 7) {
+		t.Error("the note leaked to another handle")
+	}
+
+	// A record read back is noted the same way.
+	got, err := s.GetTable("fp-s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.NoteTableSynced(got, 9)
+	if !s.TableSynced("fp-s", 9) {
+		t.Error("a just-read record is not synced at its version")
+	}
+	// Another writer replaces the file with the very same bytes: a new
+	// file, so no longer synced.
+	same := sampleTable("fp-s")
+	same.SavedUnixNs = got.SavedUnixNs
+	if err := other.PutTable(same); err != nil {
+		t.Fatal(err)
+	}
+	if s.TableSynced("fp-s", 9) {
+		t.Error("a replaced record is still synced")
+	}
+	s.NoteTableSynced(same, 10)
+	if err := os.Remove(s.TablePath("fp-s")); err != nil {
+		t.Fatal(err)
+	}
+	if s.TableSynced("fp-s", 10) {
+		t.Error("a deleted record is still synced")
+	}
+	// Records that did not come from a store carry no file to compare.
+	s.NoteTableSynced(sampleTable("fp-free"), 1)
+	if s.TableSynced("fp-free", 1) {
+		t.Error("a record built in memory was noted")
+	}
+}
