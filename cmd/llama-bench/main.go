@@ -12,8 +12,6 @@
 //	llama-bench -shard-rows -run fig15  split one experiment's sweep rows across the pool
 //	llama-bench -batch-rows 4         group 4 sweep points per sharded job
 //	llama-bench -cache=false          disable the physics response cache (A/B timing)
-//	llama-bench -lut                  approximate interpolated-lookup mode (fast, NOT bit-exact)
-//	llama-bench -lut -lut-grid 241    densify the LUT bias grid (lower error, more precompute)
 //	llama-bench -store DIR            persist every (experiment, seed) table into DIR
 //	llama-bench -store DIR -resume    reuse stored cells; only missing seeds recompute
 //	llama-bench -timeout 30s          bound the whole run
@@ -47,8 +45,6 @@ func main() {
 		shard    = flag.Bool("shard-rows", false, "split each experiment's sweep rows into per-point jobs so even a single -run saturates the pool (implies -parallel; output is bit-identical)")
 		batch    = flag.Int("batch-rows", 1, "group N consecutive sweep points per sharded job, amortizing queue overhead on huge axes (implies -shard-rows when > 1; output is bit-identical)")
 		cache    = flag.Bool("cache", true, "memoize the metasurface response physics; disable for A/B timing of the uncached kernels (outputs are bit-identical either way)")
-		lut      = flag.Bool("lut", false, "approximate mode: answer bias-network responses from a precomputed interpolation grid instead of exact evaluation — rows are NOT bit-identical to an exact run and stored cells are marked non-reusable; use for throwaway scans, never for published tables")
-		lutGrid  = flag.Int("lut-grid", 0, "LUT bias-axis resolution (samples across each design's bias range); 0 = default; needs -lut")
 		storeDir = flag.String("store", "", "persist each (experiment, seed) result table into this durable results store directory (created if missing)")
 		resume   = flag.Bool("resume", false, "reuse valid stored cells from -store instead of recomputing them; missing, corrupt or schema-drifted records are recomputed and re-persisted (requires -store; output is bit-identical to a fresh run)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
@@ -61,9 +57,6 @@ func main() {
 	}
 	if *resume && *storeDir == "" {
 		fatal(fmt.Errorf("-resume requires -store DIR"))
-	}
-	if *lutGrid != 0 && !*lut {
-		fatal(fmt.Errorf("-lut-grid needs -lut"))
 	}
 
 	switch *format {
@@ -93,7 +86,7 @@ func main() {
 		if *seeds < 1 {
 			fatal(fmt.Errorf("-seeds %d: need at least one seed", *seeds))
 		}
-		opts := experiments.Options{Concurrency: 1, ShardRows: *shard, BatchRows: *batch, StoreDir: *storeDir, Resume: *resume, LUT: *lut, LUTGrid: *lutGrid}
+		opts := experiments.Options{Concurrency: 1, ShardRows: *shard, BatchRows: *batch, StoreDir: *storeDir, Resume: *resume}
 		if *parallel || *shard {
 			opts.Concurrency = 0 // engine default: GOMAXPROCS
 		}

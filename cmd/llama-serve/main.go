@@ -93,14 +93,6 @@ func main() {
 		}
 		log.Printf("llama-serve: warm-started %d response table(s), %d entries", nt, ne)
 	}
-	// Grids too: a LUT-mode run served by this process then interpolates
-	// from imported samples instead of rebuilding dense grids.
-	if ng, ns, warns := experiments.LoadLUTGrids(st); ng > 0 || len(warns) > 0 {
-		for _, warn := range warns {
-			log.Printf("llama-serve: %s", warn)
-		}
-		log.Printf("llama-serve: warm-started %d LUT grid(s), %d samples", ng, ns)
-	}
 	svc, err := service.New(service.Config{
 		Store: st, Workers: *workers, Logf: log.Printf,
 		MaxQueued: *maxQueued, Retention: *retention,
@@ -146,12 +138,6 @@ func main() {
 			log.Printf("llama-serve: %s", warn)
 		}
 		log.Printf("llama-serve: persisted %d response table(s), %d entries", nt, ne)
-	}
-	if ng, ns, warns := experiments.SaveLUTGrids(st); ng > 0 || len(warns) > 0 {
-		for _, warn := range warns {
-			log.Printf("llama-serve: %s", warn)
-		}
-		log.Printf("llama-serve: persisted %d LUT grid(s), %d samples", ng, ns)
 	}
 	log.Printf("llama-serve: drained cleanly")
 }

@@ -73,13 +73,6 @@ func main() {
 			log.Printf("llama-worker: %s", warn)
 		}
 		log.Printf("llama-worker: warm-started %d response table(s), %d entries", warmTables, warmEntries)
-		// Grids too, so leased LUT-mode jobs never rebuild dense grids.
-		if ng, ns, warns := experiments.LoadLUTGrids(st); ng > 0 || len(warns) > 0 {
-			for _, warn := range warns {
-				log.Printf("llama-worker: %s", warn)
-			}
-			log.Printf("llama-worker: warm-started %d LUT grid(s), %d samples", ng, ns)
-		}
 	}
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
 		Client: &fleet.Client{Base: *coordinator},
@@ -115,12 +108,6 @@ func main() {
 			log.Printf("llama-worker: %s", warn)
 		}
 		log.Printf("llama-worker: persisted %d response table(s), %d entries", nt, ne)
-		if ng, ns, warns := experiments.SaveLUTGrids(st); ng > 0 || len(warns) > 0 {
-			for _, warn := range warns {
-				log.Printf("llama-worker: %s", warn)
-			}
-			log.Printf("llama-worker: persisted %d LUT grid(s), %d samples", ng, ns)
-		}
 	}
 	log.Printf("llama-worker: %s stopped after %d jobs", *name, w.Jobs())
 }

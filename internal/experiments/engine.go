@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/llama-surface/llama/internal/metasurface"
 	"github.com/llama-surface/llama/internal/store"
 )
 
@@ -87,11 +86,6 @@ type Timing struct {
 	// exact. Report.Render says so explicitly instead of printing the
 	// misleading zeros.
 	CacheHits, CacheMisses uint64
-	// LUTInterpolated and LUTFallbacks are the approximate-mode lookups
-	// attributed to this experiment's jobs (interpolated answers and
-	// out-of-grid exact fallbacks). Same single-worker attribution rule
-	// as CacheHits; always zero when LUT mode is off.
-	LUTInterpolated, LUTFallbacks uint64
 }
 
 // Report summarises an Engine run: the per-seed results in ID order,
@@ -124,12 +118,6 @@ type Report struct {
 	// in the same process would cross-attribute). Both zero when caching
 	// is disabled.
 	CacheHits, CacheMisses uint64
-	// LUTInterpolated and LUTFallbacks are the approximate-mode lookups
-	// the whole run performed: grid-interpolated answers and out-of-grid
-	// points that fell back to the exact path. Both zero unless the run
-	// opted into LUT mode — in which case its rows are NOT bit-identical
-	// to an exact run, and Render flags them as approximate.
-	LUTInterpolated, LUTFallbacks uint64
 	// BatchRows records the per-job point batch size the run used.
 	BatchRows int
 	// ReusedCells counts the (experiment, seed) cells answered from the
@@ -179,9 +167,6 @@ func (rep *Report) Render(w io.Writer) error {
 		if n := t.CacheHits + t.CacheMisses; n > 0 {
 			fmt.Fprintf(&sb, "  cache %d/%d", t.CacheHits, n)
 		}
-		if n := t.LUTInterpolated + t.LUTFallbacks; n > 0 {
-			fmt.Fprintf(&sb, "  lut %d/%d", t.LUTInterpolated, n)
-		}
 		sb.WriteByte('\n')
 	}
 	if n := rep.CacheHits + rep.CacheMisses; n > 0 {
@@ -194,10 +179,6 @@ func (rep *Report) Render(w io.Writer) error {
 			fmt.Fprintf(&sb, "; per-experiment: unattributed (%d workers)", rep.Concurrency)
 		}
 		sb.WriteByte('\n')
-	}
-	if n := rep.LUTInterpolated + rep.LUTFallbacks; n > 0 {
-		fmt.Fprintf(&sb, "lut: %d interpolated / %d exact fallbacks (APPROXIMATE mode — rows are not bit-exact)\n",
-			rep.LUTInterpolated, rep.LUTFallbacks)
 	}
 	if rep.ReusedCells > 0 || rep.PersistedCells > 0 || len(rep.StoreWarnings) > 0 {
 		fmt.Fprintf(&sb, "store: reused %d cell(s), recomputed %d, persisted %d\n",
@@ -299,18 +280,6 @@ type Options struct {
 	// records are recomputed and re-persisted. Output is bit-identical
 	// to a fresh run. Requires StoreDir.
 	Resume bool
-	// LUT opts the run into the approximate interpolated-lookup mode:
-	// per-axis responses come from each design's precomputed
-	// (bias, freq) grid by bilinear interpolation instead of exact
-	// evaluation. Rows are NOT bit-identical to an exact run (they stay
-	// within the tested error bound); cells persisted by a LUT run are
-	// marked and never reused by resume. The switch is process-global
-	// for the duration of the run.
-	LUT bool
-	// LUTGrid overrides the LUT bias-axis resolution (samples across the
-	// design's bias range); ≤0 keeps the default. Only meaningful with
-	// LUT.
-	LUTGrid int
 }
 
 // Execute runs opts through an Engine and returns the combined report.
@@ -320,18 +289,6 @@ func Execute(ctx context.Context, opts Options) (*Report, error) {
 	e := &Engine{Concurrency: opts.Concurrency, IDs: opts.IDs, ShardRows: opts.ShardRows, BatchRows: opts.BatchRows, Resume: opts.Resume}
 	if opts.Resume && opts.StoreDir == "" {
 		return nil, errors.New("experiments: Resume requires StoreDir")
-	}
-	if opts.LUT {
-		// Opt-in only: turning LUT mode ON for this run is explicit, and
-		// the switch stays on afterwards (flag semantics, like SetCaching
-		// from the llama-bench -cache flag). Execute never turns it off —
-		// a process that wants exact mode back calls SetLUT(false).
-		cfg := metasurface.ActiveLUTConfig()
-		if opts.LUTGrid > 0 {
-			cfg.BiasSteps = opts.LUTGrid
-		}
-		metasurface.SetLUTConfig(cfg)
-		metasurface.SetLUT(true)
 	}
 	if opts.StoreDir != "" {
 		st, err := store.Open(opts.StoreDir)
@@ -348,27 +305,16 @@ func Execute(ctx context.Context, opts Options) (*Report, error) {
 	// compute, so a fresh process answers previously computed physics
 	// from memory, and persist the (possibly grown) tables after the
 	// run. Both directions are pure acceleration — their warnings ride
-	// in StoreWarnings, never fail the run. Table entries are exact even
-	// under LUT mode (interpolated answers are never memoized), so
-	// saving is always safe.
+	// in StoreWarnings, never fail the run.
 	var loadWarns []string
 	if e.Store != nil {
 		_, _, loadWarns = LoadResponseTables(e.Store)
-		if metasurface.LUTEnabled() {
-			// Approximate mode also warm-starts its dense grids, so the
-			// run interpolates from imported samples instead of paying a
-			// per-design grid build.
-			_, _, gridWarns := LoadLUTGrids(e.Store)
-			loadWarns = append(loadWarns, gridWarns...)
-		}
 	}
 	rep, err := e.run(ctx, seeds)
 	if rep != nil {
 		var saveWarns []string
 		if e.Store != nil {
 			_, _, saveWarns = SaveResponseTables(e.Store)
-			_, _, gridWarns := SaveLUTGrids(e.Store)
-			saveWarns = append(saveWarns, gridWarns...)
 		}
 		rep.StoreWarnings = append(append(loadWarns, rep.StoreWarnings...), saveWarns...)
 	}
@@ -478,8 +424,6 @@ type cellRun struct {
 	// Per-slot response-cache lookup deltas, recorded only on
 	// single-worker runs (see Timing.CacheHits).
 	cacheHits, cacheMisses []uint64
-	// Per-slot approximate-mode lookup deltas, same attribution rule.
-	lutInterp, lutFallback []uint64
 	// res is the assembled table (nil when the cell failed or was
 	// cancelled); partial is the salvaged prefix of a failed sweep.
 	res     *Result
@@ -506,15 +450,6 @@ func (c *cellRun) cacheDelta() (hits, misses uint64) {
 		misses += c.cacheMisses[p]
 	}
 	return hits, misses
-}
-
-// lutDelta sums the cell's per-slot approximate-mode lookups.
-func (c *cellRun) lutDelta() (interp, fallback uint64) {
-	for p := range c.lutInterp {
-		interp += c.lutInterp[p]
-		fallback += c.lutFallback[p]
-	}
-	return interp, fallback
 }
 
 // span returns the wall-clock interval the cell occupied: first job start

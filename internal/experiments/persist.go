@@ -67,10 +67,10 @@ func loadStored(st *store.Store, id string, seed int64) (*Result, string, bool) 
 		}
 		return nil, fmt.Sprintf("%v: recomputing", err), false
 	}
-	// Cells computed in approximate LUT mode are never reused: their rows
-	// are not bit-identical to exact computation, and invariant 6
-	// promises a resumed run reproduces a fresh (exact) run bit-for-bit.
-	// Recomputing them is cheap — and under LUT mode, cheap by design.
+	// Cells an older release computed in its approximate LUT mode carry
+	// the legacy Meta.LUT marker and are never reused: their rows are not
+	// bit-identical to exact computation, and invariant 6 promises a
+	// resumed run reproduces a fresh (exact) run bit-for-bit.
 	if rec.Meta.LUT {
 		return nil, fmt.Sprintf("store: record for %s (seed %d) at %s was computed in approximate LUT mode: recomputing",
 			id, seed, rec.Path), false

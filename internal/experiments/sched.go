@@ -444,11 +444,6 @@ type submission struct {
 
 	start      time.Time
 	cacheStart metasurface.CacheStats
-	lutStart   metasurface.LUTStats
-	// lutMode snapshots whether approximate LUT mode was on when the
-	// submission was created; persisted cells are stamped with it so
-	// resume runs can refuse to reuse approximate rows.
-	lutMode bool
 
 	cells      []cellRun
 	queue      []schedJob
@@ -499,8 +494,6 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 		fed:        make(chan struct{}),
 		start:      time.Now(),
 		cacheStart: metasurface.GlobalCacheStats(),
-		lutStart:   metasurface.GlobalLUTStats(),
-		lutMode:    metasurface.LUTEnabled(),
 		done:       make(chan struct{}),
 	}
 	// Lay out every cell and its job slots before any worker starts: the
@@ -539,8 +532,6 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 			c.elapsed = make([]time.Duration, slots)
 			c.cacheHits = make([]uint64, slots)
 			c.cacheMisses = make([]uint64, slots)
-			c.lutInterp = make([]uint64, slots)
-			c.lutFallback = make([]uint64, slots)
 			ci := len(sub.cells)
 			sub.cells = append(sub.cells, c)
 			if c.sweep != nil {
@@ -577,20 +568,16 @@ func (sub *submission) execute(jb schedJob) {
 	c := &sub.cells[jb.cell]
 	if c.sweep == nil {
 		var cs metasurface.CacheStats
-		var ls metasurface.LUTStats
 		if sub.trackCache {
 			cs = metasurface.GlobalCacheStats()
-			ls = metasurface.GlobalLUTStats()
 		}
 		started := time.Now()
 		res, err := Run(sub.ctx, c.id, c.seed)
 		elapsed := time.Since(started)
-		var hits, misses, interp, fallback uint64
+		var hits, misses uint64
 		if sub.trackCache {
 			d := metasurface.GlobalCacheStats().Sub(cs)
 			hits, misses = d.Hits, d.Misses
-			ld := metasurface.GlobalLUTStats().Sub(ls)
-			interp, fallback = ld.Interpolated, ld.Fallbacks
 		}
 		if !sub.settled[jb.ji].CompareAndSwap(false, true) {
 			return
@@ -599,7 +586,6 @@ func (sub *submission) execute(jb schedJob) {
 		c.started[jb.point] = started
 		c.elapsed[jb.point] = elapsed
 		c.cacheHits[jb.point], c.cacheMisses[jb.point] = hits, misses
-		c.lutInterp[jb.point], c.lutFallback[jb.point] = interp, fallback
 		if err != nil {
 			c.errs[jb.point] = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
 			if res != nil && len(res.Rows) > 0 {
@@ -617,17 +603,13 @@ func (sub *submission) execute(jb schedJob) {
 	elapsed := make([]time.Duration, jb.count)
 	hits := make([]uint64, jb.count)
 	misses := make([]uint64, jb.count)
-	interp := make([]uint64, jb.count)
-	fallback := make([]uint64, jb.count)
 	ran := 0
 	var runErr error
 	for p := jb.point; p < jb.point+jb.count; p++ {
 		i := p - jb.point
 		var cs metasurface.CacheStats
-		var ls metasurface.LUTStats
 		if sub.trackCache {
 			cs = metasurface.GlobalCacheStats()
-			ls = metasurface.GlobalLUTStats()
 		}
 		started[i] = time.Now()
 		if p == jb.point && c.sweep.Warm != nil {
@@ -641,8 +623,6 @@ func (sub *submission) execute(jb schedJob) {
 		if sub.trackCache {
 			d := metasurface.GlobalCacheStats().Sub(cs)
 			hits[i], misses[i] = d.Hits, d.Misses
-			ld := metasurface.GlobalLUTStats().Sub(ls)
-			interp[i], fallback[i] = ld.Interpolated, ld.Fallbacks
 		}
 		ran++
 		if err != nil {
@@ -660,7 +640,6 @@ func (sub *submission) execute(jb schedJob) {
 		c.started[p] = started[i]
 		c.elapsed[p] = elapsed[i]
 		c.cacheHits[p], c.cacheMisses[p] = hits[i], misses[i]
-		c.lutInterp[p], c.lutFallback[p] = interp[i], fallback[i]
 		if i == ran-1 && runErr != nil {
 			c.errs[p] = runErr
 			sub.cancelFn()
@@ -706,7 +685,6 @@ func (sub *submission) finish() {
 // the pool.
 func (sub *submission) finalize() {
 	cacheDelta := metasurface.GlobalCacheStats().Sub(sub.cacheStart)
-	lutDelta := metasurface.GlobalLUTStats().Sub(sub.lutStart)
 	conc := sub.workers
 	if n := len(sub.queue); conc > n {
 		conc = n
@@ -715,15 +693,13 @@ func (sub *submission) finalize() {
 		conc = 1
 	}
 	rep := &Report{
-		Seeds:           append([]int64(nil), sub.seeds...),
-		Concurrency:     conc,
-		Wall:            time.Since(sub.start),
-		ShardRows:       sub.spec.ShardRows,
-		BatchRows:       sub.batch,
-		CacheHits:       cacheDelta.Hits,
-		CacheMisses:     cacheDelta.Misses,
-		LUTInterpolated: lutDelta.Interpolated,
-		LUTFallbacks:    lutDelta.Fallbacks,
+		Seeds:       append([]int64(nil), sub.seeds...),
+		Concurrency: conc,
+		Wall:        time.Since(sub.start),
+		ShardRows:   sub.spec.ShardRows,
+		BatchRows:   sub.batch,
+		CacheHits:   cacheDelta.Hits,
+		CacheMisses: cacheDelta.Misses,
 	}
 	cells := sub.cells
 	seeds := sub.seeds
@@ -777,7 +753,6 @@ func (sub *submission) finalize() {
 			rec := storeRecord(c.res, c.seed, store.Meta{
 				Concurrency: conc, ShardRows: sub.spec.ShardRows, BatchRows: sub.batch,
 				CacheHits: h, CacheMisses: m, ElapsedNs: int64(c.busy()),
-				LUT: sub.lutMode,
 			})
 			if err := sub.st.Put(rec); err != nil {
 				err = fmt.Errorf("experiments: %s (seed %d): persisting result: %w", c.id, c.seed, err)
@@ -811,7 +786,7 @@ func (sub *submission) finalize() {
 	for i, id := range sub.ids {
 		var perSeed []*Result
 		var wall, busy time.Duration
-		var hits, misses, interp, fallback uint64
+		var hits, misses uint64
 		points := 1
 		// An experiment row missing any seed is excluded from the report
 		// proper, but its completed seeds must not vanish: a failure in
@@ -831,9 +806,6 @@ func (sub *submission) finalize() {
 			h, m := c.cacheDelta()
 			hits += h
 			misses += m
-			li, lf := c.lutDelta()
-			interp += li
-			fallback += lf
 			if c.jobs() > points {
 				points = c.jobs()
 			}
@@ -855,7 +827,6 @@ func (sub *submission) finalize() {
 			ID: id, Elapsed: wall, Busy: busy,
 			Rows: len(perSeed[0].Rows), Points: points,
 			CacheHits: hits, CacheMisses: misses,
-			LUTInterpolated: interp, LUTFallbacks: fallback,
 		})
 		rep.Results = append(rep.Results, perSeed[0])
 		if len(seeds) > 1 {

@@ -3,14 +3,19 @@ package experiments
 // Engine-level contracts of the design-keyed response tables: sharing
 // across surfaces and persistence across processes must be invisible in
 // the output bytes (determinism invariant 10), fig15's per-distance
-// surfaces must actually reuse one table, LUT-mode cells must never be
-// resumed as exact, and the load/save glue must survive corrupt records.
+// surfaces must actually reuse one table, cells marked by the legacy
+// LUT mode must never be resumed as exact, and the load/save glue must
+// survive corrupt records.
 // Run under -race in CI.
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/llama-surface/llama/internal/metasurface"
 	"github.com/llama-surface/llama/internal/store"
@@ -134,43 +139,21 @@ func TestFig15CrossSurfaceReuse(t *testing.T) {
 	}
 }
 
-// TestLUTRunTaintsStoredCells: cells persisted by an approximate-mode run
-// are marked, refused by resume (with a warning naming the mode), and
-// recomputed to the exact bytes — after which the clean record resumes
-// normally.
+// TestLUTRunTaintsStoredCells: a cell written by an older release's
+// approximate LUT mode carries the legacy Meta.LUT marker. Resume must
+// refuse it (with a warning naming the file), recompute the exact
+// bytes, and leave a clean record that the next resume reuses. The
+// tainted record's rows are also perturbed, so reusing it by mistake
+// would show in the output.
 func TestLUTRunTaintsStoredCells(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
 	metasurface.ResetResponseTables()
-	exact, err := Execute(ctx, Options{IDs: []string{"fig16"}, Concurrency: 1})
+	exact, err := Execute(ctx, Options{IDs: []string{"fig16"}, Concurrency: 1, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	metasurface.ResetResponseTables()
-	rep, err := Execute(ctx, Options{IDs: []string{"fig16"}, Concurrency: 1, StoreDir: dir, LUT: true})
-	// Execute's LUT switch has flag semantics (stays on); restore exact
-	// mode immediately so a failure below cannot poison other tests.
-	metasurface.SetLUT(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LUTInterpolated == 0 {
-		t.Fatal("LUT run interpolated nothing; fig16's scan should sit inside the default grid")
-	}
-	if tm := rep.Timings[0]; tm.LUTInterpolated != rep.LUTInterpolated || tm.LUTFallbacks != rep.LUTFallbacks {
-		t.Errorf("single-worker LUT attribution %d/%d != run totals %d/%d",
-			tm.LUTInterpolated, tm.LUTFallbacks, rep.LUTInterpolated, rep.LUTFallbacks)
-	}
-	var sb strings.Builder
-	if err := rep.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "APPROXIMATE") {
-		t.Errorf("render does not flag the approximate mode:\n%s", sb.String())
-	}
-
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -179,12 +162,19 @@ func TestLUTRunTaintsStoredCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Meta.LUT {
-		t.Fatal("cell persisted by a LUT run is not marked approximate; resume would serve wrong bytes as exact")
+	tainted := &store.Record{Schema: rec.Schema, ID: rec.ID, Seed: rec.Seed, Title: rec.Title,
+		Columns: rec.Columns, Notes: rec.Notes, Meta: rec.Meta}
+	for _, row := range rec.Rows {
+		tainted.Rows = append(tainted.Rows, append(append([]string(nil), row[:len(row)-1]...), "0.5"))
+	}
+	tainted.Meta.LUT = true
+	if err := st.Put(tainted); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Resume in exact mode: the tainted record must be recomputed, not
-	// reused, and the recomputed bytes equal the exact reference.
 	metasurface.ResetResponseTables()
 	res, err := Execute(ctx, Options{IDs: []string{"fig16"}, Concurrency: 1, StoreDir: dir, Resume: true})
 	if err != nil {
@@ -194,14 +184,14 @@ func TestLUTRunTaintsStoredCells(t *testing.T) {
 		t.Errorf("resume reused %d / computed %d cells, want 0/1 (tainted record refused)",
 			res.ReusedCells, res.ComputedCells)
 	}
-	tainted := false
+	warned := false
 	for _, w := range res.StoreWarnings {
-		if strings.Contains(w, "LUT mode") {
-			tainted = true
+		if strings.Contains(w, "LUT mode") && strings.Contains(w, st.CellPath("fig16", 1)) {
+			warned = true
 		}
 	}
-	if !tainted {
-		t.Errorf("resume did not warn about the LUT-tainted record: %v", res.StoreWarnings)
+	if !warned {
+		t.Errorf("resume did not warn about the LUT-tainted record by file: %v", res.StoreWarnings)
 	}
 	if !sameResult(res.Results[0], exact.Results[0]) {
 		t.Error("recomputed cell differs from the exact reference")
@@ -221,6 +211,58 @@ func TestLUTRunTaintsStoredCells(t *testing.T) {
 	}
 	if again.ReusedCells != 1 {
 		t.Errorf("clean record not reused on the second resume: %+v reused", again.ReusedCells)
+	}
+	if !sameResult(again.Results[0], exact.Results[0]) {
+		t.Error("reused cell differs from the exact reference")
+	}
+}
+
+// TestLegacyGridDirIgnored: a store written by an older release may
+// still hold a grids/ directory of LUT grid records. The store must
+// open, resume bit-identically, and GC must leave that directory alone.
+func TestLegacyGridDirIgnored(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	metasurface.ResetResponseTables()
+	fresh, err := Execute(ctx, Options{IDs: []string{"tab1"}, Concurrency: 1, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := filepath.Join(dir, "grids", "legacy-fp.json")
+	legacy := []byte(`{"schema":1,"fingerprint":"legacy-fp","saved_unix_ns":1,"meta":["2","2","0","0","1","0","1"]}` + "\n")
+	if err := os.MkdirAll(filepath.Dir(grid), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(grid, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	metasurface.ResetResponseTables()
+	res, err := Execute(ctx, Options{IDs: []string{"tab1"}, Concurrency: 1, StoreDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReusedCells != 1 || len(res.StoreWarnings) != 0 {
+		t.Errorf("resume over a store with grids/: reused %d cells, warnings %v; want 1, none", res.ReusedCells, res.StoreWarnings)
+	}
+	if !sameResult(res.Results[0], fresh.Results[0]) {
+		t.Error("resumed cell differs from the fresh run")
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, err := st.GC(store.GCPolicy{Now: time.Now().Add(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gc.Removed != 1 {
+		t.Errorf("GC removed %d cells, want the 1 unreferenced cell", gc.Removed)
+	}
+	if got, err := os.ReadFile(grid); err != nil || !bytes.Equal(got, legacy) {
+		t.Errorf("GC touched the legacy grid record: err=%v, bytes equal=%v", err, bytes.Equal(got, legacy))
 	}
 }
 

@@ -95,58 +95,6 @@ func loadResponseTable(st *store.Store, fp string) loadedTable {
 	return loadedTable{imported: true, entries: n}
 }
 
-// LoadLUTGrids imports every persisted LUT grid from the store into the
-// process-wide table registry, so approximate-mode lookups interpolate
-// from the imported grid instead of paying a dense rebuild
-// (metasurface.GlobalLUTGridBuilds stays at zero for warm designs). It
-// returns the number of grids and samples imported plus a warning per
-// unusable record — like tables, grids are pure acceleration state, so
-// a bad record warns and the grid rebuilds on demand.
-func LoadLUTGrids(st *store.Store) (grids, samples int, warns []string) {
-	if st == nil {
-		return 0, 0, nil
-	}
-	recs, err := st.ListGrids()
-	if err != nil {
-		return 0, 0, []string{fmt.Sprintf("store: listing LUT grids: %v: rebuilding on demand", err)}
-	}
-	for _, rec := range recs {
-		n, err := metasurface.ImportLUTGrid(metasurface.GridExport{
-			Fingerprint: rec.Fingerprint,
-			Meta:        rec.Meta,
-			Samples:     rec.Samples,
-		})
-		if err != nil {
-			warns = append(warns, fmt.Sprintf("store: LUT grid %s at %s: %v: rebuilding on demand", rec.Fingerprint, rec.Path, err))
-			continue
-		}
-		grids++
-		samples += n
-	}
-	return grids, samples, warns
-}
-
-// SaveLUTGrids persists every built in-memory LUT grid to the store.
-// Unlike response tables there is nothing to union-merge: a grid is a
-// pure function of (design, LUTConfig), so the freshly built grid IS
-// the record and simply overwrites. It returns the number of grids and
-// samples written and any warnings.
-func SaveLUTGrids(st *store.Store) (grids, samples int, warns []string) {
-	if st == nil {
-		return 0, 0, nil
-	}
-	for _, ex := range metasurface.ExportLUTGrids() {
-		rec := &store.GridRecord{Fingerprint: ex.Fingerprint, Meta: ex.Meta, Samples: ex.Samples}
-		if err := st.PutGrid(rec); err != nil {
-			warns = append(warns, fmt.Sprintf("%v", err))
-			continue
-		}
-		grids++
-		samples += rec.Entries()
-	}
-	return grids, samples, warns
-}
-
 // SaveResponseTables persists every non-empty in-memory response table
 // that this store handle does not already hold, union-merged with
 // whatever is already on disk. A table is skipped — nothing read,

@@ -135,7 +135,6 @@ func DefaultConfig() Config {
 			"internal/experiments/persist.go",
 			"internal/experiments/tables.go",
 			"internal/metasurface/table.go",
-			"internal/metasurface/grid_io.go",
 		},
 		DocPkgs:     []string{"internal/..."},
 		DocRootPkgs: []string{"."},

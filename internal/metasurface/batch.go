@@ -8,12 +8,11 @@ package metasurface
 // snapshot, computes every miss in one grouped singleflight pass, and
 // folds the counters in one add, so per-point synchronization traffic
 // amortizes away. Results are bit-identical to calling the scalar path
-// point by point in every mode — exact, caching disabled, and
-// approximate LUT — because both paths resolve through the same
-// memoized evaluations and assemble through the same helpers
-// (jonesTransmissiveFrom / jonesReflectiveFrom). That equivalence is
-// determinism invariant #11 in ARCHITECTURE.md, locked in under -race
-// by batch_test.go.
+// point by point in both modes — cached and caching disabled — because
+// both paths resolve through the same memoized evaluations and assemble
+// through the same helpers (jonesTransmissiveFrom /
+// jonesReflectiveFrom). That equivalence is determinism invariant #11
+// in ARCHITECTURE.md, locked in under -race by batch_test.go.
 
 import (
 	"github.com/llama-surface/llama/internal/mat2"
@@ -75,7 +74,7 @@ func (s *Surface) Warm(pts []BatchPoint) {
 // batchResponses resolves the per-axis and QWP responses of every
 // point. On the exact cached path all 2·n axis points and n QWP
 // frequencies resolve against one snapshot each, in one grouped
-// singleflight pass per kind. The LUT and uncached paths loop the same
+// singleflight pass per kind. The uncached path loops the same
 // per-point resolution the scalar path uses — per-mode bit-identity is
 // the contract, not a shared fast path.
 func (s *Surface) batchResponses(pts []BatchPoint) (xr, yr []axisResponse, qw []qwpResponse) {
@@ -84,9 +83,8 @@ func (s *Surface) batchResponses(pts []BatchPoint) (xr, yr []axisResponse, qw []
 	yr = make([]axisResponse, n)
 	qw = make([]qwpResponse, n)
 	lo, hi := s.design.MinBiasV, s.design.MaxBiasV
-	if s.table == nil || !CachingEnabled() || LUTEnabled() {
-		// The scalar resolution already handles these modes (LUT
-		// interpolation with exact fallback, or direct evaluation);
+	if s.table == nil || !CachingEnabled() {
+		// The scalar resolution already handles direct evaluation;
 		// batching only groups the loop.
 		for i, p := range pts {
 			xr[i] = s.axisAt(AxisX, p.F, units.Clamp(p.VX, lo, hi))

@@ -13,8 +13,7 @@ import (
 
 // batchTestPoints builds a deterministic operating-point set spanning
 // the band and control range, including repeated points (batch dedup),
-// out-of-range biases (clamping) and, under LUT mode, out-of-grid
-// frequencies (exact fallback).
+// out-of-range biases (clamping) and an out-of-band frequency.
 func batchTestPoints() []BatchPoint {
 	rng := rand.New(rand.NewSource(11))
 	pts := []BatchPoint{
@@ -23,7 +22,7 @@ func batchTestPoints() []BatchPoint {
 		{F: 2.0e9, VX: 0, VY: 30},
 		{F: 2.8e9, VX: 30, VY: 0},
 		{F: 2.45e9, VX: -3, VY: 99}, // clamps to the control range
-		{F: 1.0e9, VX: 5, VY: 5},    // far out of any LUT grid
+		{F: 1.0e9, VX: 5, VY: 5},    // far below the band
 	}
 	for i := 0; i < 40; i++ {
 		pts = append(pts, BatchPoint{
@@ -44,10 +43,9 @@ func scalarJones(s *Surface, mode Mode, p BatchPoint) mat2.Mat {
 
 // TestBatchMatchesScalarAllModes is determinism invariant #11: JonesBatch
 // must be bit-identical to the scalar SetBias+Jones loop in every cache
-// mode — exact cached, caching disabled, and approximate LUT — and the
-// exact modes must also match the uncached evaluation (invariant #10
-// composed with #11). Run under -race this also certifies the grouped
-// miss path.
+// mode — cached and caching disabled — and both modes must also match
+// the uncached evaluation (invariant #10 composed with #11). Run under
+// -race this also certifies the grouped miss path.
 func TestBatchMatchesScalarAllModes(t *testing.T) {
 	ResetResponseTables()
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
@@ -83,7 +81,7 @@ func TestBatchMatchesScalarAllModes(t *testing.T) {
 			// return the same bits, reusing the destination slice.
 			again := batch.JonesBatch(mode, pts, got)
 			for i := range pts {
-				if !sameMat(again[i], ref[mode][i]) && name != "lut" {
+				if !sameMat(again[i], ref[mode][i]) {
 					t.Fatalf("%s mode %v point %d: cached batch diverged from uncached reference", name, mode, i)
 				}
 			}
@@ -106,15 +104,6 @@ func TestBatchMatchesScalarAllModes(t *testing.T) {
 		SetCaching(false)
 		defer SetCaching(true)
 		check(t, "disabled")
-	})
-	t.Run("lut", func(t *testing.T) {
-		SetLUT(true)
-		defer func() {
-			SetLUT(false)
-			ResetGlobalLUTStats()
-			ResetResponseTables()
-		}()
-		check(t, "lut")
 	})
 }
 

@@ -488,11 +488,10 @@ func (m *snapMap[K, V]) snapshot() map[K]V {
 // responseTable memoizes the per-axis and per-frequency QWP evaluations
 // of one design, shared by every Surface of that design. Both entry
 // kinds live in snapMaps, so lookups are lock-free snapshot reads and
-// concurrent misses on one key evaluate once (see the snapMap doc). The
-// lut pointer holds the design's precomputed interpolation grid when
-// approximate mode is active (lut.go). version changes whenever either
-// map gains an entry, so persistence can tell a table that grew from one
-// that still matches the record it was loaded from (table.go).
+// concurrent misses on one key evaluate once (see the snapMap doc).
+// version changes whenever either map gains an entry, so persistence
+// can tell a table that grew from one that still matches the record it
+// was loaded from (table.go).
 type responseTable struct {
 	fingerprint string
 
@@ -502,8 +501,6 @@ type responseTable struct {
 	version atomic.Uint64
 
 	counters shardedStats
-
-	lut atomic.Pointer[lutGrid]
 }
 
 // newResponseTable returns an empty table for one design fingerprint,

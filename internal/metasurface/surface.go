@@ -88,8 +88,7 @@ func (s *Surface) String() string {
 // CacheStats returns the counters of this surface's own lookups against
 // its design's shared response table — hits include entries another
 // surface of the same design computed. Counters advance only while
-// caching is enabled (SetCaching); exact-path lookups only (approximate
-// LUT answers are counted by GlobalLUTStats instead).
+// caching is enabled (SetCaching).
 func (s *Surface) CacheStats() CacheStats {
 	return CacheStats{Hits: s.hits.Load(), Misses: s.misses.Load()}
 }
@@ -155,16 +154,9 @@ func (d Design) qwpEval(f float64) qwpResponse {
 	}
 }
 
-// axisAt returns the per-axis response: interpolated from the LUT grid
-// in approximate mode (in-range points only), otherwise through the
-// shared exact table when caching is enabled.
+// axisAt returns the per-axis response, through the shared table when
+// caching is enabled.
 func (s *Surface) axisAt(axis Axis, f, v float64) axisResponse {
-	if s.table != nil && LUTEnabled() {
-		if r, ok := s.table.lutAxisAt(s.design, axis, f, v); ok {
-			return r
-		}
-		// Out-of-grid operating point: fall through to the exact path.
-	}
 	if s.table == nil || !CachingEnabled() {
 		return s.design.axisEval(axis, f, v)
 	}
@@ -178,8 +170,8 @@ func (s *Surface) axisAt(axis Axis, f, v float64) axisResponse {
 }
 
 // qwpAt returns the QWP response, through the shared table when caching
-// is enabled. The QWP is bias-independent — one exact evaluation per
-// frequency — so approximate mode never applies here.
+// is enabled. The QWP is bias-independent: one evaluation per
+// frequency.
 func (s *Surface) qwpAt(f float64) qwpResponse {
 	if s.table == nil || !CachingEnabled() {
 		return s.design.qwpEval(f)

@@ -72,11 +72,12 @@ type Meta struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	// ElapsedNs is the compute time the cell cost when it was computed.
 	ElapsedNs int64 `json:"elapsed_ns"`
-	// LUT marks a cell computed in the approximate interpolated-lookup
-	// mode. Such cells are not bit-identical to exact computation, so
-	// resume runs never reuse them (they are recomputed instead) — the
-	// store must never silently launder approximate rows into an exact
-	// run.
+	// LUT is a legacy read-only marker: older releases had an
+	// approximate interpolated-lookup mode and set it on the cells that
+	// mode computed. Such cells are not bit-identical to exact
+	// computation, so resume runs never reuse them (they are recomputed
+	// instead) — the store must never silently launder approximate rows
+	// into an exact run. Nothing sets it any more.
 	LUT bool `json:"lut,omitempty"`
 }
 
@@ -471,8 +472,8 @@ func readRecord(path string) (*Record, error) {
 	return decodeRecord(data)
 }
 
-// decodeRecord parses one JSONL record, enforcing the single-line shape
-// and the schema version.
+// decodeRecord parses one JSONL record, enforcing the single-line shape,
+// the schema version and a non-empty ID.
 func decodeRecord(data []byte) (*Record, error) {
 	trimmed := strings.TrimRight(string(data), "\n")
 	if trimmed == "" {
@@ -487,6 +488,9 @@ func decodeRecord(data []byte) (*Record, error) {
 	}
 	if rec.Schema != SchemaVersion {
 		return nil, fmt.Errorf("schema version %d, want %d", rec.Schema, SchemaVersion)
+	}
+	if rec.ID == "" {
+		return nil, errors.New("record has no ID")
 	}
 	return &rec, nil
 }

@@ -157,28 +157,6 @@ func CachingEnabled() bool { return metasurface.CachingEnabled() }
 // windowed measurements).
 func GlobalCacheStats() CacheStats { return metasurface.GlobalCacheStats() }
 
-// SetLUT switches the opt-in approximate response mode on or off
-// process-wide (off by default): per-axis responses come from each
-// design's precomputed dense (bias, freq) grid by bilinear interpolation
-// instead of exact evaluation. Outputs are NOT bit-identical to exact
-// mode — they stay within the tested error bound (|ΔS21| ≤ 0.05 on the
-// default 121×33 grid) — so use it only where approximate responses are
-// acceptable, e.g. wide design-space scans. Operating points outside
-// the grid fall back to the exact path. See cmd/llama-bench's -lut flag.
-func SetLUT(on bool) { metasurface.SetLUT(on) }
-
-// LUTEnabled reports whether the approximate LUT mode is on.
-func LUTEnabled() bool { return metasurface.LUTEnabled() }
-
-// LUTStats counts approximate-mode lookups — grid-interpolated answers
-// and out-of-grid exact fallbacks — kept strictly separate from the
-// exact-table CacheStats.
-type LUTStats = metasurface.LUTStats
-
-// GlobalLUTStats returns the process-wide approximate-mode counters
-// (monotone; snapshot and subtract for windowed measurements).
-func GlobalLUTStats() LUTStats { return metasurface.GlobalLUTStats() }
-
 // Absorber returns the paper's controlled environment (no multipath).
 func Absorber() Environment { return channel.Absorber() }
 
