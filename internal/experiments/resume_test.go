@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -154,6 +156,46 @@ func TestResumeRendersReuseCounts(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "store: reused 2 cell(s), recomputed 3, persisted 3") {
 		t.Errorf("render missing store reuse summary:\n%s", sb.String())
+	}
+}
+
+// TestResumeIgnoresLegacyManifest: stores written by older releases
+// hold an index.jsonl manifest beside cells/. Nothing reads or writes it
+// any more: such a store opens, a resume over it reuses every cell
+// bit-identically, and the manifest's bytes are left as they were.
+func TestResumeIgnoresLegacyManifest(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	opts := Options{IDs: resumeTestIDs, Seeds: seedRange(1, 2), Concurrency: 2, StoreDir: dir}
+	first, err := Execute(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "index.jsonl")
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Fatalf("a run wrote a manifest: %v", err)
+	}
+	// A stale manifest, as an older release left it: it names a cell that
+	// is gone and none of the cells that exist.
+	legacy := []byte(`{"schema":1,"id":"fig99","seed":1,"file":"cells/fig99__seed1.json","rows":3}` + "\n")
+	if err := os.WriteFile(manifest, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	again, err := Execute(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := len(resumeTestIDs) * 2; again.ReusedCells != cells || again.ComputedCells != 0 {
+		t.Errorf("reused %d / computed %d cells, want %d / 0", again.ReusedCells, again.ComputedCells, cells)
+	}
+	for i := range first.Results {
+		if !sameResult(again.Results[i], first.Results[i]) {
+			t.Errorf("resumed result %q differs from the run that stored it", first.Results[i].ID)
+		}
+	}
+	if got, err := os.ReadFile(manifest); err != nil || !bytes.Equal(got, legacy) {
+		t.Errorf("legacy manifest changed: %q (err %v), want %q", got, err, legacy)
 	}
 }
 

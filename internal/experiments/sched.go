@@ -764,13 +764,6 @@ func (sub *submission) finalize() {
 			}
 			persisted++
 		}
-		if err := sub.st.Sync(); err != nil {
-			err = fmt.Errorf("experiments: syncing store manifest: %w", err)
-			storeWarns = append(storeWarns, err.Error())
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
 	}
 	rep.PersistedCells = persisted
 	rep.ReusedCells = sub.reused

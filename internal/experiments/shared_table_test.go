@@ -90,8 +90,14 @@ func TestSharedTableTransparent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if recs, err := st.ListTables(); err != nil || len(recs) == 0 {
+			fps, err := st.TableFingerprints()
+			if err != nil || len(fps) == 0 {
 				t.Fatalf("no response tables persisted after pass 0 (err %v)", err)
+			}
+			for _, fp := range fps {
+				if _, err := st.GetTable(fp); err != nil {
+					t.Fatalf("pass 0 persisted an unreadable table: %v", err)
+				}
 			}
 		}
 	}
@@ -169,9 +175,6 @@ func TestLUTRunTaintsStoredCells(t *testing.T) {
 	}
 	tainted.Meta.LUT = true
 	if err := st.Put(tainted); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 

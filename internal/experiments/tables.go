@@ -75,7 +75,7 @@ type loadedTable struct {
 // loadResponseTable reads and imports the record of one fingerprint.
 func loadResponseTable(st *store.Store, fp string) loadedTable {
 	rec, err := st.GetTable(fp)
-	if store.IsTableNotFound(err) {
+	if store.IsNotFound(err) {
 		return loadedTable{}
 	}
 	if err != nil {
@@ -129,7 +129,7 @@ func SaveResponseTables(st *store.Store) (tables, entries int, warns []string) {
 			}); err != nil {
 				warns = append(warns, fmt.Sprintf("store: merging response table %s at %s: %v: overwriting", tv.Fingerprint, old.Path, err))
 			}
-		} else if !store.IsTableNotFound(err) {
+		} else if !store.IsNotFound(err) {
 			warns = append(warns, fmt.Sprintf("store: reading response table %s: %v: overwriting", tv.Fingerprint, err))
 		}
 		// Export after the merge so the written record carries the union.

@@ -161,8 +161,6 @@ func (w *Worker) runJob(ctx context.Context, g Grant) {
 		})
 		if perr := w.cfg.Store.Put(rec); perr != nil {
 			w.cfg.Logf("fleet worker %s: persisting %s: %v", w.cfg.Name, g.Desc, perr)
-		} else if perr := w.cfg.Store.Sync(); perr != nil {
-			w.cfg.Logf("fleet worker %s: syncing store: %v", w.cfg.Name, perr)
 		}
 	}
 	if err := w.cfg.Client.Complete(g.ID, res); err != nil {

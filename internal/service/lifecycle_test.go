@@ -91,8 +91,8 @@ func TestFastRunRecordNotClobbered(t *testing.T) {
 			len(recs), recs[0].ID, recs[0].Status)
 	}
 	for _, id := range ids {
-		if _, err := st.GetRun(id); !store.IsRunNotFound(err) {
-			t.Errorf("GetRun(%s) after delete = %v, want RunNotFound", id, err)
+		if _, err := st.GetRun(id); !store.IsNotFound(err) {
+			t.Errorf("GetRun(%s) after delete = %v, want NotFound", id, err)
 		}
 	}
 }

@@ -326,7 +326,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 	s.sched.Close()
-	return s.st.Sync()
+	return nil
 }
 
 // runNumber parses the numeric suffix of a "run-N" ID, -1 otherwise.
@@ -538,9 +538,6 @@ func (s *Server) watch(rn *run) {
 	s.mu.Unlock()
 	close(rn.finished)
 	s.persistRun(rn)
-	if serr := s.st.Sync(); serr != nil {
-		s.logf("service: syncing store: %v", serr)
-	}
 	s.logf("service: %s %s", id, status)
 }
 

@@ -25,21 +25,22 @@ func readSeed(f *testing.F, name string) []byte {
 	return data
 }
 
-// FuzzDecodeRecord: the cell-record decoder must never panic, and
-// whatever it accepts must carry the current schema and an ID. The seed
+// FuzzDecodeRecord: the shared decoder, run with the cell kind's
+// validation, must never panic, and whatever it accepts must carry the
+// current schema, an ID and rows that decode. The seed
 // corpus holds a real cell record and a legacy one an older release
 // wrote in its approximate LUT mode, which must still decode with its
 // marker set so resume can refuse it.
 func FuzzDecodeRecord(f *testing.F) {
 	lut := readSeed(f, "cell_record_lut.json")
-	if rec, err := decodeRecord(lut); err != nil || !rec.Meta.LUT {
+	if rec, err := cellKind.decode(lut); err != nil || !rec.Meta.LUT {
 		f.Fatalf("legacy LUT cell: err=%v, want it decoded with Meta.LUT set", err)
 	}
 	seedCorpus(f, readSeed(f, "cell_record.json"))
 	seedCorpus(f, lut)
 	f.Add([]byte(`{"schema":1,"seed":1}`)) // current schema, no ID
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeRecord(data)
+		rec, err := cellKind.decode(data)
 		if err != nil {
 			if rec != nil {
 				t.Fatalf("rejected record (%v) returned alongside a value", err)
@@ -49,17 +50,21 @@ func FuzzDecodeRecord(f *testing.F) {
 		if rec.Schema != SchemaVersion || rec.ID == "" {
 			t.Fatalf("accepted record with schema %d, id %q", rec.Schema, rec.ID)
 		}
+		if _, err := rec.DecodeRows(); err != nil {
+			t.Fatalf("accepted record whose rows do not decode: %v", err)
+		}
 	})
 }
 
-// FuzzDecodeRunRecord: the run-record decoder must never panic, and
-// whatever it accepts must carry the current schema and an ID. The seed
-// corpus is a real run record written by the service.
+// FuzzDecodeRunRecord: the shared decoder, run for the run kind, must
+// never panic, and whatever it accepts must carry the current schema
+// and an ID. The seed corpus is a real run record written by the
+// service.
 func FuzzDecodeRunRecord(f *testing.F) {
 	seedCorpus(f, readSeed(f, "run_record.json"))
 	f.Add([]byte(`{"schema":1,"status":"done"}`)) // current schema, no ID
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeRunRecord(data)
+		rec, err := runKind.decode(data)
 		if err != nil {
 			if rec != nil {
 				t.Fatalf("rejected record (%v) returned alongside a value", err)
@@ -72,13 +77,14 @@ func FuzzDecodeRunRecord(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTableRecord: the table-record decoder must never panic, and
-// whatever it accepts must carry the current schema and a fingerprint.
-// The seed corpus is a real exported table record.
+// FuzzDecodeTableRecord: the shared decoder, run for the table kind,
+// must never panic, and whatever it accepts must carry the current
+// schema and a fingerprint. The seed corpus is a real exported table
+// record.
 func FuzzDecodeTableRecord(f *testing.F) {
 	seedCorpus(f, readSeed(f, "table_record.json"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeTableRecord(data)
+		rec, err := tableKind.decode(data)
 		if err != nil {
 			if rec != nil {
 				t.Fatalf("rejected record (%v) returned alongside a value", err)

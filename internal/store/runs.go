@@ -10,17 +10,6 @@ package store
 // which is what makes re-served output bit-identical to the original
 // (determinism invariant 7 builds on invariant 6).
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net/url"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-)
-
 // RunSchemaVersion is the run-record format this package writes.
 const RunSchemaVersion = 1
 
@@ -70,82 +59,31 @@ type RunRecord struct {
 	Path string `json:"-"`
 }
 
-// RunNotFoundError reports that no run record exists for an ID.
-type RunNotFoundError struct {
-	// ID is the missing run; Path is where its record would live.
-	ID   string
-	Path string
-}
+// runKind stores run records under DIR/runs, keyed by run ID.
+var runKind = &kind[RunRecord, *RunRecord]{sub: "runs", schema: RunSchemaVersion}
 
-// Error implements error.
-func (e *RunNotFoundError) Error() string {
-	return fmt.Sprintf("store: no run record for %s at %s", e.ID, e.Path)
-}
-
-// IsRunNotFound reports whether err means "run never recorded" (as
-// opposed to recorded but unreadable).
-func IsRunNotFound(err error) bool {
-	var nf *RunNotFoundError
-	return errors.As(err, &nf)
-}
-
-// runsDir returns the directory run records live in.
-func (s *Store) runsDir() string { return filepath.Join(s.dir, "runs") }
+// header keys a run record by its run ID.
+func (r *RunRecord) header() (*int, *string, string, int64) { return &r.Schema, &r.Path, r.ID, 0 }
 
 // RunPath returns the path the record for a run ID lives at, whether or
 // not it exists yet. IDs are path-escaped like cell IDs, so a hostile
 // run ID can never traverse directories.
-func (s *Store) RunPath(id string) string {
-	return filepath.Join(s.runsDir(), url.PathEscape(id)+".json")
-}
+func (s *Store) RunPath(id string) string { return runKind.path(s.dir, id, 0) }
 
-// PutRun atomically persists one run record (temp file + fsync +
-// rename, like cell records), stamping its Schema and Path. Unlike cell
-// puts, run records are not manifest-tracked: ListRuns scans the runs
-// directory, so there is nothing to Sync.
+// PutRun atomically persists one run record, stamping its Schema and
+// Path.
 func (s *Store) PutRun(rec *RunRecord) error {
-	if rec == nil || rec.ID == "" {
-		return errors.New("store: PutRun needs a record with an ID")
-	}
-	if err := os.MkdirAll(s.runsDir(), 0o755); err != nil {
-		return fmt.Errorf("store: create %s: %w", s.runsDir(), err)
-	}
-	rec.Schema = RunSchemaVersion
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode run %s: %w", rec.ID, err)
-	}
-	path := s.RunPath(rec.ID)
-	if err := writeFileAtomic(path, append(line, '\n')); err != nil {
-		return fmt.Errorf("store: write run %s: %w", rec.ID, err)
-	}
-	rec.Path = path
-	return nil
+	_, err := runKind.put(s.dir, rec, nil)
+	return err
 }
 
 // GetRun loads and validates the record for a run ID. It returns a
-// *RunNotFoundError when the run was never recorded, and a
-// *CorruptError (with Seed 0) naming the path when a record exists but
-// is truncated, unparseable, schema-mismatched or mislabelled.
+// *NotFoundError when the run was never recorded, and a *CorruptError
+// (with Seed 0) naming the path when a record exists but is truncated,
+// unparseable, schema-mismatched or mislabelled.
 func (s *Store) GetRun(id string) (*RunRecord, error) {
-	path := s.RunPath(id)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, &RunNotFoundError{ID: id, Path: path}
-		}
-		return nil, &CorruptError{ID: id, Path: path, Err: err}
-	}
-	rec, err := decodeRunRecord(data)
-	if err != nil {
-		return nil, &CorruptError{ID: id, Path: path, Err: err}
-	}
-	if rec.ID != id {
-		return nil, &CorruptError{ID: id, Path: path,
-			Err: fmt.Errorf("record labelled %s", rec.ID)}
-	}
-	rec.Path = path
-	return rec, nil
+	rec, _, err := runKind.get(s.dir, id, 0)
+	return rec, err
 }
 
 // ListRuns returns every readable run record, sorted by ID. Unreadable
@@ -153,67 +91,20 @@ func (s *Store) GetRun(id string) (*RunRecord, error) {
 // *CorruptError from GetRun — so a single damaged record never hides
 // the rest.
 func (s *Store) ListRuns() ([]*RunRecord, error) {
-	entries, err := os.ReadDir(s.runsDir())
+	keys, err := runKind.names(s.dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil // no run was ever recorded
-		}
-		return nil, fmt.Errorf("store: scan %s: %w", s.runsDir(), err)
+		return nil, err
 	}
 	var out []*RunRecord
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
+	for _, k := range keys {
+		if rec, err := s.GetRun(k.id); err == nil {
+			out = append(out, rec)
 		}
-		path := filepath.Join(s.runsDir(), name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		rec, err := decodeRunRecord(data)
-		if err != nil {
-			continue
-		}
-		if name != url.PathEscape(rec.ID)+".json" {
-			continue // mislabelled file: evidence for GetRun, not a listing
-		}
-		rec.Path = path
-		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
 
 // DeleteRun removes a run's record. Deleting a run never touches cell
 // records — cells are shared across runs, and a re-submitted spec
 // reuses them. Deleting an unrecorded run is a no-op.
-func (s *Store) DeleteRun(id string) error {
-	if err := os.Remove(s.RunPath(id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: delete run %s: %w", id, err)
-	}
-	return nil
-}
-
-// decodeRunRecord parses one single-line run record, enforcing the
-// schema version.
-func decodeRunRecord(data []byte) (*RunRecord, error) {
-	trimmed := strings.TrimRight(string(data), "\n")
-	if trimmed == "" {
-		return nil, errors.New("empty run record file")
-	}
-	if strings.Contains(trimmed, "\n") {
-		return nil, errors.New("run record file holds more than one line")
-	}
-	var rec RunRecord
-	if err := json.Unmarshal([]byte(trimmed), &rec); err != nil {
-		return nil, fmt.Errorf("truncated or invalid JSON: %v", err)
-	}
-	if rec.Schema != RunSchemaVersion {
-		return nil, fmt.Errorf("run schema version %d, want %d", rec.Schema, RunSchemaVersion)
-	}
-	if rec.ID == "" {
-		return nil, errors.New("run record has no ID")
-	}
-	return &rec, nil
-}
+func (s *Store) DeleteRun(id string) error { return runKind.remove(s.dir, id, 0) }

@@ -57,22 +57,6 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunNotFound: an unrecorded run is a typed not-found, not a
-// corrupt record.
-func TestRunNotFound(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.GetRun("run-000042")
-	if !IsRunNotFound(err) {
-		t.Fatalf("err = %v, want RunNotFoundError", err)
-	}
-	if IsRunNotFound(nil) {
-		t.Error("IsRunNotFound(nil) = true")
-	}
-}
-
 // TestRunRecordCorrupt: truncated, mislabelled and schema-drifted
 // records surface as CorruptError naming the path; ListRuns skips them
 // without hiding healthy siblings.
@@ -97,7 +81,7 @@ func TestRunRecordCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.GetRun("run-000009"); err == nil || IsRunNotFound(err) {
+		if _, err := s.GetRun("run-000009"); err == nil || IsNotFound(err) {
 			t.Errorf("%s: GetRun err = %v, want corrupt", name, err)
 		} else if !strings.Contains(err.Error(), path) {
 			t.Errorf("%s: error does not name the file: %v", name, err)
@@ -157,7 +141,7 @@ func TestDeleteRun(t *testing.T) {
 	if err := s.DeleteRun("run-000001"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetRun("run-000001"); !IsRunNotFound(err) {
+	if _, err := s.GetRun("run-000001"); !IsNotFound(err) {
 		t.Fatalf("after delete: %v", err)
 	}
 	if err := s.DeleteRun("run-000001"); err != nil {

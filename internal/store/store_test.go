@@ -11,6 +11,22 @@ import (
 	"time"
 )
 
+// readableCells counts the cells the store lists and Get serves.
+func readableCells(t *testing.T, s *Store) int {
+	t.Helper()
+	keys, err := cellKind.names(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, k := range keys {
+		if _, err := s.Get(k.id, k.seed); err == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // sampleRecord builds a record whose cells cover every float64 shape the
 // tables can contain: finite, non-representable fractions, denormals,
 // negative zero, NaN and both infinities.
@@ -66,7 +82,7 @@ func TestRoundTripBitExact(t *testing.T) {
 }
 
 // TestRecordIsSingleJSONLLine: the on-disk record is one self-describing
-// JSONL line, and the manifest lists it.
+// JSONL line, and no manifest is written beside it.
 func TestRecordIsSingleJSONLLine(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -75,9 +91,6 @@ func TestRecordIsSingleJSONLLine(t *testing.T) {
 	}
 	rec, _ := sampleRecord("tab9", 3)
 	if err := s.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(rec.Path)
@@ -92,29 +105,47 @@ func TestRecordIsSingleJSONLLine(t *testing.T) {
 			t.Errorf("record not self-describing, missing %s in %s", want, data)
 		}
 	}
-	idx, err := os.ReadFile(filepath.Join(dir, "index.jsonl"))
-	if err != nil {
-		t.Fatalf("no index written: %v", err)
-	}
-	if !strings.Contains(string(idx), `"id":"tab9"`) {
-		t.Errorf("index does not list the record: %s", idx)
+	if _, err := os.Stat(filepath.Join(dir, "index.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("a manifest was written beside the record: %v", err)
 	}
 }
 
-// TestGetNotFound: a missing cell is a *NotFoundError, distinguishable
-// from corruption.
+// TestGetNotFound: a missing cell, table or run is a *NotFoundError
+// naming the key and the path it would live at, distinguishable from
+// corruption.
 func TestGetNotFound(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Get("fig1", 1)
-	if !IsNotFound(err) {
-		t.Fatalf("err = %v, want NotFoundError", err)
+	for _, c := range []struct {
+		kind string
+		get  func() error
+		want NotFoundError
+	}{
+		{"cell", func() error { _, err := s.Get("fig1", 3); return err },
+			NotFoundError{ID: "fig1", Seed: 3, Path: s.CellPath("fig1", 3)}},
+		{"table", func() error { _, err := s.GetTable("never-written"); return err },
+			NotFoundError{ID: "never-written", Path: s.TablePath("never-written")}},
+		{"run", func() error { _, err := s.GetRun("run-000042"); return err },
+			NotFoundError{ID: "run-000042", Path: s.RunPath("run-000042")}},
+	} {
+		err := c.get()
+		var nf *NotFoundError
+		if !IsNotFound(err) || !errors.As(err, &nf) {
+			t.Errorf("%s: err = %v, want NotFoundError", c.kind, err)
+			continue
+		}
+		if *nf != c.want {
+			t.Errorf("%s: not-found detail %+v, want %+v", c.kind, *nf, c.want)
+		}
+		var ce *CorruptError
+		if errors.As(err, &ce) {
+			t.Errorf("%s: missing record misreported as corrupt", c.kind)
+		}
 	}
-	var ce *CorruptError
-	if errors.As(err, &ce) {
-		t.Error("missing record misreported as corrupt")
+	if IsNotFound(nil) || IsNotFound(errors.New("other")) {
+		t.Error("IsNotFound matched nil or an unrelated error")
 	}
 }
 
@@ -197,9 +228,8 @@ func TestMislabelledRecordIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestReopenRebuildsManifest: a reopened store sees earlier records; a
-// deleted index file is rebuilt rather than fatal.
-func TestReopenRebuildsManifest(t *testing.T) {
+// TestReopenSeesRecords: a reopened store serves every earlier record.
+func TestReopenSeesRecords(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -211,21 +241,12 @@ func TestReopenRebuildsManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "index.jsonl")); err != nil {
-		t.Fatal(err)
-	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 3 {
-		t.Fatalf("reopened store Len = %d, want 3", s2.Len())
-	}
-	if _, err := s2.Get("fig3", 2); err != nil {
-		t.Fatalf("reopened store lost a record: %v", err)
+	if n := readableCells(t, s2); n != 3 {
+		t.Fatalf("reopened store serves %d cells, want 3", n)
 	}
 }
 
@@ -248,8 +269,8 @@ func TestPutOverwrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Title != "v2" || len(got.Columns) != 1 || s.Len() != 1 {
-		t.Errorf("overwrite failed: %+v (len %d)", got, s.Len())
+	if n := readableCells(t, s); got.Title != "v2" || len(got.Columns) != 1 || n != 1 {
+		t.Errorf("overwrite failed: %+v (%d readable cells)", got, n)
 	}
 }
 
@@ -284,39 +305,6 @@ func TestPutRejectsBadArity(t *testing.T) {
 	rec := &Record{ID: "x", Seed: 1, Columns: []string{"a", "b"}, Rows: [][]string{{"1"}}}
 	if err := s.Put(rec); err == nil || !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("err = %v, want arity error", err)
-	}
-}
-
-// TestSyncBatchesManifestWrites: Put defers the manifest; one Sync
-// flushes every pending entry, and a Sync with nothing pending is a
-// no-op that never errors.
-func TestSyncBatchesManifestWrites(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		rec, _ := sampleRecord("figS", seed)
-		if err := s.Put(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("manifest written before Sync: %v", err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := os.ReadFile(filepath.Join(dir, "index.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(idx), `"id":"figS"`); n != 4 {
-		t.Errorf("manifest lists %d records, want 4:\n%s", n, idx)
-	}
-	if err := s.Sync(); err != nil {
-		t.Errorf("idempotent Sync errored: %v", err)
 	}
 }
 
@@ -366,9 +354,6 @@ func TestGCRemovesOnlyUnreferencedStaleCells(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := s.GC(GCPolicy{MinAge: time.Hour, Now: time.Unix(0, now)})
 	if err != nil {
 		t.Fatal(err)
@@ -392,16 +377,13 @@ func TestGCRemovesOnlyUnreferencedStaleCells(t *testing.T) {
 			t.Errorf("%s seed %d: err = %v, want NotFound", c.id, c.seed, err)
 		}
 	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d after GC, want 2", s.Len())
-	}
-	// The manifest was synced: a reopen sees the post-GC record set.
+	// A reopen sees the post-GC record set.
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Len() != 2 {
-		t.Errorf("reopened Len = %d, want 2", re.Len())
+	if n := readableCells(t, re); n != 2 {
+		t.Errorf("reopened store serves %d cells after GC, want 2", n)
 	}
 	// Deleting the run releases its cell; everything stale then goes.
 	if err := s.DeleteRun("run-000001"); err != nil {
@@ -411,8 +393,8 @@ func TestGCRemovesOnlyUnreferencedStaleCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Removed != 1 || s.Len() != 1 {
-		t.Errorf("post-delete GC removed %d (Len %d), want 1 removed, Len 1", res.Removed, s.Len())
+	if n := readableCells(t, s); res.Removed != 1 || n != 1 {
+		t.Errorf("post-delete GC removed %d (%d readable cells), want 1 removed, 1 left", res.Removed, n)
 	}
 }
 
@@ -447,7 +429,7 @@ func TestGCEmptyAndConcurrentPut(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.Len() != 40 {
-		t.Errorf("Len = %d after concurrent put/GC, want 40 (fresh cells must survive)", s.Len())
+	if n := readableCells(t, s); n != 40 {
+		t.Errorf("%d readable cells after concurrent put/GC, want 40 (fresh cells must survive)", n)
 	}
 }

@@ -14,15 +14,7 @@ package store
 // lossless round-trips.
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net/url"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -46,7 +38,7 @@ type TableRecord struct {
 	QWP  [][]string `json:"qwp,omitempty"`
 
 	// Path is where the record was read from or written to; set by
-	// GetTable/PutTable/ListTables, never serialized.
+	// GetTable/PutTable, never serialized.
 	Path string `json:"-"`
 	// file is the stat of the file read or written at Path, for
 	// NoteTableSynced.
@@ -56,111 +48,46 @@ type TableRecord struct {
 // Entries returns the total entry count of the record.
 func (r *TableRecord) Entries() int { return len(r.Axis) + len(r.QWP) }
 
-// TableNotFoundError reports that no table record exists for a
+// tableKind stores table records under DIR/tables, keyed by
 // fingerprint.
-type TableNotFoundError struct {
-	// Fingerprint is the missing table; Path is where its record would
-	// live.
-	Fingerprint string
-	Path        string
-}
+var tableKind = &kind[TableRecord, *TableRecord]{sub: "tables", schema: TableSchemaVersion}
 
-// Error implements error.
-func (e *TableNotFoundError) Error() string {
-	return fmt.Sprintf("store: no table record for %s at %s", e.Fingerprint, e.Path)
+// header keys a table record by its fingerprint.
+func (r *TableRecord) header() (*int, *string, string, int64) {
+	return &r.Schema, &r.Path, r.Fingerprint, 0
 }
-
-// IsTableNotFound reports whether err means "table never persisted" (as
-// opposed to persisted but unreadable).
-func IsTableNotFound(err error) bool {
-	var nf *TableNotFoundError
-	return errors.As(err, &nf)
-}
-
-// tablesDir returns the directory table records live in.
-func (s *Store) tablesDir() string { return filepath.Join(s.dir, "tables") }
 
 // TablePath returns the path the record for a fingerprint lives at,
 // whether or not it exists yet. Fingerprints are path-escaped like cell
 // IDs, so a hostile fingerprint can never traverse directories.
-func (s *Store) TablePath(fingerprint string) string {
-	return filepath.Join(s.tablesDir(), url.PathEscape(fingerprint)+".json")
-}
+func (s *Store) TablePath(fingerprint string) string { return tableKind.path(s.dir, fingerprint, 0) }
 
-// PutTable atomically persists one table record (temp file + fsync +
-// rename, like cell records), stamping its Schema and Path, and its
-// SavedUnixNs when unset (pinned stamps keep cross-process writers
-// byte-identical). Table records are not manifest-tracked: ListTables scans the
-// tables directory, so there is nothing to Sync.
+// PutTable atomically persists one table record, stamping its Schema
+// and Path, and its SavedUnixNs when unset (pinned stamps keep
+// cross-process writers byte-identical).
 func (s *Store) PutTable(rec *TableRecord) error {
-	if rec == nil || rec.Fingerprint == "" {
-		return errors.New("store: PutTable needs a record with a fingerprint")
-	}
-	if err := os.MkdirAll(s.tablesDir(), 0o755); err != nil {
-		return fmt.Errorf("store: create %s: %w", s.tablesDir(), err)
-	}
-	rec.Schema = TableSchemaVersion
-	if rec.SavedUnixNs == 0 {
+	if rec != nil && rec.SavedUnixNs == 0 {
 		rec.SavedUnixNs = time.Now().UnixNano()
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode table %s: %w", rec.Fingerprint, err)
+	info, err := tableKind.put(s.dir, rec, nil)
+	if err == nil {
+		rec.file = info
 	}
-	path := s.TablePath(rec.Fingerprint)
-	info, err := writeFileAtomicStat(path, append(line, '\n'))
-	if err != nil {
-		return fmt.Errorf("store: write table %s: %w", rec.Fingerprint, err)
-	}
-	rec.Path, rec.file = path, info
-	return nil
+	return err
 }
 
 // GetTable loads and validates the record for a design fingerprint. It
-// returns a *TableNotFoundError when the table was never persisted, and
-// a *CorruptError (with Seed 0) naming the path when a record exists
-// but is truncated, unparseable, schema-mismatched or mislabelled.
-// Callers treat a corrupt record as "start cold": warn and recompute.
+// returns a *NotFoundError when the table was never persisted, and a
+// *CorruptError (with Seed 0) naming the path when a record exists but
+// is truncated, unparseable, schema-mismatched or mislabelled. Callers
+// treat a corrupt record as "start cold": warn and recompute.
 func (s *Store) GetTable(fingerprint string) (*TableRecord, error) {
-	path := s.TablePath(fingerprint)
-	data, info, err := readFileStat(path)
+	rec, info, err := tableKind.get(s.dir, fingerprint, 0)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, &TableNotFoundError{Fingerprint: fingerprint, Path: path}
-		}
-		return nil, &CorruptError{ID: fingerprint, Path: path, Err: err}
+		return nil, err
 	}
-	rec, err := decodeTableRecord(data)
-	if err != nil {
-		return nil, &CorruptError{ID: fingerprint, Path: path, Err: err}
-	}
-	if rec.Fingerprint != fingerprint {
-		return nil, &CorruptError{ID: fingerprint, Path: path,
-			Err: fmt.Errorf("record labelled %s", rec.Fingerprint)}
-	}
-	rec.Path, rec.file = path, info
+	rec.file = info
 	return rec, nil
-}
-
-// readFileStat reads a whole file together with the stat of the very
-// file read (not of whatever the path names a moment later).
-func readFileStat(path string) ([]byte, os.FileInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	// Size the buffer from the stat, as os.ReadFile does; +1 lets the
-	// read see EOF without growing.
-	buf := bytes.NewBuffer(make([]byte, 0, info.Size()+1))
-	if _, err := buf.ReadFrom(f); err != nil {
-		return nil, nil, err
-	}
-	return buf.Bytes(), info, nil
 }
 
 // TableFingerprints returns the fingerprint of every table record file
@@ -168,45 +95,15 @@ func readFileStat(path string) ([]byte, os.FileInfo, error) {
 // name is not the escaped form of a fingerprint (TablePath) is not a
 // record this store writes, and is left out.
 func (s *Store) TableFingerprints() ([]string, error) {
-	entries, err := os.ReadDir(s.tablesDir())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil // no table was ever persisted
-		}
-		return nil, fmt.Errorf("store: scan %s: %w", s.tablesDir(), err)
-	}
-	var fps []string
-	for _, ent := range entries {
-		base, ok := strings.CutSuffix(ent.Name(), ".json")
-		if ent.IsDir() || !ok {
-			continue
-		}
-		fp, err := url.PathUnescape(base)
-		if err != nil || fp == "" || url.PathEscape(fp) != base {
-			continue
-		}
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	return fps, nil
-}
-
-// ListTables returns every readable table record, sorted by
-// fingerprint. Unreadable records are skipped — they stay on disk as
-// evidence and surface as *CorruptError from GetTable — so a single
-// damaged record never blocks warm-starting the rest.
-func (s *Store) ListTables() ([]*TableRecord, error) {
-	fps, err := s.TableFingerprints()
+	keys, err := tableKind.names(s.dir)
 	if err != nil {
 		return nil, err
 	}
-	var out []*TableRecord
-	for _, fp := range fps {
-		if rec, err := s.GetTable(fp); err == nil {
-			out = append(out, rec)
-		}
+	fps := make([]string, len(keys))
+	for i, k := range keys {
+		fps[i] = k.id
 	}
-	return out, nil
+	return fps, nil
 }
 
 // tableSync is what a handle saw of one table record: the in-memory
@@ -250,27 +147,4 @@ func (s *Store) TableSynced(fingerprint string, version uint64) bool {
 	info, err := os.Stat(s.TablePath(fingerprint))
 	return err == nil && os.SameFile(info, seen.file) &&
 		info.Size() == seen.file.Size() && info.ModTime().Equal(seen.file.ModTime())
-}
-
-// decodeTableRecord parses one single-line table record, enforcing the
-// schema version.
-func decodeTableRecord(data []byte) (*TableRecord, error) {
-	trimmed := strings.TrimRight(string(data), "\n")
-	if trimmed == "" {
-		return nil, errors.New("empty table record file")
-	}
-	if strings.Contains(trimmed, "\n") {
-		return nil, errors.New("table record file holds more than one line")
-	}
-	var rec TableRecord
-	if err := json.Unmarshal([]byte(trimmed), &rec); err != nil {
-		return nil, fmt.Errorf("truncated or invalid JSON: %v", err)
-	}
-	if rec.Schema != TableSchemaVersion {
-		return nil, fmt.Errorf("table schema version %d, want %d", rec.Schema, TableSchemaVersion)
-	}
-	if rec.Fingerprint == "" {
-		return nil, errors.New("table record has no fingerprint")
-	}
-	return &rec, nil
 }

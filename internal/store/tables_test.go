@@ -60,26 +60,6 @@ func TestTableRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTableNotFound: a never-persisted table is a typed not-found
-// distinct from corruption.
-func TestTableNotFound(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.GetTable("never-written")
-	if !IsTableNotFound(err) {
-		t.Fatalf("err = %v, want TableNotFoundError", err)
-	}
-	var nf *TableNotFoundError
-	if !errors.As(err, &nf) || nf.Fingerprint != "never-written" || nf.Path == "" {
-		t.Errorf("not-found detail: %+v", nf)
-	}
-	if IsTableNotFound(errors.New("other")) {
-		t.Error("IsTableNotFound matched an unrelated error")
-	}
-}
-
 // TestTableRecordCorrupt: truncated, multi-line, schema-drifted,
 // fingerprint-less and mislabelled records all surface as CorruptError
 // naming the path — never as not-found, never as a zero record.
@@ -112,50 +92,8 @@ func TestTableRecordCorrupt(t *testing.T) {
 		if !strings.Contains(ce.Error(), path) {
 			t.Errorf("%s: corrupt error does not name the file: %v", name, ce)
 		}
-		if IsTableNotFound(err) {
+		if IsNotFound(err) {
 			t.Errorf("%s: corruption misreported as not-found", name)
-		}
-	}
-}
-
-// TestListTables: listing returns readable records sorted by
-// fingerprint, skipping damaged and mislabelled files instead of
-// failing the warm start.
-func TestListTables(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty store: no tables dir yet, no error.
-	if recs, err := s.ListTables(); err != nil || len(recs) != 0 {
-		t.Fatalf("empty store: %v / %d records", err, len(recs))
-	}
-	for _, fp := range []string{"zz", "aa", "mm"} {
-		if err := s.PutTable(sampleTable(fp)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A corrupt record and a mislabelled one sit alongside the good ones.
-	if err := os.WriteFile(filepath.Join(s.tablesDir(), "broken.json"), []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(s.tablesDir(), "liar.json"),
-		[]byte(`{"schema":1,"fingerprint":"someone-else"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := s.ListTables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("%d records, want 3 (damaged files skipped)", len(recs))
-	}
-	for i, want := range []string{"aa", "mm", "zz"} {
-		if recs[i].Fingerprint != want {
-			t.Errorf("record %d = %s, want %s (sorted by fingerprint)", i, recs[i].Fingerprint, want)
-		}
-		if recs[i].Path == "" {
-			t.Errorf("record %d missing path", i)
 		}
 	}
 }
@@ -168,7 +106,7 @@ func TestTablePathEscaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.TablePath("../../etc/passwd")
-	if filepath.Dir(p) != s.tablesDir() {
+	if filepath.Dir(p) != filepath.Join(s.Dir(), "tables") {
 		t.Fatalf("hostile fingerprint escaped the tables dir: %s", p)
 	}
 	if err := s.PutTable(&TableRecord{Fingerprint: "../../x", Axis: [][]string{{"X"}}}); err != nil {
@@ -217,7 +155,7 @@ func TestTableFingerprints(t *testing.T) {
 		"%zz.json":       "{}\n",
 		"a%2fb.json":     "{}\n", // not how TablePath escapes "a/b"
 	} {
-		if err := os.WriteFile(filepath.Join(s.tablesDir(), name), []byte(data), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(filepath.Join(s.Dir(), "tables"), name), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
