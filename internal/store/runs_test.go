@@ -57,6 +57,17 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunNotFound: a never-recorded run is a *NotFoundError naming the
+// run ID and its would-be path.
+func TestRunNotFound(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.GetRun("run-000042")
+	checkNotFound(t, err, NotFoundError{ID: "run-000042", Path: s.RunPath("run-000042")})
+}
+
 // TestRunRecordCorrupt: truncated, mislabelled and schema-drifted
 // records surface as CorruptError naming the path; ListRuns skips them
 // without hiding healthy siblings.

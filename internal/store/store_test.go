@@ -110,39 +110,32 @@ func TestRecordIsSingleJSONLLine(t *testing.T) {
 	}
 }
 
-// TestGetNotFound: a missing cell, table or run is a *NotFoundError
-// naming the key and the path it would live at, distinguishable from
-// corruption.
+// TestGetNotFound: a missing cell is a *NotFoundError naming the key
+// and the path it would live at, distinguishable from corruption.
 func TestGetNotFound(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		kind string
-		get  func() error
-		want NotFoundError
-	}{
-		{"cell", func() error { _, err := s.Get("fig1", 3); return err },
-			NotFoundError{ID: "fig1", Seed: 3, Path: s.CellPath("fig1", 3)}},
-		{"table", func() error { _, err := s.GetTable("never-written"); return err },
-			NotFoundError{ID: "never-written", Path: s.TablePath("never-written")}},
-		{"run", func() error { _, err := s.GetRun("run-000042"); return err },
-			NotFoundError{ID: "run-000042", Path: s.RunPath("run-000042")}},
-	} {
-		err := c.get()
-		var nf *NotFoundError
-		if !IsNotFound(err) || !errors.As(err, &nf) {
-			t.Errorf("%s: err = %v, want NotFoundError", c.kind, err)
-			continue
-		}
-		if *nf != c.want {
-			t.Errorf("%s: not-found detail %+v, want %+v", c.kind, *nf, c.want)
-		}
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			t.Errorf("%s: missing record misreported as corrupt", c.kind)
-		}
+	_, err = s.Get("fig1", 3)
+	checkNotFound(t, err, NotFoundError{ID: "fig1", Seed: 3, Path: s.CellPath("fig1", 3)})
+}
+
+// checkNotFound asserts that err is a *NotFoundError with detail want,
+// never a CorruptError, and that IsNotFound rejects nil and unrelated
+// errors.
+func checkNotFound(t *testing.T, err error, want NotFoundError) {
+	t.Helper()
+	var nf *NotFoundError
+	if !IsNotFound(err) || !errors.As(err, &nf) {
+		t.Fatalf("err = %v, want NotFoundError", err)
+	}
+	if *nf != want {
+		t.Errorf("not-found detail %+v, want %+v", *nf, want)
+	}
+	var ce *CorruptError
+	if errors.As(err, &ce) {
+		t.Error("missing record misreported as corrupt")
 	}
 	if IsNotFound(nil) || IsNotFound(errors.New("other")) {
 		t.Error("IsNotFound matched nil or an unrelated error")

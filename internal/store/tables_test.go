@@ -60,6 +60,17 @@ func TestTableRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTableNotFound: a never-persisted table is a *NotFoundError
+// naming the fingerprint and its would-be path.
+func TestTableNotFound(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.GetTable("never-written")
+	checkNotFound(t, err, NotFoundError{ID: "never-written", Path: s.TablePath("never-written")})
+}
+
 // TestTableRecordCorrupt: truncated, multi-line, schema-drifted,
 // fingerprint-less and mislabelled records all surface as CorruptError
 // naming the path — never as not-found, never as a zero record.
