@@ -64,8 +64,8 @@ func BenchmarkExtMultilink(b *testing.B)  { benchExperiment(b, "ext-multilink") 
 func BenchmarkExtThroughput(b *testing.B) { benchExperiment(b, "ext-throughput") }
 func BenchmarkExtSchedule(b *testing.B)   { benchExperiment(b, "ext-schedule") }
 
-// Whole-suite benchmarks: the serial reference path vs the concurrent
-// Engine at several pool widths, so the fan-out speedup (and any
+// Whole-suite benchmarks: the serial reference path vs Execute's
+// concurrent pool at several widths, so the fan-out speedup (and any
 // coordination overhead on small machines) is measurable.
 
 func BenchmarkRunAllSerial(b *testing.B) {
@@ -85,14 +85,13 @@ func BenchmarkRunAllSerial(b *testing.B) {
 func benchRunAllParallel(b *testing.B, workers int) {
 	b.Helper()
 	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: workers}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunAll(ctx, int64(i+1))
+		rep, err := experiments.Execute(ctx, experiments.Options{Concurrency: workers, Seeds: []int64{int64(i + 1)}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res) == 0 {
+		if len(rep.Results) == 0 {
 			b.Fatal("no results")
 		}
 	}
@@ -110,14 +109,13 @@ func BenchmarkRunAllParallelMaxProcs(b *testing.B) { benchRunAllParallel(b, 0) }
 func benchRunAllSharded(b *testing.B, workers int) {
 	b.Helper()
 	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: workers, ShardRows: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunAll(ctx, int64(i+1))
+		rep, err := experiments.Execute(ctx, experiments.Options{Concurrency: workers, ShardRows: true, Seeds: []int64{int64(i + 1)}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res) == 0 {
+		if len(rep.Results) == 0 {
 			b.Fatal("no results")
 		}
 	}
@@ -129,23 +127,22 @@ func BenchmarkRunAllShardedMaxProcs(b *testing.B) { benchRunAllSharded(b, 0) }
 
 // Single-experiment serial-vs-sharded benchmarks: the case the sharding
 // exists for. A lone long sweep (fig15's seven full bias-plane scans)
-// bounds wall-clock for the whole-experiment engine no matter how many
+// bounds wall-clock for a whole-experiment job no matter how many
 // workers it has; sharding its rows is the only way -parallel helps a
 // single -run.
 
 func benchSingleExperiment(b *testing.B, id string, workers int, shard bool) {
 	b.Helper()
 	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: workers, IDs: []string{id}, ShardRows: shard}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunAll(ctx, int64(i+1))
+		rep, err := experiments.Execute(ctx, experiments.Options{Concurrency: workers, IDs: []string{id}, ShardRows: shard, Seeds: []int64{int64(i + 1)}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res) != 1 {
-			b.Fatalf("got %d results", len(res))
+		if len(rep.Results) != 1 {
+			b.Fatalf("got %d results", len(rep.Results))
 		}
 	}
 }
@@ -156,11 +153,10 @@ func BenchmarkFig15Sharded8(b *testing.B) { benchSingleExperiment(b, "fig15", 8,
 
 // BenchmarkFig15SerialUncached is the A/B counterpart of
 // BenchmarkFig15Serial with the response cache disabled: the ratio of
-// the two is the measured cache speedup on the bias-plane scan workload
-// (the same A/B the llama-bench -cache flag exposes).
+// the two is the measured cache speedup on the bias-plane scan workload.
 func BenchmarkFig15SerialUncached(b *testing.B) {
-	SetCaching(false)
-	defer SetCaching(true)
+	metasurface.SetCaching(false)
+	defer metasurface.SetCaching(true)
 	benchSingleExperiment(b, "fig15", 1, false)
 }
 func BenchmarkFig19Serial(b *testing.B)       { benchSingleExperiment(b, "fig19", 1, false) }
@@ -172,14 +168,14 @@ func BenchmarkExt900MHzSharded8(b *testing.B) { benchSingleExperiment(b, "ext-90
 // paper-style error-bar tables use.
 func BenchmarkReplicate5Seeds(b *testing.B) {
 	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: 0, IDs: []string{"fig16", "tab1", "fig22"}}
+	opts := experiments.Options{IDs: []string{"fig16", "tab1", "fig22"}, Seeds: []int64{1, 2, 3, 4, 5}}
 	for i := 0; i < b.N; i++ {
-		agg, err := eng.Replicate(ctx, []int64{1, 2, 3, 4, 5})
+		rep, err := experiments.Execute(ctx, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(agg) != 3 {
-			b.Fatalf("replicated %d experiments", len(agg))
+		if len(rep.Replicated) != 3 {
+			b.Fatalf("replicated %d experiments", len(rep.Replicated))
 		}
 	}
 }
@@ -231,8 +227,8 @@ func BenchmarkSceneFieldTransfer(b *testing.B) {
 // kernel (cache bypassed): comparing against the cached benchmark above
 // shows what memoization buys per evaluation.
 func BenchmarkSurfaceJonesTransmissiveUncached(b *testing.B) {
-	SetCaching(false)
-	defer SetCaching(true)
+	metasurface.SetCaching(false)
+	defer metasurface.SetCaching(true)
 	surf := NewSurface(OptimizedFR4(DefaultCarrierHz))
 	surf.SetBias(8, 8)
 	b.ReportAllocs()
@@ -285,8 +281,8 @@ func benchBiasPlaneScan(b *testing.B) {
 func BenchmarkBiasPlaneScanExact(b *testing.B) { benchBiasPlaneScan(b) }
 
 func BenchmarkBiasPlaneScanUncached(b *testing.B) {
-	SetCaching(false)
-	defer SetCaching(true)
+	metasurface.SetCaching(false)
+	defer metasurface.SetCaching(true)
 	benchBiasPlaneScan(b)
 }
 

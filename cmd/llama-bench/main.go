@@ -11,7 +11,6 @@
 //	llama-bench -parallel -seeds 5    replicate across 5 seeds; tables carry mean±stddev
 //	llama-bench -shard-rows -run fig15  split one experiment's sweep rows across the pool
 //	llama-bench -batch-rows 4         group 4 sweep points per sharded job
-//	llama-bench -cache=false          disable the physics response cache (A/B timing)
 //	llama-bench -store DIR            persist every (experiment, seed) table into DIR
 //	llama-bench -store DIR -resume    reuse stored cells; only missing seeds recompute
 //	llama-bench -timeout 30s          bound the whole run
@@ -31,7 +30,6 @@ import (
 	"os"
 
 	"github.com/llama-surface/llama/internal/experiments"
-	"github.com/llama-surface/llama/internal/metasurface"
 )
 
 func main() {
@@ -44,14 +42,12 @@ func main() {
 		parallel = flag.Bool("parallel", false, "fan experiments out across GOMAXPROCS workers (serial otherwise)")
 		shard    = flag.Bool("shard-rows", false, "split each experiment's sweep rows into per-point jobs so even a single -run saturates the pool (implies -parallel; output is bit-identical)")
 		batch    = flag.Int("batch-rows", 1, "group N consecutive sweep points per sharded job, amortizing queue overhead on huge axes (implies -shard-rows when > 1; output is bit-identical)")
-		cache    = flag.Bool("cache", true, "memoize the metasurface response physics; disable for A/B timing of the uncached kernels (outputs are bit-identical either way)")
 		storeDir = flag.String("store", "", "persist each (experiment, seed) result table into this durable results store directory (created if missing)")
 		resume   = flag.Bool("resume", false, "reuse valid stored cells from -store instead of recomputing them; missing, corrupt or schema-drifted records are recomputed and re-persisted (requires -store; output is bit-identical to a fresh run)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 		format   = flag.String("format", "text", "output format: text, csv or json")
 	)
 	flag.Parse()
-	metasurface.SetCaching(*cache)
 	if *batch > 1 {
 		*shard = true
 	}
@@ -88,10 +84,10 @@ func main() {
 		}
 		opts := experiments.Options{Concurrency: 1, ShardRows: *shard, BatchRows: *batch, StoreDir: *storeDir, Resume: *resume}
 		if *parallel || *shard {
-			opts.Concurrency = 0 // engine default: GOMAXPROCS
+			opts.Concurrency = 0 // Execute default: GOMAXPROCS
 		}
 		if *run != "" {
-			// Single-experiment runs go through the same engine so
+			// Single-experiment runs go through the same Execute path so
 			// -seeds/-parallel/-timeout compose with -run.
 			opts.IDs = []string{*run}
 		}

@@ -1,6 +1,6 @@
 package experiments
 
-// Engine-level contracts of the memoized physics layer and row batching:
+// Run-level contracts of the memoized physics layer and row batching:
 // the response cache and point batching are performance features, so the
 // tables they produce must be bit-identical to the uncached, unbatched
 // serial reference for any worker count. Run under -race in CI.
@@ -25,19 +25,19 @@ var cacheTestIDs = []string{"fig15", "fig16", "tab1"}
 func TestCachedMatchesUncached(t *testing.T) {
 	ctx := context.Background()
 	metasurface.SetCaching(false)
-	ref := &Engine{Concurrency: 1, IDs: cacheTestIDs}
-	uncached, err := ref.RunAll(ctx, 7)
+	ref, err := Execute(ctx, Options{Concurrency: 1, IDs: cacheTestIDs, Seeds: []int64{7}})
 	metasurface.SetCaching(true)
 	if err != nil {
 		t.Fatalf("uncached reference: %v", err)
 	}
+	uncached := ref.Results
 	for _, workers := range []int{1, 8} {
 		for _, shard := range []bool{false, true} {
-			eng := &Engine{Concurrency: workers, IDs: cacheTestIDs, ShardRows: shard}
-			got, err := eng.RunAll(ctx, 7)
+			rep, err := Execute(ctx, Options{Concurrency: workers, IDs: cacheTestIDs, ShardRows: shard, Seeds: []int64{7}})
 			if err != nil {
 				t.Fatalf("workers %d shard %v: %v", workers, shard, err)
 			}
+			got := rep.Results
 			if len(got) != len(uncached) {
 				t.Fatalf("workers %d shard %v: %d results, want %d", workers, shard, len(got), len(uncached))
 			}
@@ -56,18 +56,18 @@ func TestCachedMatchesUncached(t *testing.T) {
 // one larger than any axis) or worker count.
 func TestBatchedMatchesSerial(t *testing.T) {
 	ctx := context.Background()
-	serial := &Engine{Concurrency: 1, IDs: cacheTestIDs}
-	want, err := serial.RunAll(ctx, 42)
+	serial, err := Execute(ctx, Options{Concurrency: 1, IDs: cacheTestIDs, Seeds: []int64{42}})
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
+	want := serial.Results
 	for _, batch := range []int{2, 3, 1000} {
 		for _, workers := range []int{1, 8} {
-			eng := &Engine{Concurrency: workers, IDs: cacheTestIDs, ShardRows: true, BatchRows: batch}
-			got, err := eng.RunAll(ctx, 42)
+			rep, err := Execute(ctx, Options{Concurrency: workers, IDs: cacheTestIDs, ShardRows: true, BatchRows: batch, Seeds: []int64{42}})
 			if err != nil {
 				t.Fatalf("batch %d workers %d: %v", batch, workers, err)
 			}
+			got := rep.Results
 			for i := range got {
 				if !sameResult(got[i], want[i]) {
 					t.Errorf("batch %d workers %d: %q differs from serial", batch, workers, got[i].ID)
@@ -92,8 +92,7 @@ func TestBatchedMidBatchErrorSalvage(t *testing.T) {
 	}
 	tempSweep(t, s)
 
-	eng := &Engine{Concurrency: 1, ShardRows: true, BatchRows: 3, IDs: []string{"zz-batchfail"}}
-	rep, err := eng.Collect(context.Background(), 7)
+	rep, err := Execute(context.Background(), Options{Concurrency: 1, ShardRows: true, BatchRows: 3, IDs: []string{"zz-batchfail"}, Seeds: []int64{7}})
 	if err == nil {
 		t.Fatal("mid-batch failure not reported")
 	}

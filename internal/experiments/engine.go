@@ -15,50 +15,6 @@ import (
 	"github.com/llama-surface/llama/internal/store"
 )
 
-// Engine executes registered experiments concurrently across a bounded
-// worker pool. Experiments are pure functions of their seed, so the only
-// determinism hazards are scheduling and aggregation order; the Engine
-// assigns every (experiment, seed) cell a fixed slot before any worker
-// starts and aggregates in slot order, which makes its output bit-identical
-// to the serial RunAll path for any worker count.
-//
-// With ShardRows set, experiments declared as Sweeps are split further:
-// every sweep point becomes its own job, interleaved with whole-experiment
-// jobs in the same queue, so a single long experiment saturates the pool
-// instead of bounding wall-clock. Point outputs are collected into
-// per-point slots and reassembled in axis order, so sharded output is
-// still bit-identical to the serial path.
-type Engine struct {
-	// Concurrency bounds the worker pool. Zero or negative means
-	// runtime.GOMAXPROCS(0).
-	Concurrency int
-	// IDs restricts the run to a subset of the registry; nil or empty
-	// means every registered experiment, and duplicates count once.
-	// Output is always produced in sorted-ID order regardless of the
-	// order given here, matching the serial RunAll path.
-	IDs []string
-	// ShardRows splits sweep-shaped experiments into per-point row jobs.
-	// Experiments registered as plain Runners still run whole.
-	ShardRows bool
-	// BatchRows groups that many consecutive sweep points into one queued
-	// job (with ShardRows), amortizing per-job queue overhead on axes
-	// with many cheap points. ≤1 means one point per job. Collection
-	// stays slot-indexed per point, so output is unchanged.
-	BatchRows int
-	// Store, when non-nil, persists every freshly computed (experiment,
-	// seed) cell after the run — including completed cells of a run that
-	// failed elsewhere, so partial progress survives restarts.
-	Store *store.Store
-	// Resume makes the run consult Store before queueing each cell: a
-	// cell with a valid stored record is reused instead of recomputed,
-	// and the union of stored + fresh per-seed tables folds into the
-	// same Results/Replicated output a fresh run would produce,
-	// bit-identically (determinism invariant 6). Cells whose records are
-	// missing, corrupt, schema-mismatched or shaped unlike the current
-	// sweep are recomputed (and re-persisted), never fatal.
-	Resume bool
-}
-
 // Timing records one experiment's cost, summed across seeds when the run
 // is replicated.
 type Timing struct {
@@ -79,7 +35,9 @@ type Timing struct {
 	// CacheHits and CacheMisses are the metasurface response-cache
 	// lookups attributed to this experiment's jobs. The counters are
 	// process-global, so per-experiment attribution is measurable only
-	// on single-worker runs, where exactly one job executes at a time.
+	// on single-worker runs, where exactly one job executes at a time
+	// (Execute sizes its pool to the job count, so a one-job run is
+	// always single-worker).
 	// Multi-worker runs interleave jobs and CANNOT attribute lookups to
 	// an experiment: these fields are then zero — meaning "unattributed",
 	// not "no lookups" — and only the run-wide totals in Report are
@@ -88,12 +46,14 @@ type Timing struct {
 	CacheHits, CacheMisses uint64
 }
 
-// Report summarises an Engine run: the per-seed results in ID order,
-// per-experiment wall time, and the total wall time of the fan-out.
+// Report summarises one run — an Execute call or a scheduler
+// submission: the per-seed results in ID order, per-experiment wall
+// time, and the total wall time of the fan-out.
 type Report struct {
 	// Seeds are the seeds run, in the order given.
 	Seeds []int64
-	// Concurrency is the resolved worker count.
+	// Concurrency is the resolved worker count, capped at the run's job
+	// count.
 	Concurrency int
 	// Wall is the end-to-end wall time of the whole run.
 	Wall time.Duration
@@ -118,7 +78,8 @@ type Report struct {
 	// in the same process would cross-attribute). Both zero when caching
 	// is disabled.
 	CacheHits, CacheMisses uint64
-	// BatchRows records the per-job point batch size the run used.
+	// BatchRows records the per-job point batch size the run used; 1
+	// when rows were not sharded.
 	BatchRows int
 	// ReusedCells counts the (experiment, seed) cells answered from the
 	// results store instead of recomputed (resume runs only), and
@@ -255,7 +216,7 @@ func (r *ReplicatedResult) Render(w io.Writer) error {
 	return err
 }
 
-// Options configures a full engine run (the shape llama.RunExperiments
+// Options configures one Execute run (the shape llama.RunExperiments
 // takes).
 type Options struct {
 	// IDs restricts the run; nil means every registered experiment.
@@ -268,8 +229,10 @@ type Options struct {
 	// pool, so even a single experiment saturates the workers. Output is
 	// bit-identical either way.
 	ShardRows bool
-	// BatchRows groups that many consecutive sweep points per sharded
-	// job (≤1 = one point per job); see Engine.BatchRows.
+	// BatchRows groups that many consecutive sweep points into one
+	// queued job, amortizing per-job queue overhead on axes with many
+	// cheap points. ≤1 means one point per job; without ShardRows it is
+	// ignored and recorded as 1. Output is bit-identical either way.
 	BatchRows int
 	// StoreDir, when non-empty, opens (creating if needed) a durable
 	// results store there and persists every freshly computed
@@ -282,24 +245,18 @@ type Options struct {
 	Resume bool
 }
 
-// Execute runs opts through an Engine and returns the combined report.
-// On failure the report carries whatever completed, and the error names
-// the experiment, seed and (for sharded sweeps) point that failed.
+// Execute is the one-shot path into the scheduler: it lays opts out as
+// one submission, runs it on a private scheduler and returns the
+// combined report. On failure the report carries whatever completed,
+// and the error names the experiment, seed and (for sharded sweeps)
+// point that failed.
 func Execute(ctx context.Context, opts Options) (*Report, error) {
-	e := &Engine{Concurrency: opts.Concurrency, IDs: opts.IDs, ShardRows: opts.ShardRows, BatchRows: opts.BatchRows, Resume: opts.Resume}
-	if opts.Resume && opts.StoreDir == "" {
-		return nil, errors.New("experiments: Resume requires StoreDir")
-	}
+	var st *store.Store
 	if opts.StoreDir != "" {
-		st, err := store.Open(opts.StoreDir)
-		if err != nil {
+		var err error
+		if st, err = store.Open(opts.StoreDir); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		e.Store = st
-	}
-	seeds := opts.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
 	}
 	// Warm-start: import every persisted response table before any
 	// compute, so a fresh process answers previously computed physics
@@ -307,63 +264,37 @@ func Execute(ctx context.Context, opts Options) (*Report, error) {
 	// run. Both directions are pure acceleration — their warnings ride
 	// in StoreWarnings, never fail the run.
 	var loadWarns []string
-	if e.Store != nil {
-		_, _, loadWarns = LoadResponseTables(e.Store)
+	if st != nil {
+		_, _, loadWarns = LoadResponseTables(st)
 	}
-	rep, err := e.run(ctx, seeds)
-	if rep != nil {
-		var saveWarns []string
-		if e.Store != nil {
-			_, _, saveWarns = SaveResponseTables(e.Store)
-		}
-		rep.StoreWarnings = append(append(loadWarns, rep.StoreWarnings...), saveWarns...)
-	}
-	return rep, err
-}
-
-// RunAll fans every selected experiment out across the pool and returns
-// the results in ID order — deep-equal to the serial RunAll for the same
-// seed, for any Concurrency ≥ 1.
-func (e *Engine) RunAll(ctx context.Context, seed int64) ([]*Result, error) {
-	rep, err := e.run(ctx, []int64{seed})
+	spec := RunSpec{IDs: opts.IDs, Seeds: opts.Seeds, ShardRows: opts.ShardRows, BatchRows: opts.BatchRows, Resume: opts.Resume}
+	sub, err := newSubmission(ctx, spec, st)
 	if err != nil {
 		return nil, err
 	}
-	return rep.Results, nil
-}
-
-// Collect is RunAll plus per-experiment timing and the run summary.
-func (e *Engine) Collect(ctx context.Context, seed int64) (*Report, error) {
-	return e.run(ctx, []int64{seed})
-}
-
-// Replicate runs every selected experiment across all seeds and
-// aggregates per-cell mean/stddev. Aggregation iterates seeds in the
-// given order, so the statistics are bit-identical for any worker count.
-// A single seed is valid: the aggregate is that run with zero spread.
-func (e *Engine) Replicate(ctx context.Context, seeds []int64) ([]*ReplicatedResult, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("experiments: Replicate needs at least one seed")
+	// Size the pool to the run: never more workers than jobs, so a
+	// one-job run gets one worker and keeps per-experiment cache
+	// attribution (submission.trackCache).
+	workers := opts.Concurrency
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	rep, err := e.run(ctx, seeds)
+	s := NewScheduler(SchedulerConfig{Workers: max(1, min(workers, len(sub.queue))), Store: st})
+	err = s.launch(sub, laneNormal)
+	if err == nil {
+		<-sub.done
+	}
+	s.Close()
 	if err != nil {
 		return nil, err
 	}
-	if len(seeds) == 1 {
-		// run only aggregates for multi-seed reports (Report.Replicated
-		// stays nil for single-seed runs); fold the degenerate case here
-		// so this method never returns (nil, nil) after a full run.
-		out := make([]*ReplicatedResult, len(rep.Results))
-		for i, r := range rep.Results {
-			agg, err := replicate(r.ID, seeds, []*Result{r}, rep.Timings[i].Elapsed)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = agg
-		}
-		return out, nil
+	rep := sub.report
+	var saveWarns []string
+	if st != nil {
+		_, _, saveWarns = SaveResponseTables(st)
 	}
-	return rep.Replicated, nil
+	rep.StoreWarnings = append(append(loadWarns, rep.StoreWarnings...), saveWarns...)
+	return rep, sub.err
 }
 
 // resolveIDs resolves an ID selection into the sorted, deduplicated
@@ -384,21 +315,6 @@ func resolveIDs(sel []string) ([]string, error) {
 		}
 	}
 	return ids, nil
-}
-
-// workers resolves the pool size for n jobs.
-func (e *Engine) workers(n int) int {
-	w := e.Concurrency
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // cellRun is the per-(experiment, seed) collection state of one engine
@@ -532,30 +448,6 @@ func (c *cellRun) assemble() {
 		return
 	}
 	c.res = res
-}
-
-// run executes one one-shot engine run through the scheduler core: lay
-// the submission out, start a private scheduler sized exactly like the
-// old in-place pool (min of Concurrency and job count), and wait. The
-// heavy lifting — layout, the worker pool, slot-ordered assembly,
-// persistence and deterministic aggregation — lives in sched.go, shared
-// with the long-lived Submit path, so both produce identical bytes.
-func (e *Engine) run(ctx context.Context, seeds []int64) (*Report, error) {
-	if e.Resume && e.Store == nil {
-		return nil, errors.New("experiments: Engine.Resume requires Engine.Store (set Options.StoreDir)")
-	}
-	spec := RunSpec{IDs: e.IDs, Seeds: seeds, ShardRows: e.ShardRows, BatchRows: e.BatchRows, Resume: e.Resume}
-	sub, err := newSubmission(ctx, spec, e.Store)
-	if err != nil {
-		return nil, err
-	}
-	s := NewScheduler(SchedulerConfig{Workers: e.workers(len(sub.queue)), Store: e.Store})
-	defer s.Close()
-	if err := s.launch(sub, laneNormal); err != nil {
-		return nil, err
-	}
-	<-sub.done
-	return sub.report, sub.err
 }
 
 // replicate folds one experiment's per-seed tables into mean/stddev.

@@ -36,8 +36,8 @@ func sameResult(a, b *Result) bool {
 }
 
 // TestEngineMatchesSerial is the cross-cutting determinism contract: for
-// every seed the paper cares about, a single-worker engine, a wide
-// engine, and the serial reference path must produce bit-identical
+// every seed the paper cares about, a single-worker Execute, a wide
+// Execute, and the serial reference path must produce bit-identical
 // result slices. Run it under -race: the worker pool is the only place
 // concurrency touches experiment state, so a clean pass here certifies
 // the whole fan-out.
@@ -49,11 +49,11 @@ func TestEngineMatchesSerial(t *testing.T) {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
 		for _, workers := range []int{1, 8} {
-			eng := &Engine{Concurrency: workers}
-			got, err := eng.RunAll(ctx, seed)
+			rep, err := Execute(ctx, Options{Concurrency: workers, Seeds: []int64{seed}})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
+			got := rep.Results
 			if len(got) != len(serial) {
 				t.Fatalf("seed %d workers %d: %d results, serial %d", seed, workers, len(got), len(serial))
 			}
@@ -71,20 +71,19 @@ func TestEngineMatchesSerial(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := &Engine{Concurrency: 4}
 	go func() {
 		time.Sleep(5 * time.Millisecond) // a few experiments deep
 		cancel()
 	}()
 	start := time.Now()
-	_, err := eng.RunAll(ctx, 1)
+	_, err := Execute(ctx, Options{Concurrency: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("cancelled RunAll took %v, want prompt return", d)
+		t.Fatalf("cancelled Execute took %v, want prompt return", d)
 	}
-	// Workers drain synchronously before RunAll returns, so the goroutine
+	// Workers drain synchronously before Execute returns, so the goroutine
 	// count must settle back to (roughly) the pre-call level; poll a
 	// little to absorb unrelated runtime goroutines winding down.
 	deadline := time.Now().Add(2 * time.Second)
@@ -104,8 +103,7 @@ func TestEngineCancellation(t *testing.T) {
 func TestEngineCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := &Engine{Concurrency: 2}
-	rep, err := eng.Collect(ctx, 1)
+	rep, err := Execute(ctx, Options{Concurrency: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -141,8 +139,7 @@ func TestCollectSalvagesCompletedOnCancel(t *testing.T) {
 		<-done
 		cancel()
 	}()
-	eng := &Engine{Concurrency: 2, IDs: []string{"zz-fast", "zz-slow"}}
-	rep, err := eng.Collect(ctx, 1)
+	rep, err := Execute(ctx, Options{Concurrency: 2, IDs: []string{"zz-fast", "zz-slow"}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -153,8 +150,7 @@ func TestCollectSalvagesCompletedOnCancel(t *testing.T) {
 
 // TestEngineUnknownID rejects bad ID subsets up front.
 func TestEngineUnknownID(t *testing.T) {
-	eng := &Engine{IDs: []string{"tab1", "nope"}}
-	if _, err := eng.RunAll(context.Background(), 1); err == nil || !strings.Contains(err.Error(), "nope") {
+	if _, err := Execute(context.Background(), Options{IDs: []string{"tab1", "nope"}}); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("err = %v, want unknown-id error naming %q", err, "nope")
 	}
 }
@@ -166,11 +162,11 @@ func TestReplicateStatistics(t *testing.T) {
 	ctx := context.Background()
 	seeds := []int64{1, 2, 3}
 	ids := []string{"fig2a", "tab1"}
-	eng := &Engine{Concurrency: 4, IDs: ids}
-	agg, err := eng.Replicate(ctx, seeds)
+	rep, err := Execute(ctx, Options{Concurrency: 4, IDs: ids, Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := rep.Replicated
 	if len(agg) != len(ids) {
 		t.Fatalf("replicated %d experiments, want %d", len(agg), len(ids))
 	}
@@ -230,11 +226,11 @@ func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
 	ids := []string{"fig2a", "fig16", "tab1"}
 	var ref []*ReplicatedResult
 	for _, workers := range []int{1, 3, 8} {
-		eng := &Engine{Concurrency: workers, IDs: ids}
-		agg, err := eng.Replicate(ctx, seeds)
+		rep, err := Execute(ctx, Options{Concurrency: workers, IDs: ids, Seeds: seeds})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
+		agg := rep.Replicated
 		for i := range agg {
 			agg[i].Elapsed = 0 // wall time legitimately varies
 		}
@@ -295,32 +291,6 @@ func TestExecuteReport(t *testing.T) {
 	}
 	if len(multi.Results) != 1 || multi.Results[0].ID != "tab1" {
 		t.Errorf("multi-seed run should still carry the first seed's tables")
-	}
-}
-
-// TestReplicateSingleSeed: one seed is a degenerate but valid
-// replication — the aggregate is that run's table with zero spread,
-// never (nil, nil).
-func TestReplicateSingleSeed(t *testing.T) {
-	eng := &Engine{IDs: []string{"tab1"}}
-	agg, err := eng.Replicate(context.Background(), []int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg) != 1 || agg[0].ID != "tab1" {
-		t.Fatalf("agg = %+v", agg)
-	}
-	ref, err := Run(context.Background(), "tab1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri := range agg[0].Mean {
-		for ci := range agg[0].Mean[ri] {
-			if agg[0].Mean[ri][ci] != ref.Rows[ri][ci] || agg[0].Stddev[ri][ci] != 0 {
-				t.Fatalf("cell [%d][%d]: mean %v (want %v), stddev %v (want 0)",
-					ri, ci, agg[0].Mean[ri][ci], ref.Rows[ri][ci], agg[0].Stddev[ri][ci])
-			}
-		}
 	}
 }
 

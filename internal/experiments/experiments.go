@@ -6,7 +6,7 @@
 //
 // Experiments are declared as Sweeps: an axis of points plus a per-point
 // function pure in (seed, point). The serial path (Run/RunAll) walks the
-// axis in order; the concurrent Engine fans whole experiments — and, with
+// axis in order; the concurrent scheduler fans whole experiments — and, with
 // ShardRows, individual sweep points — across one bounded worker pool,
 // collecting into pre-assigned slots so output is bit-identical to the
 // serial path for any worker count. See ARCHITECTURE.md at the repository
@@ -118,7 +118,7 @@ func (r *Result) Column(i int) []float64 {
 // Runner generates a result from a seed. Runners must be pure: the same
 // seed always yields bit-identical output, and the supplied context is
 // consulted only for cancellation (it never feeds entropy into the
-// result). That purity is what lets the Engine fan runners out across
+// result). That purity is what lets the scheduler fan runners out across
 // goroutines and still reproduce the serial tables exactly.
 type Runner func(ctx context.Context, seed int64) (*Result, error)
 
@@ -164,7 +164,7 @@ func Run(ctx context.Context, id string, seed int64) (*Result, error) {
 }
 
 // RunAll executes every experiment serially in ID order. It is the
-// reference path the concurrent Engine must reproduce bit-for-bit; on
+// reference path the concurrent scheduler must reproduce bit-for-bit; on
 // error the results computed so far are returned alongside it.
 func RunAll(ctx context.Context, seed int64) ([]*Result, error) {
 	var out []*Result

@@ -70,7 +70,7 @@ func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 		if !ok {
 			return ExternalResult{}, fmt.Errorf("experiments: %s is not a registered sweep", d.ID)
 		}
-		if d.Point < 0 || d.Count < 1 || d.Point+d.Count > sw.Points {
+		if d.Point < 0 || d.Count < 1 || d.Count > sw.Points-d.Point {
 			return ExternalResult{}, fmt.Errorf("experiments: %s: batch [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
 		}
 		pts := make([]PointResult, d.Count)

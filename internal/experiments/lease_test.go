@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -306,6 +307,14 @@ func TestComputeJobValidatesDesc(t *testing.T) {
 	}
 	if _, err := ComputeJob(ctx, JobDesc{ID: "tab1", Sharded: true, Point: 10000, Count: 5}); err == nil {
 		t.Error("out-of-axis batch accepted")
+	}
+	// Point+Count overflows int for these; a hostile or corrupt lease
+	// must still be refused, not panic in makeslice or the point index.
+	if _, err := ComputeJob(ctx, JobDesc{ID: "fig16", Sharded: true, Point: 1, Count: math.MaxInt}); err == nil {
+		t.Error("overflowing count accepted")
+	}
+	if _, err := ComputeJob(ctx, JobDesc{ID: "fig16", Sharded: true, Point: math.MaxInt, Count: 1}); err == nil {
+		t.Error("overflowing point accepted")
 	}
 	if _, err := ComputeJob(ctx, JobDesc{ID: "no-such"}); err == nil {
 		t.Error("unknown experiment accepted")

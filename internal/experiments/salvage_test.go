@@ -51,8 +51,7 @@ func TestBatchedSalvageLaterBatchesComplete(t *testing.T) {
 	}
 	tempSweep(t, s)
 
-	eng := &Engine{Concurrency: 8, ShardRows: true, BatchRows: 3, IDs: []string{"zz-latebatch"}}
-	rep, err := eng.Collect(context.Background(), 7)
+	rep, err := Execute(context.Background(), Options{Concurrency: 8, ShardRows: true, BatchRows: 3, IDs: []string{"zz-latebatch"}, Seeds: []int64{7}})
 	if err == nil {
 		t.Fatal("mid-batch failure not reported")
 	}
@@ -103,8 +102,7 @@ func TestBatchedFailureKeepsSiblingSeeds(t *testing.T) {
 			}
 			tempSweep(t, s)
 
-			eng := &Engine{Concurrency: workers, ShardRows: true, BatchRows: 3, IDs: []string{id}}
-			rep, err := eng.run(context.Background(), []int64{1, 2})
+			rep, err := Execute(context.Background(), Options{Concurrency: workers, ShardRows: true, BatchRows: 3, IDs: []string{id}, Seeds: []int64{1, 2}})
 			if err == nil {
 				t.Fatal("mid-batch failure not reported")
 			}
@@ -174,8 +172,7 @@ func TestBatchedSalvageContiguousStress(t *testing.T) {
 							}}, nil
 						}
 						tempSweep(t, s)
-						eng := &Engine{Concurrency: workers, ShardRows: true, BatchRows: batch, IDs: []string{id}}
-						rep, err := eng.Collect(context.Background(), 3)
+						rep, err := Execute(context.Background(), Options{Concurrency: workers, ShardRows: true, BatchRows: batch, IDs: []string{id}, Seeds: []int64{3}})
 						if err == nil {
 							t.Fatalf("%s: no error", id)
 						}

@@ -1,17 +1,17 @@
 package experiments
 
-// The scheduler is the engine's execution core, split out of the old
-// one-shot Engine.run monolith so ONE bounded worker pool can serve MANY
-// concurrent submissions: a long-lived service Submits runs as they
-// arrive and every run's jobs — whole-experiment cells, sharded sweep
-// points, batched point runs — interleave in the same queue. Collection
-// stays slot-indexed per submission and assembly runs per submission in
-// slot order, so sharing the pool cannot change any submission's bytes;
-// that is what lets `llama-serve` promise service-served results
-// bit-identical to `llama-bench` output (determinism invariant 7 in
-// ARCHITECTURE.md). The one-shot paths (Engine, Execute,
-// llama.RunExperiments) construct a private scheduler per run, so every
-// entry point executes this same core.
+// The scheduler is the one execution core behind every run: ONE bounded
+// worker pool serves MANY concurrent submissions. A long-lived service
+// Submits runs as they arrive and every run's jobs — whole-experiment
+// cells, sharded sweep points, batched point runs — interleave in the
+// same queue. Collection stays slot-indexed per submission and assembly
+// runs per submission in slot order, so sharing the pool cannot change
+// any submission's bytes; that is what lets `llama-serve` promise
+// service-served results bit-identical to `llama-bench` output
+// (determinism invariant 7 in ARCHITECTURE.md). The one-shot path
+// (Execute, and llama.RunExperiments over it) lays its run out as one
+// submission on a private scheduler, so every entry point executes this
+// same core.
 
 import (
 	"context"
@@ -471,8 +471,10 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
+	// Batching only groups sweep points, so an unsharded spec runs and
+	// records batch 1 whatever it asked for.
 	batch := spec.BatchRows
-	if batch < 1 {
+	if batch < 1 || !spec.ShardRows {
 		batch = 1
 	}
 	runCtx, cancel := context.WithCancel(ctx)
@@ -841,7 +843,8 @@ func (sub *submission) finalize() {
 type RunHandle struct{ sub *submission }
 
 // Spec returns the normalized spec the submission runs: IDs resolved
-// and sorted, seeds defaulted, batch size clamped.
+// and sorted, seeds defaulted, batch size clamped to ≥1 (and 1 unless
+// ShardRows is set).
 func (h *RunHandle) Spec() RunSpec { return h.sub.spec.clone() }
 
 // Done returns a channel closed when the submission has finished —

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/llama-surface/llama/internal/store"
 )
 
 // tablesCSV renders the one-shot reference bytes for a spec: the serial
@@ -205,13 +207,12 @@ func TestResolveIDsEmptyAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestEngineResumeRequiresStore: the Engine-level guard matching the
-// Options/CLI checks — Resume with no Store configured is a
-// configuration error, not a silent no-op.
+// TestEngineResumeRequiresStore: the one-shot guard matching the CLI
+// check — Resume with no StoreDir is a configuration error, not a
+// silent no-op.
 func TestEngineResumeRequiresStore(t *testing.T) {
-	eng := &Engine{Resume: true}
-	if _, err := eng.RunAll(context.Background(), 1); err == nil || !strings.Contains(err.Error(), "Engine.Store") {
-		t.Errorf("err = %v, want Engine.Store requirement", err)
+	if _, err := Execute(context.Background(), Options{Resume: true}); err == nil || !strings.Contains(err.Error(), "Options.StoreDir") {
+		t.Errorf("err = %v, want Options.StoreDir requirement", err)
 	}
 }
 
@@ -237,6 +238,36 @@ func TestHandleProgressAndSpec(t *testing.T) {
 	p := h.Progress()
 	if !p.Finished || p.DoneJobs != p.TotalJobs || p.TotalCells != 2 {
 		t.Errorf("final progress = %+v, want finished with all jobs done over 2 cells", p)
+	}
+
+	// Batching only groups sweep points: an unsharded spec runs with
+	// batch 1 and must record 1 in its spec, report and cell metadata,
+	// while a sharded one keeps the size it asked for.
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := NewScheduler(SchedulerConfig{Workers: 2, Store: st})
+	defer ss.Close()
+	for _, tc := range []struct {
+		shard bool
+		want  int
+	}{{false, 1}, {true, 4}} {
+		h, err := ss.Submit(context.Background(), RunSpec{IDs: []string{"fig16"}, ShardRows: tc.shard, BatchRows: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := h.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := st.Get("fig16", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]int{h.Spec().BatchRows, rep.BatchRows, rec.Meta.BatchRows}; got != [3]int{tc.want, tc.want, tc.want} {
+			t.Errorf("shard=%v batch 4: spec/report/cell batch = %v, want all %d", tc.shard, got, tc.want)
+		}
 	}
 }
 

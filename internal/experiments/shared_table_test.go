@@ -1,6 +1,6 @@
 package experiments
 
-// Engine-level contracts of the design-keyed response tables: sharing
+// Run-level contracts of the design-keyed response tables: sharing
 // across surfaces and persistence across processes must be invisible in
 // the output bytes (determinism invariant 10), fig15's per-distance
 // surfaces must actually reuse one table, cells marked by the legacy
@@ -36,13 +36,12 @@ func TestSharedTableTransparent(t *testing.T) {
 	metasurface.SetCaching(false)
 	ref := map[int64][]*Result{}
 	for _, seed := range seeds {
-		eng := &Engine{Concurrency: 1, IDs: ids}
-		res, err := eng.RunAll(ctx, seed)
+		rep, err := Execute(ctx, Options{Concurrency: 1, IDs: ids, Seeds: []int64{seed}})
 		if err != nil {
 			metasurface.SetCaching(true)
 			t.Fatalf("uncached reference seed %d: %v", seed, err)
 		}
-		ref[seed] = res
+		ref[seed] = rep.Results
 	}
 	metasurface.SetCaching(true)
 

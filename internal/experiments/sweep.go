@@ -8,7 +8,7 @@ import (
 // A Sweep declares one experiment as an axis of independent points: a
 // fixed number of points plus a per-point function that is pure in
 // (seed, point). The serial reference path executes points 0..Points-1 in
-// order; the Engine, when row sharding is enabled, fans the same points
+// order; the scheduler, when row sharding is enabled, fans the same points
 // out across its worker pool as individual jobs and reassembles them in
 // slot (point) order, so both paths produce bit-identical tables.
 //
@@ -28,7 +28,7 @@ type Sweep struct {
 	Points int
 	// Point computes point i. It must be pure in (seed, i): no state may
 	// leak between points, and ctx is consulted only for cancellation.
-	// That purity is the sharding contract — the Engine may run points in
+	// That purity is the sharding contract — the scheduler may run points in
 	// any order on any goroutine.
 	Point func(ctx context.Context, seed int64, i int) (PointResult, error)
 	// Finish post-processes the assembled table (summary notes computed
@@ -96,7 +96,7 @@ func RegisterSweep(s *Sweep) { registerSweep(s) }
 
 // registerSweep registers a sweep-shaped experiment: the serial closure
 // goes into the ordinary registry and the sweep itself is indexed for the
-// Engine's row-sharded mode.
+// scheduler's row-sharded mode.
 func registerSweep(s *Sweep) {
 	if s.Point == nil {
 		panic("experiments: sweep " + s.ID + " has no Point function")

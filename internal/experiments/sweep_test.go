@@ -55,12 +55,11 @@ func TestSweepZeroPoints(t *testing.T) {
 		t.Fatalf("Finish did not run on empty sweep: notes = %v", serial.Notes)
 	}
 
-	eng := &Engine{Concurrency: 4, ShardRows: true, IDs: []string{"zz-empty"}}
-	got, err := eng.RunAll(ctx, 1)
+	rep, err := Execute(ctx, Options{Concurrency: 4, ShardRows: true, IDs: []string{"zz-empty"}})
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
-	if len(got) != 1 || !sameResult(got[0], serial) {
+	if got := rep.Results; len(got) != 1 || !sameResult(got[0], serial) {
 		t.Fatalf("sharded zero-point sweep differs from serial: %+v", got)
 	}
 }
@@ -117,8 +116,7 @@ func TestSweepPointErrorMidShard(t *testing.T) {
 
 	// One worker makes completion deterministic: points 0..2 finish
 	// before point 3 fails and point 4 is never fed.
-	eng := &Engine{Concurrency: 1, ShardRows: true, IDs: []string{"zz-shardfail"}}
-	rep, err := eng.Collect(context.Background(), 7)
+	rep, err := Execute(context.Background(), Options{Concurrency: 1, ShardRows: true, IDs: []string{"zz-shardfail"}, Seeds: []int64{7}})
 	if err == nil {
 		t.Fatal("mid-shard failure not reported")
 	}
@@ -161,8 +159,7 @@ func TestSweepPointErrorNamesRealFailure(t *testing.T) {
 	}
 	tempSweep(t, s)
 
-	eng := &Engine{Concurrency: 4, ShardRows: true, IDs: []string{"zz-cancelmask"}}
-	_, err := eng.Collect(context.Background(), 1)
+	_, err := Execute(context.Background(), Options{Concurrency: 4, ShardRows: true, IDs: []string{"zz-cancelmask"}})
 	if err == nil {
 		t.Fatal("mid-shard failure not reported")
 	}
@@ -176,8 +173,8 @@ func TestSweepPointErrorNamesRealFailure(t *testing.T) {
 }
 
 // TestShardedEngineMatchesSerial is the row-sharding determinism
-// contract: for every registered experiment, a sharded engine at 1 and 8
-// workers reproduces the serial RunAll tables bit-for-bit. Run under
+// contract: for every registered experiment, a sharded Execute at 1 and
+// 8 workers reproduces the serial RunAll tables bit-for-bit. Run under
 // -race this also certifies that per-point slot collection is the only
 // place shards touch shared state.
 func TestShardedEngineMatchesSerial(t *testing.T) {
@@ -188,11 +185,11 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
 		for _, workers := range []int{1, 8} {
-			eng := &Engine{Concurrency: workers, ShardRows: true}
-			got, err := eng.RunAll(ctx, seed)
+			rep, err := Execute(ctx, Options{Concurrency: workers, ShardRows: true, Seeds: []int64{seed}})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
+			got := rep.Results
 			if len(got) != len(serial) {
 				t.Fatalf("seed %d workers %d: %d results, serial %d", seed, workers, len(got), len(serial))
 			}
@@ -211,16 +208,15 @@ func TestShardedReplicateMatchesUnsharded(t *testing.T) {
 	ctx := context.Background()
 	seeds := []int64{1, 7, 42}
 	ids := []string{"fig2a", "fig16", "tab1"}
-	plain := &Engine{Concurrency: 4, IDs: ids}
-	ref, err := plain.Replicate(ctx, seeds)
+	plain, err := Execute(ctx, Options{Concurrency: 4, IDs: ids, Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := &Engine{Concurrency: 4, IDs: ids, ShardRows: true}
-	agg, err := sharded.Replicate(ctx, seeds)
+	sharded, err := Execute(ctx, Options{Concurrency: 4, IDs: ids, Seeds: seeds, ShardRows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, agg := plain.Replicated, sharded.Replicated
 	if len(agg) != len(ref) {
 		t.Fatalf("sharded replicated %d experiments, want %d", len(agg), len(ref))
 	}

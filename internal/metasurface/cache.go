@@ -67,10 +67,12 @@ func (c CacheStats) Sub(earlier CacheStats) CacheStats {
 // init.
 var cachingOff atomic.Bool
 
-// SetCaching switches response caching on or off process-wide (the
-// llama-bench -cache flag, for A/B physics timing). The switch is
-// consulted per evaluation, so it can be flipped between runs; outputs
-// are bit-identical either way.
+// SetCaching switches response caching on or off process-wide. It is
+// the hook tests and benchmarks use to reach the uncached reference
+// path that determinism invariants 5, 10 and 11 compare against
+// (ARCHITECTURE.md); no command exposes it. The switch is consulted per
+// evaluation, so it can be flipped between runs; outputs are
+// bit-identical either way.
 func SetCaching(on bool) { cachingOff.Store(!on) }
 
 // CachingEnabled reports whether response caching is on.

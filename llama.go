@@ -143,15 +143,6 @@ func BuildSurface(d Design) (*Surface, error) {
 // sibling's hit.
 type CacheStats = metasurface.CacheStats
 
-// SetCaching switches the shared response tables on or off process-wide
-// (on by default). Outputs are bit-identical either way — the tables
-// memoize pure physics evaluations — so disabling them is only useful
-// for A/B timing of the uncached kernels.
-func SetCaching(on bool) { metasurface.SetCaching(on) }
-
-// CachingEnabled reports whether the response tables are on.
-func CachingEnabled() bool { return metasurface.CachingEnabled() }
-
 // GlobalCacheStats returns the process-wide response-table counters
 // aggregated across every surface (monotone; snapshot and subtract for
 // windowed measurements).
@@ -294,16 +285,13 @@ type ExperimentResult = experiments.Result
 // fresh run either way.
 type ExperimentOptions = experiments.Options
 
-// ExperimentReport is the outcome of an engine run: per-seed tables in
-// ID order, per-experiment wall time, row counts and shard speedup, and
-// (for multi-seed runs) the mean±stddev aggregates.
+// ExperimentReport is the outcome of a RunExperiments call: per-seed
+// tables in ID order, per-experiment wall time, row counts and shard
+// speedup, and (for multi-seed runs) the mean±stddev aggregates.
 type ExperimentReport = experiments.Report
 
 // ReplicatedExperiment is one experiment aggregated across seeds.
 type ReplicatedExperiment = experiments.ReplicatedResult
-
-// ExperimentEngine is the concurrent multi-seed experiment executor.
-type ExperimentEngine = experiments.Engine
 
 // RunExperiment regenerates one paper artefact by ID (e.g. "fig16",
 // "tab1") with the given seed.
