@@ -1,20 +1,24 @@
 package experiments
 
 // Lease support: the fleet coordinator's pull path into the scheduler.
-// TryLease deals the same jobs the local pool would have executed, in
-// the same lane/round-robin order, to an external holder (a remote
-// worker reached over HTTP — see internal/fleet). A leased job is
-// completed with rows the holder computed, failed, or abandoned back
-// onto its submission's queue when the holder's lease expires. Every
-// terminal path funnels through the submission's per-job settle CAS,
-// so a duplicate or late completion from a presumed-dead worker is
-// dropped without corrupting collection slots — fleet transparency,
-// determinism invariant 9 in ARCHITECTURE.md.
+// A lease holder runs the local pool worker's job body — TryLease deals
+// from the same ring walk, ComputeJob computes, Complete or Fail
+// commits through the same settle — so the local pool is a holder that
+// never hands its job back. An external holder (a remote worker reached
+// over HTTP — see internal/fleet) completes or fails its job, or the
+// job is abandoned back onto its submission's queue when the holder's
+// lease expires. Every terminal path funnels through the per-job
+// settle CAS, so a duplicate or late completion from a presumed-dead
+// worker is dropped without corrupting collection slots — fleet
+// transparency, determinism invariant 9 in ARCHITECTURE.md.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
+
+	"github.com/llama-surface/llama/internal/metasurface"
 )
 
 // JobDesc names one leased job in worker-computable terms: which
@@ -45,52 +49,77 @@ func (d JobDesc) String() string {
 	return fmt.Sprintf("%s/seed%d", d.ID, d.Seed)
 }
 
-// ExternalResult carries a lease holder's computed output back into
-// the submission. Exactly one of Points/Cell is set, matching the
-// job's shape (JobDesc.Sharded).
+// ExternalResult is a job's computed output, whoever computed it: a
+// local pool worker, an in-process lease holder or a remote fleet
+// worker. Exactly one of Points/Cell is set for a completed job,
+// matching its shape (JobDesc.Sharded); a JobError's Done holds the
+// part a failed job completed.
 type ExternalResult struct {
 	// Points holds one PointResult per point of a sharded job's batch,
 	// in axis order.
 	Points []PointResult
 	// Cell is the full table of a whole-experiment job.
 	Cell *Result
-	// Elapsed optionally reports the holder's compute time for the
-	// whole job; it feeds timing aggregation only, never result bytes.
+	// Elapsed optionally reports the compute time for the whole job; it
+	// feeds timing aggregation only, never result bytes.
 	Elapsed time.Duration
 }
 
-// ComputeJob recomputes a leased job from its desc using the local
-// experiment registry — the worker-side half of the lease protocol.
-// It is pure in desc (invariant 1 applied remotely): any process with
-// the same registry produces bit-identical output for the same desc.
+// JobError is ComputeJob's failure. Besides the error it carries what
+// the job completed before failing, so a holder's Fail(err) salvages
+// exactly what the local pool does: a batch's finished prefix
+// (Done.Points, the points before the failing one) or a whole cell's
+// partial table (Done.Cell).
+type JobError struct {
+	// Err is the failure: a *PointError naming the failing point of a
+	// sharded job, or the experiment's own error for a whole cell.
+	Err error
+	// Done is the completed part and the compute time spent.
+	Done ExternalResult
+}
+
+// Error returns Err's text: a JobError never changes what a run reports.
+func (e *JobError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the failure.
+func (e *JobError) Unwrap() error { return e.Err }
+
+// ComputeJob computes one job from its desc using the local experiment
+// registry. It is the one compute path: a local pool worker and every
+// lease holder call it. It is pure in desc (invariant 1 applied
+// remotely): any process with the same registry produces bit-identical
+// output for the same desc. A compute failure is a *JobError, and the
+// returned result is then its Done: the part that completed.
 func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 	start := time.Now()
-	if d.Sharded {
-		sw, ok := sweeps[d.ID]
-		if !ok {
-			return ExternalResult{}, fmt.Errorf("experiments: %s is not a registered sweep", d.ID)
+	if !d.Sharded {
+		res, err := Run(ctx, d.ID, d.Seed)
+		done := ExternalResult{Cell: res, Elapsed: time.Since(start)}
+		if err != nil {
+			return done, &JobError{Err: err, Done: done}
 		}
-		if d.Point < 0 || d.Count < 1 || d.Count > sw.Points-d.Point {
-			return ExternalResult{}, fmt.Errorf("experiments: %s: batch [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
-		}
-		pts := make([]PointResult, d.Count)
-		if sw.Warm != nil {
-			sw.Warm(ctx, d.Seed, d.Point, d.Count)
-		}
-		for i := 0; i < d.Count; i++ {
-			pt, err := sw.Point(ctx, d.Seed, d.Point+i)
-			if err != nil {
-				return ExternalResult{}, &PointError{Point: d.Point + i, Points: sw.Points, Err: err}
-			}
-			pts[i] = pt
-		}
-		return ExternalResult{Points: pts, Elapsed: time.Since(start)}, nil
+		return done, nil
 	}
-	res, err := Run(ctx, d.ID, d.Seed)
-	if err != nil {
-		return ExternalResult{}, err
+	sw, ok := sweeps[d.ID]
+	if !ok {
+		return ExternalResult{}, fmt.Errorf("experiments: %s is not a registered sweep", d.ID)
 	}
-	return ExternalResult{Cell: res, Elapsed: time.Since(start)}, nil
+	if d.Point < 0 || d.Count < 1 || d.Count > sw.Points-d.Point {
+		return ExternalResult{}, fmt.Errorf("experiments: %s: batch [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
+	}
+	pts := make([]PointResult, d.Count)
+	if sw.Warm != nil {
+		sw.Warm(ctx, d.Seed, d.Point, d.Count)
+	}
+	for i := range pts {
+		pt, err := sw.Point(ctx, d.Seed, d.Point+i)
+		if err != nil {
+			done := ExternalResult{Points: pts[:i], Elapsed: time.Since(start)}
+			return done, &JobError{Err: &PointError{Point: d.Point + i, Points: sw.Points, Err: err}, Done: done}
+		}
+		pts[i] = pt
+	}
+	return ExternalResult{Points: pts, Elapsed: time.Since(start)}, nil
 }
 
 // LeasedJob is one job dealt to an external holder by TryLease. The
@@ -105,50 +134,24 @@ type LeasedJob struct {
 
 // TryLease deals the next dispatchable job to an external holder, or
 // returns nil when no job is currently queued (the caller polls or
-// backs off; leasing never blocks). Dispatch order is exactly the
-// local pool's — priority lane first, round-robin within a lane — so
-// leasing out work cannot change any submission's bytes.
+// backs off; leasing never blocks). It deals through the same ring walk
+// as the local pool (Scheduler.dealLocked), so leasing out work cannot
+// change any submission's bytes.
 func (s *Scheduler) TryLease() *LeasedJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
 		return nil
 	}
-	for lane := range s.lanes {
-		for len(s.lanes[lane]) > 0 {
-			sub := s.lanes[lane][0]
-			s.lanes[lane] = s.lanes[lane][1:]
-			jb, ok := sub.popJobLocked()
-			if ok {
-				// The outstanding lease holds fed open: the job may still
-				// be requeued, so the cancel watcher must stay armed.
-				sub.leased[jb.ji] = struct{}{}
-			}
-			if sub.pendingLocked() {
-				s.lanes[lane] = append(s.lanes[lane], sub)
-			} else {
-				sub.inRing = false
-				sub.maybeReleaseLocked()
-			}
-			if ok {
-				return &LeasedJob{sub: sub, jb: jb}
-			}
-		}
+	jb, ok := s.dealLocked(true)
+	if !ok {
+		return nil
 	}
-	return nil
+	return &LeasedJob{sub: jb.sub, jb: jb}
 }
 
 // Desc returns the job in worker-computable terms.
-func (l *LeasedJob) Desc() JobDesc {
-	c := &l.sub.cells[l.jb.cell]
-	return JobDesc{
-		ID:      c.id,
-		Seed:    c.seed,
-		Sharded: c.sweep != nil,
-		Point:   l.jb.point,
-		Count:   l.jb.count,
-	}
-}
+func (l *LeasedJob) Desc() JobDesc { return l.jb.desc() }
 
 // Settled reports whether the job has already reached a terminal state
 // (completed by anyone, failed, or abandoned by cancellation). A
@@ -156,7 +159,8 @@ func (l *LeasedJob) Desc() JobDesc {
 // holder.
 func (l *LeasedJob) Settled() bool { return l.sub.settled[l.jb.ji].Load() }
 
-// Complete delivers the holder's computed output. A malformed payload
+// Complete delivers the holder's computed output through the same
+// commit the local pool takes (submission.settle). A malformed payload
 // (wrong batch length, wrong row arity, missing table) is rejected
 // with an error BEFORE the settle CAS, leaving the job leased — the
 // caller abandons it so an honest worker recomputes it; a corrupt
@@ -165,10 +169,38 @@ func (l *LeasedJob) Settled() bool { return l.sub.settled[l.jb.ji].Load() }
 // dropped silently: Complete returns nil and the slots keep the first
 // writer's bytes, which are identical anyway (invariant 1).
 func (l *LeasedJob) Complete(res ExternalResult) error {
-	sub, jb := l.sub, l.jb
-	c := &sub.cells[jb.cell]
+	if err := l.check(res, false); err != nil {
+		return err
+	}
+	l.commit(res, nil)
+	return nil
+}
+
+// Fail records the holder's compute error as the job's failure and
+// fails the submission fast, through the same commit as a local worker
+// error: a *JobError's completed part is salvaged (dropped if
+// malformed), and a *PointError inside the job's batch places the
+// failure at its point, so the run error names that point once.
+// Idempotent: if the job already settled, the error is dropped.
+func (l *LeasedJob) Fail(err error) {
+	if err == nil {
+		err = errors.New("experiments: lease holder failed without an error")
+	}
+	var done ExternalResult
+	var je *JobError
+	if errors.As(err, &je) && l.check(je.Done, true) == nil {
+		done = je.Done
+	}
+	l.commit(done, err)
+}
+
+// check validates a holder's output against the job's shape. partial
+// accepts a failed job's completed part: a shorter batch or no table.
+func (l *LeasedJob) check(res ExternalResult, partial bool) error {
+	jb := l.jb
+	c := &l.sub.cells[jb.cell]
 	if c.sweep != nil {
-		if len(res.Points) != jb.count {
+		if len(res.Points) != jb.count && !(partial && len(res.Points) < jb.count) {
 			return fmt.Errorf("experiments: %s: completion carries %d points, lease covers %d", l.Desc(), len(res.Points), jb.count)
 		}
 		for i, pt := range res.Points {
@@ -178,60 +210,34 @@ func (l *LeasedJob) Complete(res ExternalResult) error {
 				}
 			}
 		}
-	} else {
-		if res.Cell == nil {
-			return fmt.Errorf("experiments: %s: completion carries no result table", l.Desc())
+		return nil
+	}
+	if res.Cell == nil {
+		if partial {
+			return nil
 		}
-		if res.Cell.ID != c.id {
-			return fmt.Errorf("experiments: %s: completion names experiment %q", l.Desc(), res.Cell.ID)
-		}
-		for ri, row := range res.Cell.Rows {
-			if len(row) != len(res.Cell.Columns) {
-				return fmt.Errorf("experiments: %s: row %d arity %d != %d columns", l.Desc(), ri, len(row), len(res.Cell.Columns))
-			}
+		return fmt.Errorf("experiments: %s: completion carries no result table", l.Desc())
+	}
+	if res.Cell.ID != c.id {
+		return fmt.Errorf("experiments: %s: completion names experiment %q", l.Desc(), res.Cell.ID)
+	}
+	for ri, row := range res.Cell.Rows {
+		if len(row) != len(res.Cell.Columns) {
+			return fmt.Errorf("experiments: %s: row %d arity %d != %d columns", l.Desc(), ri, len(row), len(res.Cell.Columns))
 		}
 	}
-	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
-		l.detach()
-		return nil // duplicate or post-abandon completion: dropped
-	}
-	now := time.Now()
-	if c.sweep != nil {
-		for i, pt := range res.Points {
-			p := jb.point + i
-			c.started[p] = now
-			c.points[p] = pt
-			c.done[p] = true
-		}
-		c.elapsed[jb.point] = res.Elapsed
-	} else {
-		c.started[jb.point] = now
-		c.elapsed[jb.point] = res.Elapsed
-		c.res = res.Cell
-		c.done[jb.point] = true
-	}
-	l.detach()
-	sub.jobDone(1)
 	return nil
 }
 
-// Fail records the holder's compute error as the job's failure and
-// fails the submission fast, exactly as a local worker error would.
-// Idempotent: if the job already settled, the error is dropped.
-func (l *LeasedJob) Fail(err error) {
-	sub, jb := l.sub, l.jb
-	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
-		l.detach()
-		return
-	}
-	c := &sub.cells[jb.cell]
-	if c.sweep == nil {
-		err = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
-	}
-	c.errs[jb.point] = err
-	sub.cancelFn()
+// commit settles the job with done/err, drops its lease bookkeeping,
+// and only then accounts it — detach before jobDone, so fed is
+// released before the submission can finalize.
+func (l *LeasedJob) commit(done ExternalResult, err error) {
+	won := l.sub.settle(l.jb, done, err, metasurface.CacheStats{})
 	l.detach()
-	sub.jobDone(1)
+	if won {
+		l.sub.jobDone(1)
+	}
 }
 
 // Abandon returns an unfinished job to its submission's queue — the
@@ -242,17 +248,12 @@ func (l *LeasedJob) Fail(err error) {
 // circulating. Idempotent.
 func (l *LeasedJob) Abandon() {
 	sub, jb := l.sub, l.jb
-	if sub.settled[jb.ji].Load() {
-		l.detach()
-		return
-	}
 	if sub.ctx.Err() != nil {
 		// Cancelled submission: account the slot instead of recirculating.
-		if sub.settled[jb.ji].CompareAndSwap(false, true) {
-			l.detach()
+		won := sub.settled[jb.ji].CompareAndSwap(false, true)
+		l.detach()
+		if won {
 			sub.jobDone(1)
-		} else {
-			l.detach()
 		}
 		return
 	}

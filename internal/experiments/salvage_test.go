@@ -199,3 +199,105 @@ func TestBatchedSalvageContiguousStress(t *testing.T) {
 		}
 	}
 }
+
+// TestJobPathsAgreeOnFailure: the local pool and a lease holder run a
+// job the same way — ComputeJob, then the settle commit — so a sweep
+// failing at point 5 of 6 reports the same error, naming the point
+// once, and salvages the same 5-row prefix whichever holder ran it,
+// one or two points per job or unsharded.
+func TestJobPathsAgreeOnFailure(t *testing.T) {
+	boom := errors.New("boom")
+	s := countingSweep("zz-agree", 6)
+	inner := s.Point
+	s.Point = func(ctx context.Context, seed int64, i int) (PointResult, error) {
+		if i == 5 {
+			return PointResult{}, boom
+		}
+		return inner(ctx, seed, i)
+	}
+	tempSweep(t, s)
+	const want = "experiments: zz-agree (seed 1): point 5/6: boom"
+
+	local := func(workers int) func(*testing.T, RunSpec) (*Report, error) {
+		return func(t *testing.T, sp RunSpec) (*Report, error) {
+			return Execute(context.Background(), Options{IDs: sp.IDs, ShardRows: sp.ShardRows, BatchRows: sp.BatchRows, Concurrency: workers})
+		}
+	}
+	lease := func(t *testing.T, sp RunSpec) (*Report, error) {
+		sched := NewScheduler(SchedulerConfig{LeaseOnly: true})
+		defer sched.Close()
+		done := make(chan struct{})
+		wg := drainLeases(t, sched, 1, done)
+		defer func() { close(done); wg.Wait() }()
+		h, err := sched.Submit(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Report()
+	}
+	holders := []struct {
+		name string
+		run  func(*testing.T, RunSpec) (*Report, error)
+	}{{"local1", local(1)}, {"local4", local(4)}, {"lease", lease}}
+	layouts := []struct {
+		name  string
+		shard bool
+		batch int
+	}{{"batch1", true, 1}, {"batch2", true, 2}, {"unsharded", false, 1}}
+	for _, lay := range layouts {
+		for _, ho := range holders {
+			t.Run(lay.name+"/"+ho.name, func(t *testing.T) {
+				rep, err := ho.run(t, RunSpec{IDs: []string{"zz-agree"}, ShardRows: lay.shard, BatchRows: lay.batch})
+				if err == nil || err.Error() != want {
+					t.Fatalf("err = %v, want %q", err, want)
+				}
+				if len(rep.Salvaged) != 1 {
+					t.Fatalf("salvage = %d tables, want 1", len(rep.Salvaged))
+				}
+				rows := rep.Salvaged[0].Rows
+				if len(rows) != 5 {
+					t.Fatalf("salvaged %d rows, want the 5-point prefix: %v", len(rows), rows)
+				}
+				for i, row := range rows {
+					if row[0] != float64(i) || row[1] != 1 {
+						t.Fatalf("salvaged row %d = %v, want [%d 1]", i, row, i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFailMalformedReport: a lease holder's failure that does not fit
+// its job — a *PointError outside the leased batch, or a completed
+// prefix of the wrong row arity — never indexes out of range or
+// panics in assembly: the failure lands at the batch's first point (or
+// its own, when inside the batch) without the malformed rows, and
+// still fails the run.
+func TestFailMalformedReport(t *testing.T) {
+	tempSweep(t, countingSweep("zz-malformed", 6))
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{&PointError{Point: 99, Points: 6, Err: boom}, "point 0/6: point 99/6: boom"},
+		{&PointError{Point: -1, Points: 6, Err: boom}, "point 0/6: point -1/6: boom"},
+		{&JobError{Err: &PointError{Point: 1, Points: 6, Err: boom}, Done: ExternalResult{Points: []PointResult{Row(1, 2, 3)}}}, "point 1/6: boom"},
+	} {
+		s := NewScheduler(SchedulerConfig{LeaseOnly: true})
+		h, err := s.Submit(context.Background(), RunSpec{IDs: []string{"zz-malformed"}, ShardRows: true, BatchRows: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.TryLease().Fail(tc.err)
+		rep, err := h.Report()
+		if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("Fail(%v): err = %v, want it to end %q", tc.err, err, tc.want)
+		}
+		if len(rep.Salvaged) != 0 {
+			t.Errorf("Fail(%v): salvaged %+v, want nothing", tc.err, rep.Salvaged)
+		}
+		s.Close()
+	}
+}

@@ -11,7 +11,9 @@ package experiments
 // (determinism invariant 7 in ARCHITECTURE.md). The one-shot path
 // (Execute, and llama.RunExperiments over it) lays its run out as one
 // submission on a private scheduler, so every entry point executes this
-// same core.
+// same core. A local pool worker is one more job holder: it deals from
+// the ring walk TryLease uses, computes with ComputeJob and commits
+// through the settle that Complete and Fail take (lease.go).
 
 import (
 	"context"
@@ -143,52 +145,56 @@ func (s *Scheduler) Store() *store.Store { return s.st }
 // Workers returns the resolved pool width.
 func (s *Scheduler) Workers() int { return s.workers }
 
-// worker pulls jobs off the dispatch rings until Close stops the pool.
-// Jobs from different submissions interleave round-robin; each job
-// writes only its own pre-assigned slot.
+// worker is the local pool's holder loop — deal a job, compute it with
+// ComputeJob, commit it with settle — the same body every lease holder
+// runs. It waits for work until Close stops the pool.
 func (s *Scheduler) worker() {
 	defer s.pool.Done()
-	for {
-		jb, ok := s.next()
-		if !ok {
-			return
-		}
-		jb.sub.execute(jb)
-	}
-}
-
-// next blocks until a job is dispatchable and returns it, or returns
-// false once the pool is stopped. The priority lane is drained first;
-// within a lane the front submission yields one job and rotates to the
-// back, so concurrent submissions advance in lockstep regardless of
-// size. Jobs requeued by an expired lease are dealt before the
-// submission's undispatched tail, and jobs a late external completion
-// already settled are skipped.
-func (s *Scheduler) next() (schedJob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for lane := range s.lanes {
-			for len(s.lanes[lane]) > 0 {
-				sub := s.lanes[lane][0]
-				s.lanes[lane] = s.lanes[lane][1:]
-				jb, ok := sub.popJobLocked()
-				if sub.pendingLocked() {
-					s.lanes[lane] = append(s.lanes[lane], sub)
-				} else {
-					sub.inRing = false
-					sub.maybeReleaseLocked()
-				}
-				if ok {
-					return jb, true
-				}
+		if jb, ok := s.dealLocked(false); ok {
+			s.mu.Unlock()
+			jb.sub.execute(jb)
+			s.mu.Lock()
+		} else if s.stopped {
+			return
+		} else {
+			s.cond.Wait()
+		}
+	}
+}
+
+// dealLocked is the one ring walk behind the local pool and TryLease.
+// The priority lane is drained first; within a lane the front
+// submission yields one job and rotates to the back, so concurrent
+// submissions advance in lockstep regardless of size. Jobs requeued by
+// an expired lease are dealt before the submission's undispatched
+// tail, and jobs a late external completion already settled are
+// skipped. A leased job is recorded in sub.leased before the release
+// check: it may still be requeued, so the cancel watcher must stay
+// armed. Caller holds s.mu.
+func (s *Scheduler) dealLocked(lease bool) (schedJob, bool) {
+	for lane := range s.lanes {
+		for len(s.lanes[lane]) > 0 {
+			sub := s.lanes[lane][0]
+			s.lanes[lane] = s.lanes[lane][1:]
+			jb, ok := sub.popJobLocked()
+			if ok && lease {
+				sub.leased[jb.ji] = struct{}{}
+			}
+			if sub.pendingLocked() {
+				s.lanes[lane] = append(s.lanes[lane], sub)
+			} else {
+				sub.inRing = false
+				sub.maybeReleaseLocked()
+			}
+			if ok {
+				return jb, true
 			}
 		}
-		if s.stopped {
-			return schedJob{}, false
-		}
-		s.cond.Wait()
 	}
+	return schedJob{}, false
 }
 
 // popJobLocked yields the submission's next dispatchable job: requeued
@@ -398,15 +404,18 @@ type schedJob struct {
 	ji           int
 }
 
+// desc returns the job in worker-computable terms.
+func (jb schedJob) desc() JobDesc {
+	c := &jb.sub.cells[jb.cell]
+	return JobDesc{ID: c.id, Seed: c.seed, Sharded: c.sweep != nil, Point: jb.point, Count: jb.count}
+}
+
 // submission is one Submit call in flight: its fixed cell/job layout,
 // collection slots, and completion state. The layout is built before
 // any job runs (invariant 3), so concurrent submissions sharing the
 // pool cannot perturb each other's slot assignment.
 type submission struct {
-	spec  RunSpec
-	ids   []string
-	seeds []int64
-	batch int
+	spec RunSpec // normalized: IDs resolved, seeds defaulted, batch clamped
 
 	parent     context.Context // the submitter's context: its cancellation wins
 	ctx        context.Context // derived; cancelled on failure/Cancel/Close
@@ -434,12 +443,12 @@ type submission struct {
 	requeue   []schedJob
 	leased    map[int]struct{}
 
-	// settled has one flag per queue slot; the first finisher — local
-	// execute, external lease completion, or abandonment — wins the CAS
-	// and alone writes the job's collection slots and accounts it in
-	// jobDone. Everyone else drops their result. That single gate is what
-	// makes duplicate completions, reassignment races, and late replies
-	// from presumed-dead workers safe (invariant 9).
+	// settled has one flag per queue slot; the first finisher — settle
+	// (every holder's commit) or abandonment — wins the CAS and alone
+	// writes the job's collection slots and accounts it in jobDone.
+	// Everyone else drops their result. That single gate is what makes
+	// duplicate completions, reassignment races, and late replies from
+	// presumed-dead workers safe (invariant 9).
 	settled []atomic.Bool
 
 	start      time.Time
@@ -486,9 +495,6 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 			BatchRows: batch,
 			Resume:    spec.Resume,
 		},
-		ids:        ids,
-		seeds:      append([]int64(nil), seeds...),
-		batch:      batch,
 		parent:     ctx,
 		ctx:        runCtx,
 		cancelFn:   cancel,
@@ -538,118 +544,80 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 			sub.cells = append(sub.cells, c)
 			if c.sweep != nil {
 				for p := 0; p < c.sweep.Points; p += batch {
-					n := batch
-					if p+n > c.sweep.Points {
-						n = c.sweep.Points - p
-					}
-					sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: p, count: n})
+					sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: p, count: min(batch, c.sweep.Points-p), ji: len(sub.queue)})
 				}
 			} else {
-				sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: 0, count: 1})
+				sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: 0, count: 1, ji: len(sub.queue)})
 			}
 		}
-	}
-	for i := range sub.queue {
-		sub.queue[i].ji = i
 	}
 	sub.settled = make([]atomic.Bool, len(sub.queue))
 	sub.leased = make(map[int]struct{})
 	return sub, nil
 }
 
-// execute runs one job on a pool worker. It computes into local
-// scratch first and commits to the job's pre-assigned slots only after
-// winning the settle CAS — a local re-execution of a requeued job can
-// race a late external completion of the same job, and exactly one of
-// them may write. A job error cancels this submission (fail fast)
-// without touching the scheduler's other submissions.
+// execute runs one job on a pool worker: ComputeJob, then settle,
+// sampling the response-cache counters around the compute on
+// single-worker pools (trackCache).
 func (sub *submission) execute(jb schedJob) {
 	if sub.settled[jb.ji].Load() {
 		return // a late external completion beat the requeue; nothing to do
 	}
-	c := &sub.cells[jb.cell]
-	if c.sweep == nil {
-		var cs metasurface.CacheStats
-		if sub.trackCache {
-			cs = metasurface.GlobalCacheStats()
-		}
-		started := time.Now()
-		res, err := Run(sub.ctx, c.id, c.seed)
-		elapsed := time.Since(started)
-		var hits, misses uint64
-		if sub.trackCache {
-			d := metasurface.GlobalCacheStats().Sub(cs)
-			hits, misses = d.Hits, d.Misses
-		}
-		if !sub.settled[jb.ji].CompareAndSwap(false, true) {
-			return
-		}
-		defer sub.jobDone(1)
-		c.started[jb.point] = started
-		c.elapsed[jb.point] = elapsed
-		c.cacheHits[jb.point], c.cacheMisses[jb.point] = hits, misses
-		if err != nil {
-			c.errs[jb.point] = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
-			if res != nil && len(res.Rows) > 0 {
-				c.partial = res // a sweep's serial runner salvages its prefix
-			}
-			sub.cancelFn() // fail fast: stop feeding this submission's jobs
-			return
-		}
-		c.res = res
-		c.done[jb.point] = true
-		return
+	var cs metasurface.CacheStats
+	if sub.trackCache {
+		cs = metasurface.GlobalCacheStats()
 	}
-	scratch := make([]PointResult, jb.count)
-	started := make([]time.Time, jb.count)
-	elapsed := make([]time.Duration, jb.count)
-	hits := make([]uint64, jb.count)
-	misses := make([]uint64, jb.count)
-	ran := 0
-	var runErr error
-	for p := jb.point; p < jb.point+jb.count; p++ {
-		i := p - jb.point
-		var cs metasurface.CacheStats
-		if sub.trackCache {
-			cs = metasurface.GlobalCacheStats()
-		}
-		started[i] = time.Now()
-		if p == jb.point && c.sweep.Warm != nil {
-			// Warm the whole batch inside the first point's stat-sampling
-			// window, so warming's cache traffic stays attributed to this
-			// batch (per-point counters still sum to the run totals).
-			c.sweep.Warm(sub.ctx, c.seed, jb.point, jb.count)
-		}
-		pt, err := c.sweep.Point(sub.ctx, c.seed, p)
-		elapsed[i] = time.Since(started[i])
-		if sub.trackCache {
-			d := metasurface.GlobalCacheStats().Sub(cs)
-			hits[i], misses[i] = d.Hits, d.Misses
-		}
-		ran++
-		if err != nil {
-			runErr = err
-			break // the batch's remaining points stay unrun
-		}
-		scratch[i] = pt
+	res, err := ComputeJob(sub.ctx, jb.desc())
+	if sub.trackCache {
+		cs = metasurface.GlobalCacheStats().Sub(cs)
 	}
+	if sub.settle(jb, res, err, cs) {
+		sub.jobDone(1)
+	}
+}
+
+// settle is the one commit of a job's slots for every finisher: the
+// local pool, Complete and Fail. Only the winner of the job's settle
+// CAS writes (a requeued job can race a late external completion); it
+// records the job's timing and cache delta at its first slot and
+// commits done — on failure, the completed part. A *PointError inside
+// the batch lands at its point as its inner error, which assemble
+// wraps exactly once; any other failure lands at the first point. A
+// failure cancels the submission. The caller runs jobDone on true.
+func (sub *submission) settle(jb schedJob, done ExternalResult, err error, cache metasurface.CacheStats) bool {
 	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
-		return
+		return false
 	}
-	defer sub.jobDone(1)
-	for i := 0; i < ran; i++ {
-		p := jb.point + i
-		c.started[p] = started[i]
-		c.elapsed[p] = elapsed[i]
-		c.cacheHits[p], c.cacheMisses[p] = hits[i], misses[i]
-		if i == ran-1 && runErr != nil {
-			c.errs[p] = runErr
-			sub.cancelFn()
-			return
+	c := &sub.cells[jb.cell]
+	c.started[jb.point] = time.Now().Add(-done.Elapsed)
+	c.elapsed[jb.point] = done.Elapsed
+	c.cacheHits[jb.point], c.cacheMisses[jb.point] = cache.Hits, cache.Misses
+	n, fail := len(done.Points), jb.point
+	switch {
+	case c.sweep == nil && err == nil:
+		c.res = done.Cell
+		c.done[jb.point] = true
+	case c.sweep == nil:
+		err = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
+		if done.Cell != nil && len(done.Cell.Rows) > 0 {
+			c.partial = done.Cell // the serial runner's salvaged prefix
 		}
-		c.points[p] = scratch[i]
-		c.done[p] = true
+	case err != nil:
+		var pe *PointError
+		if errors.As(err, &pe) && pe.Err != nil && pe.Point >= jb.point && pe.Point < jb.point+jb.count {
+			fail, err = pe.Point, pe.Err
+		}
+		n = min(n, fail-jb.point)
 	}
+	for i, pt := range done.Points[:n] {
+		c.points[jb.point+i] = pt
+		c.done[jb.point+i] = true
+	}
+	if err != nil {
+		c.errs[fail] = err
+		sub.cancelFn()
+	}
+	return true
 }
 
 // jobDone accounts n finished (or abandoned) job slots; retiring the
@@ -687,24 +655,18 @@ func (sub *submission) finish() {
 // the pool.
 func (sub *submission) finalize() {
 	cacheDelta := metasurface.GlobalCacheStats().Sub(sub.cacheStart)
-	conc := sub.workers
-	if n := len(sub.queue); conc > n {
-		conc = n
-	}
-	if conc < 1 {
-		conc = 1
-	}
+	conc := max(1, min(sub.workers, len(sub.queue)))
 	rep := &Report{
-		Seeds:       append([]int64(nil), sub.seeds...),
+		Seeds:       append([]int64(nil), sub.spec.Seeds...),
 		Concurrency: conc,
 		Wall:        time.Since(sub.start),
 		ShardRows:   sub.spec.ShardRows,
-		BatchRows:   sub.batch,
+		BatchRows:   sub.spec.BatchRows,
 		CacheHits:   cacheDelta.Hits,
 		CacheMisses: cacheDelta.Misses,
 	}
 	cells := sub.cells
-	seeds := sub.seeds
+	seeds := sub.spec.Seeds
 	// Assemble every cell in slot order, then resolve the error policy
 	// deterministically: the submitter's cancellation wins, then the
 	// first real (non-cancellation) cell failure by slot index, then any
@@ -753,7 +715,7 @@ func (sub *submission) finalize() {
 			}
 			h, m := c.cacheDelta()
 			rec := storeRecord(c.res, c.seed, store.Meta{
-				Concurrency: conc, ShardRows: sub.spec.ShardRows, BatchRows: sub.batch,
+				Concurrency: conc, ShardRows: sub.spec.ShardRows, BatchRows: sub.spec.BatchRows,
 				CacheHits: h, CacheMisses: m, ElapsedNs: int64(c.busy()),
 			})
 			if err := sub.st.Put(rec); err != nil {
@@ -778,7 +740,7 @@ func (sub *submission) finalize() {
 
 	// Report assembly in slot order; on failure keep completed cells (and
 	// salvaged sweep prefixes) so callers can recover partial output.
-	for i, id := range sub.ids {
+	for i, id := range sub.spec.IDs {
 		var perSeed []*Result
 		var wall, busy time.Duration
 		var hits, misses uint64

@@ -228,12 +228,13 @@ func (c *Coordinator) Heartbeat(id string) error {
 }
 
 // Complete delivers a holder's result (or, when workErr is non-empty,
-// its compute failure) for lease id. Idempotent and late-duplicate
-// safe: completing a lease that already expired still forwards the
-// rows — the settle CAS accepts them if the requeued copy has not
-// finished first and drops them otherwise; completing a lease twice is
-// a no-op. A malformed payload returns an error (the HTTP layer's 400)
-// and requeues the job so an honest worker recomputes it.
+// its compute failure, with res holding what completed before it) for
+// lease id. Idempotent and late-duplicate safe: completing a lease
+// that already expired still forwards the rows — the settle CAS
+// accepts them if the requeued copy has not finished first and drops
+// them otherwise; completing a lease twice is a no-op. A malformed
+// payload returns an error (the HTTP layer's 400) and requeues the job
+// so an honest worker recomputes it.
 func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workErr string) error {
 	c.mu.Lock()
 	now := c.now()
@@ -254,7 +255,7 @@ func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workEr
 	// scheduler's lock and may trigger a submission's finalize.
 	var err error
 	if workErr != "" {
-		l.job.Fail(errors.New(workErr))
+		l.job.Fail(failure(l.desc, res, workErr))
 	} else {
 		err = l.job.Complete(res)
 	}
@@ -284,6 +285,19 @@ func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workEr
 		c.stats.Completed++
 	}
 	return nil
+}
+
+// failure rebuilds a worker's reported failure for Fail: the message
+// and what completed (res). A sharded job's failure is placed after the
+// completed prefix, at d.Point+len(res.Points); a message from a worker
+// that sends no prefix thus lands at the batch's first point, with its
+// text as before.
+func failure(d experiments.JobDesc, res experiments.ExternalResult, msg string) error {
+	err := errors.New(msg)
+	if d.Sharded {
+		err = &experiments.PointError{Point: d.Point + len(res.Points), Err: err}
+	}
+	return &experiments.JobError{Err: err, Done: res}
 }
 
 // Reap expires every lease whose deadline has strictly passed,

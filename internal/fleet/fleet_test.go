@@ -267,8 +267,7 @@ func TestWireEncodingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, cell := toWire(res)
-	back, err := fromWire(completeRequest{Points: pts, Cell: cell})
+	back, err := fromWire(toWire(res))
 	if err != nil {
 		t.Fatal(err)
 	}

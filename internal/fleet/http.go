@@ -66,19 +66,26 @@ type heartbeatRequest struct {
 	LeaseID string `json:"lease_id"`
 }
 
-// completeRequest is the body of POST /fleet/complete: either Error
-// (the worker's compute failure) or the job-shaped result payload.
+// completeRequest is the body of POST /fleet/complete: the job-shaped
+// result payload, or Error with the part of the job that completed.
 type completeRequest struct {
 	LeaseID string `json:"lease_id"`
-	// Error, when non-empty, reports the worker's compute failure; the
-	// result fields are then ignored.
+	// Error, when non-empty, reports the worker's compute failure. The
+	// result fields then carry what completed before it: a sharded
+	// job's finished prefix in Points (Error is then the failing point's
+	// own message, and the failure sits at the batch's first point plus
+	// len(Points)), or a whole cell's partial table in Cell.
 	Error string `json:"error,omitempty"`
 	// Points carries a sharded job's per-point output, in batch order.
 	Points []wirePoint `json:"points,omitempty"`
 	// Cell carries a whole-experiment job's table.
 	Cell *wireResult `json:"cell,omitempty"`
-	// ElapsedMillis is the worker's compute time for the job.
+	// ElapsedMillis is the worker's compute time for the job, kept for
+	// coordinators that do not read ElapsedNanos.
 	ElapsedMillis int64 `json:"elapsed_ms"`
+	// ElapsedNanos is the same time at full resolution; fromWire
+	// prefers it when present.
+	ElapsedNanos int64 `json:"elapsed_ns,omitempty"`
 }
 
 // wirePoint is one sweep point's output with string-encoded rows.
@@ -114,15 +121,14 @@ func decodeWireRows(rows [][]string) ([][]float64, error) {
 	return out, nil
 }
 
-// toWire encodes an in-memory result for the completion payload.
-func toWire(res experiments.ExternalResult) ([]wirePoint, *wireResult) {
-	var pts []wirePoint
+// toWire encodes an in-memory result as a completion payload.
+func toWire(res experiments.ExternalResult) completeRequest {
+	req := completeRequest{ElapsedMillis: res.Elapsed.Milliseconds(), ElapsedNanos: int64(res.Elapsed)}
 	for _, p := range res.Points {
-		pts = append(pts, wirePoint{Rows: store.EncodeRows(p.Rows), Notes: p.Notes})
+		req.Points = append(req.Points, wirePoint{Rows: store.EncodeRows(p.Rows), Notes: p.Notes})
 	}
-	var cell *wireResult
 	if res.Cell != nil {
-		cell = &wireResult{
+		req.Cell = &wireResult{
 			ID:      res.Cell.ID,
 			Title:   res.Cell.Title,
 			Columns: res.Cell.Columns,
@@ -130,13 +136,16 @@ func toWire(res experiments.ExternalResult) ([]wirePoint, *wireResult) {
 			Notes:   res.Cell.Notes,
 		}
 	}
-	return pts, cell
+	return req
 }
 
 // fromWire decodes a completion payload back to an ExternalResult.
 func fromWire(req completeRequest) (experiments.ExternalResult, error) {
 	var out experiments.ExternalResult
 	out.Elapsed = time.Duration(req.ElapsedMillis) * time.Millisecond
+	if req.ElapsedNanos != 0 {
+		out.Elapsed = time.Duration(req.ElapsedNanos)
+	}
 	for i, p := range req.Points {
 		rows, err := decodeWireRows(p.Rows)
 		if err != nil {
@@ -330,23 +339,32 @@ func (c *Client) Heartbeat(leaseID string) error {
 
 // Complete posts the job's computed result under its lease.
 func (c *Client) Complete(leaseID string, res experiments.ExternalResult) error {
-	pts, cell := toWire(res)
-	_, err := c.post("/fleet/complete", completeRequest{
-		LeaseID:       leaseID,
-		Points:        pts,
-		Cell:          cell,
-		ElapsedMillis: res.Elapsed.Milliseconds(),
-	}, nil)
+	req := toWire(res)
+	req.LeaseID = leaseID
+	_, err := c.post("/fleet/complete", req, nil)
 	return err
 }
 
-// Fail reports the worker's compute failure under its lease.
-func (c *Client) Fail(leaseID string, workErr error) error {
-	msg := "unknown worker error"
-	if workErr != nil {
-		msg = workErr.Error()
+// Fail reports the worker's compute failure for job d under its lease,
+// with what completed before it (a *experiments.JobError's Done). A
+// sharded job's failing point travels as its place after the completed
+// prefix, and Error as that point's own message, so the run error
+// names the point once.
+func (c *Client) Fail(leaseID string, d experiments.JobDesc, workErr error) error {
+	if workErr == nil {
+		workErr = errors.New("unknown worker error")
 	}
-	_, err := c.post("/fleet/complete", completeRequest{LeaseID: leaseID, Error: msg}, nil)
+	var req completeRequest
+	var je *experiments.JobError
+	if errors.As(workErr, &je) {
+		req = toWire(je.Done)
+	}
+	req.LeaseID, req.Error = leaseID, workErr.Error()
+	var pe *experiments.PointError
+	if d.Sharded && errors.As(workErr, &pe) && pe.Err != nil && pe.Point == d.Point+len(req.Points) {
+		req.Error = pe.Err.Error()
+	}
+	_, err := c.post("/fleet/complete", req, nil)
 	return err
 }
 

@@ -137,10 +137,11 @@ func (w *Worker) runJob(ctx context.Context, g Grant) {
 		}
 	}()
 	res, err := w.cfg.Compute(jctx, g.Desc)
+	lost := jctx.Err() != nil // read before the cancel below, which always sets it
 	cancel()
 	<-hbDone
 	if err != nil {
-		if jctx.Err() != nil {
+		if lost {
 			// Lost the lease or the worker is shutting down: either way the
 			// job is not failed, just abandoned — the lease expires and the
 			// coordinator reassigns it. Reporting the cancellation as a
@@ -150,7 +151,7 @@ func (w *Worker) runJob(ctx context.Context, g Grant) {
 			return
 		}
 		w.cfg.Logf("fleet worker %s: %s failed: %v", w.cfg.Name, g.Desc, err)
-		if err := w.cfg.Client.Fail(g.ID, err); err != nil {
+		if err := w.cfg.Client.Fail(g.ID, g.Desc, err); err != nil {
 			w.cfg.Logf("fleet worker %s: reporting failure for %s: %v", w.cfg.Name, g.ID, err)
 		}
 		return
