@@ -242,3 +242,40 @@ func TestWorkerErrorFailsRun(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 failed", st)
 	}
 }
+
+// TestMalformedCompletionAfterExpiry: a holder whose lease expired
+// posts a malformed completion after the requeued job went to another
+// worker. The job already went back when the lease expired, so the
+// rejection must not requeue it a second time: no third worker may be
+// granted it, and only the second holder's lease stays live.
+func TestMalformedCompletionAfterExpiry(t *testing.T) {
+	const ttl = 4 * time.Second
+	sched, c, clk := simCoordinator(t, ttl)
+	h := submitCell(t, sched)
+	gA, ok := c.Lease("A")
+	if !ok {
+		t.Fatal("no lease granted")
+	}
+	clk.RunFor(ttl + time.Nanosecond)
+	gB, ok := c.Lease("B")
+	if !ok {
+		t.Fatal("expired job was not re-granted")
+	}
+	if err := c.Complete(gA.ID, experiments.ExternalResult{}, ""); err == nil {
+		t.Fatal("malformed completion accepted")
+	}
+	if gC, ok := c.Lease("C"); ok {
+		t.Fatalf("job granted a third time (%s) while %s holds it", gC.ID, gB.ID)
+	}
+	if st := c.Stats(); st.Granted != 2 || st.Live != 1 || st.Expired != 1 {
+		t.Fatalf("stats = %+v, want 2 granted, 1 live, 1 expired", st)
+	}
+	res, err := experiments.ComputeJob(context.Background(), gB.Desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(gB.ID, res, ""); err != nil {
+		t.Fatal(err)
+	}
+	finishRun(t, h)
+}

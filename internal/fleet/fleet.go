@@ -20,6 +20,7 @@
 package fleet
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -74,6 +75,34 @@ type lease struct {
 	deadline time.Time
 	state    leaseState
 	ended    time.Time // when the lease left leaseLive, for record purge
+	due      time.Time // deadline while live, ended+2×TTL once terminal
+	idx      int       // position in the coordinator's due heap
+}
+
+// dueHeap orders lease records by due time, earliest first, so a reap
+// touches only the records it acts on.
+type dueHeap []*lease
+
+func (h dueHeap) Len() int           { return len(h) }
+func (h dueHeap) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
+func (h dueHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
+func (h *dueHeap) Push(x any) {
+	l := x.(*lease)
+	l.idx = len(*h)
+	*h = append(*h, l)
+}
+func (h *dueHeap) Pop() any {
+	old := *h
+	n := len(old)
+	l := old[n-1]
+	old[n-1] = nil
+	l.idx = -1 // purged: a Complete still holding it must not Fix it
+	*h = old[:n-1]
+	return l
 }
 
 // Stats counts lease-lifecycle events since the coordinator started.
@@ -126,6 +155,7 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	leases map[string]*lease
+	due    dueHeap // every record in leases, ordered by due time
 	nextID int64
 	closed bool
 	stats  Stats
@@ -134,7 +164,10 @@ type Coordinator struct {
 // NewCoordinator validates cfg and returns a running coordinator.
 // Expiry is checked lazily on every Lease/Heartbeat/Complete/Reap call
 // rather than by a background timer, so a simulated clock drives it
-// deterministically.
+// deterministically. Lease records sit in one heap ordered by due time
+// (a live lease's deadline, a terminal record's purge instant), so a
+// call pays only for the records that fall due, not for every record
+// retained.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Sched == nil {
 		return nil, errors.New("fleet: Config.Sched is required")
@@ -184,7 +217,9 @@ func (c *Coordinator) Lease(worker string) (*Grant, bool) {
 		deadline: c.now().Add(c.ttl),
 		state:    leaseLive,
 	}
+	l.due = l.deadline
 	c.leases[l.id] = l
+	heap.Push(&c.due, l)
 	c.stats.Granted++
 	c.stats.Live++
 	c.logf("fleet: lease %s: %s -> worker %s (deadline %s)", l.id, l.desc, worker, l.deadline.Format(time.RFC3339Nano))
@@ -224,6 +259,8 @@ func (c *Coordinator) Heartbeat(id string) error {
 		return nil // already finished; nothing to extend, nothing to retry
 	}
 	l.deadline = now.Add(c.ttl)
+	l.due = l.deadline
+	heap.Fix(&c.due, l.idx)
 	return nil
 }
 
@@ -266,9 +303,13 @@ func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workEr
 		return nil // a racing Complete for the same lease got there first
 	}
 	if err != nil {
-		// Malformed payload: the job is still leased; requeue it so the
-		// work is not stranded until the TTL reaps it.
-		l.job.Abandon()
+		// Malformed payload: if the lease is still live its job is still
+		// leased, so requeue it rather than strand it until the TTL
+		// reaps it. An expired lease's job went back when it expired and
+		// may already be leased to another worker.
+		if l.state == leaseLive {
+			l.job.Abandon()
+		}
 		c.endLocked(l, leaseExpired, now)
 		c.logf("fleet: lease %s: rejected completion from worker %s: %v", l.id, l.worker, err)
 		return err
@@ -301,43 +342,51 @@ func failure(d experiments.JobDesc, res experiments.ExternalResult, msg string) 
 }
 
 // Reap expires every lease whose deadline has strictly passed,
-// requeueing their jobs, and purges terminal lease records older than
-// 2×TTL. It is called implicitly by every other method; tests (and a
-// service's periodic sweep) may call it directly.
+// requeueing their jobs, and purges terminal lease records that ended
+// more than 2×TTL ago. It is called implicitly by every other method;
+// tests (and a service's periodic sweep) may call it directly. Its cost
+// grows with the records that fall due, not with the records retained.
 func (c *Coordinator) Reap() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(c.now())
 }
 
-// reapLocked is Reap under c.mu, at an explicit instant.
+// reapLocked is Reap under c.mu, at an explicit instant. It pops the
+// due heap while its earliest record is due strictly before now, which
+// is exactly the rule of a full scan: a live lease expires iff
+// now.After(deadline), and a terminal record is purged iff
+// ended.Before(now-2×TTL). An expired lease goes back into the heap at
+// its purge instant. Terminal records linger 2×TTL so a late duplicate
+// still gets a clean idempotent answer instead of ErrUnknownLease.
 func (c *Coordinator) reapLocked(now time.Time) {
-	for _, l := range c.leases {
-		if l.state == leaseLive && now.After(l.deadline) {
-			c.endLocked(l, leaseExpired, now)
-			c.stats.Expired++
-			c.logf("fleet: lease %s: worker %s missed deadline; requeueing %s", l.id, l.worker, l.desc)
-			l.job.Abandon()
+	for len(c.due) > 0 && c.due[0].due.Before(now) {
+		l := c.due[0]
+		if l.state != leaseLive {
+			heap.Pop(&c.due)
+			delete(c.leases, l.id)
+			continue
 		}
-	}
-	// Terminal records linger 2×TTL so a late duplicate still gets a
-	// clean idempotent answer instead of ErrUnknownLease, then age out.
-	horizon := now.Add(-2 * c.ttl)
-	for id, l := range c.leases {
-		if l.state != leaseLive && l.ended.Before(horizon) {
-			delete(c.leases, id)
-		}
+		c.endLocked(l, leaseExpired, now)
+		c.stats.Expired++
+		c.logf("fleet: lease %s: worker %s missed deadline; requeueing %s", l.id, l.worker, l.desc)
+		l.job.Abandon()
 	}
 }
 
-// endLocked moves a lease to a terminal state, stamps it for purge and
-// maintains the Live gauge (decremented exactly once per lease).
+// endLocked moves a lease to a terminal state, stamps it for purge,
+// reorders it in the due heap and maintains the Live gauge
+// (decremented exactly once per lease).
 func (c *Coordinator) endLocked(l *lease, st leaseState, now time.Time) {
 	if l.state == leaseLive {
 		c.stats.Live--
 	}
 	l.state = st
 	l.ended = now
+	l.due = now.Add(2 * c.ttl)
+	if l.idx >= 0 {
+		heap.Fix(&c.due, l.idx)
+	}
 }
 
 // Stats returns a snapshot of the lease-lifecycle counters. The

@@ -62,6 +62,9 @@ func newServer(t *testing.T, dir string, workers int) (*service.Server, *httptes
 	}
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
+	// Drain the runs before the temp dir goes: a parked run's record
+	// write would otherwise race its removal.
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
 	return svc, ts
 }
 
