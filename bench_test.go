@@ -127,7 +127,7 @@ func BenchmarkRunAllShardedMaxProcs(b *testing.B) { benchRunAllSharded(b, 0) }
 
 // Single-experiment serial-vs-sharded benchmarks: the case the sharding
 // exists for. A lone long sweep (fig15's seven full bias-plane scans)
-// bounds wall-clock for a whole-experiment job no matter how many
+// bounds wall-clock for an unsharded (whole-axis) job no matter how many
 // workers it has; sharding its rows is the only way -parallel helps a
 // single -run.
 

@@ -1,5 +1,5 @@
 // Command llama-worker is a fleet compute process: it joins a
-// llama-serve instance started with -fleet, leases shard jobs over
+// llama-serve instance started with -fleet, leases point-range jobs over
 // HTTP pull (POST /fleet/lease), recomputes each job from its pure
 // description with the local experiment registry, heartbeats the lease
 // while computing, and posts the rows back (POST /fleet/complete). Add
@@ -12,7 +12,7 @@
 //
 //	llama-worker -coordinator http://host:8080               join a fleet
 //	llama-worker -coordinator URL -name worker-a             name it in coordinator logs
-//	llama-worker -coordinator URL -store DIR                 also persist whole cells directly
+//	llama-worker -coordinator URL -store DIR                 also persist whole-axis cells directly
 //	llama-worker -coordinator URL -poll 100ms                idle lease-poll backoff
 //
 // With -store DIR the worker also warm-starts its per-design response
@@ -45,7 +45,7 @@ func main() {
 	var (
 		coordinator = flag.String("coordinator", "", "base URL of the llama-serve -fleet instance to join (required)")
 		name        = flag.String("name", "", "worker name shown in coordinator logs (default worker-<pid>)")
-		storeDir    = flag.String("store", "", "optional shared results store: whole-experiment cells are persisted directly as well as reported back")
+		storeDir    = flag.String("store", "", "optional shared results store: the cell of every job covering a sweep's whole axis (every cell of an unsharded run, and a sharded cell whose one batch spans its axis) is persisted directly as well as reported back")
 		poll        = flag.Duration("poll", 200*time.Millisecond, "idle backoff between lease attempts when the coordinator has no work")
 	)
 	flag.Parse()

@@ -29,8 +29,10 @@ type Timing struct {
 	Busy time.Duration
 	// Rows is the assembled table's row count (per seed).
 	Rows int
-	// Points is the number of jobs the experiment contributed per seed:
-	// 1 for a whole-experiment job, the axis length for a sharded sweep.
+	// Points is the sweep axis length of a sharded experiment (the
+	// "shards" Render prints, whatever the batch size), and 1 for an
+	// unsharded one, which runs its whole axis as a single job. It is
+	// not the job count.
 	Points int
 	// CacheHits and CacheMisses are the metasurface response-cache
 	// lookups attributed to this experiment's jobs. The counters are
@@ -310,7 +312,7 @@ func resolveIDs(sel []string) ([]string, error) {
 	sort.Strings(ids)
 	ids = slices.Compact(ids)
 	for _, id := range ids {
-		if _, ok := registry[id]; !ok {
+		if _, ok := sweeps[id]; !ok {
 			return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 		}
 	}
@@ -328,10 +330,10 @@ type cellRun struct {
 	// run: res was decoded from its record, no jobs were queued, and it
 	// is skipped by assembly and re-persistence.
 	loaded bool
-	// sweep is non-nil when the cell runs as per-point row jobs.
+	// sweep is the cell's experiment; nil only for a loaded cell.
 	sweep *Sweep
-	// Per-job slots: one entry for a whole-experiment cell, Points
-	// entries for a sharded sweep.
+	// Per-point slots, one entry per axis point; a job records its
+	// timing and cache delta at the slot of its range's first point.
 	points  []PointResult
 	done    []bool
 	errs    []error
@@ -342,13 +344,12 @@ type cellRun struct {
 	cacheHits, cacheMisses []uint64
 	// res is the assembled table (nil when the cell failed or was
 	// cancelled); partial is the salvaged prefix of a failed sweep.
-	res     *Result
-	partial *Result
-	err     error
+	// assembled marks that assemble has run: it runs once per cell.
+	res       *Result
+	partial   *Result
+	err       error
+	assembled bool
 }
-
-// jobs returns the number of job slots the cell contributes to the queue.
-func (c *cellRun) jobs() int { return len(c.points) }
 
 // busy sums the compute time of the cell's executed jobs.
 func (c *cellRun) busy() time.Duration {
@@ -390,16 +391,17 @@ func (c *cellRun) span() time.Duration {
 	return last.Sub(first)
 }
 
-// assemble folds the cell's job slots into its final table. For sweep
-// cells it reassembles points in axis order — bit-identical to the serial
-// path — and on a point failure salvages the contiguous completed prefix
-// and names the failing point. Runs single-threaded after the pool
-// drains.
+// assemble folds the cell's point slots into its final table: points in
+// axis order — bit-identical to the serial path — and on a point failure
+// the contiguous completed prefix is salvaged and the failing point
+// named. It runs once per computed cell, single-threaded over the
+// cell's slots: in settle when an unsharded cell's one job settles,
+// otherwise in finalize; a second call is a no-op.
 func (c *cellRun) assemble() {
-	if c.sweep == nil {
-		// Whole-experiment cell: the worker already stored res/err.
+	if c.assembled {
 		return
 	}
+	c.assembled = true
 	s := c.sweep
 	// Lowest incomplete slot bounds the salvageable prefix. The failure
 	// is named by the lowest point with a real (non-cancellation) error —

@@ -114,25 +114,25 @@ func TestEngineCancelledBeforeStart(t *testing.T) {
 
 // TestCollectSalvagesCompletedOnCancel: cancellation mid-run must not
 // throw away tables that already finished — the report carries them
-// alongside ctx.Err(). Uses temporary registry entries so the ordering
-// is deterministic: the fast experiment signals completion, then the
-// test cancels while the slow one is still blocked.
+// alongside ctx.Err(). Uses two temporary one-point sweeps so the
+// ordering is deterministic: the fast experiment signals completion,
+// then the test cancels while the slow one is still blocked.
 func TestCollectSalvagesCompletedOnCancel(t *testing.T) {
 	done := make(chan struct{})
-	registry["zz-fast"] = func(ctx context.Context, seed int64) (*Result, error) {
-		r := &Result{ID: "zz-fast", Title: "salvage probe", Columns: []string{"seed"}}
-		r.AddRow(float64(seed))
-		close(done)
-		return r, nil
-	}
-	registry["zz-slow"] = func(ctx context.Context, seed int64) (*Result, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	defer func() {
-		delete(registry, "zz-fast")
-		delete(registry, "zz-slow")
-	}()
+	tempSweep(t, &Sweep{
+		ID: "zz-fast", Title: "salvage probe", Columns: []string{"seed"}, Points: 1,
+		Point: func(ctx context.Context, seed int64, i int) (PointResult, error) {
+			close(done)
+			return Row(float64(seed)), nil
+		},
+	})
+	tempSweep(t, &Sweep{
+		ID: "zz-slow", Title: "salvage probe", Columns: []string{"seed"}, Points: 1,
+		Point: func(ctx context.Context, seed int64, i int) (PointResult, error) {
+			<-ctx.Done()
+			return PointResult{}, ctx.Err()
+		},
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {

@@ -6,8 +6,9 @@
 //
 // Experiments are declared as Sweeps: an axis of points plus a per-point
 // function pure in (seed, point). The serial path (Run/RunAll) walks the
-// axis in order; the concurrent scheduler fans whole experiments — and, with
-// ShardRows, individual sweep points — across one bounded worker pool,
+// axis in order; the concurrent scheduler queues every job as a point
+// range of one sweep — the whole axis per (experiment, seed) cell, or,
+// with ShardRows, batches of points — across one bounded worker pool,
 // collecting into pre-assigned slots so output is bit-identical to the
 // serial path for any worker count. See ARCHITECTURE.md at the repository
 // root for the layer diagram and the determinism invariants.
@@ -115,33 +116,10 @@ func (r *Result) Column(i int) []float64 {
 	return out
 }
 
-// Runner generates a result from a seed. Runners must be pure: the same
-// seed always yields bit-identical output, and the supplied context is
-// consulted only for cancellation (it never feeds entropy into the
-// result). That purity is what lets the scheduler fan runners out across
-// goroutines and still reproduce the serial tables exactly.
-type Runner func(ctx context.Context, seed int64) (*Result, error)
-
-// registry maps experiment IDs to runners, populated by init functions in
-// the per-figure files.
-var registry = map[string]Runner{}
-
-// descriptions holds one-line summaries for listing.
-var descriptions = map[string]string{}
-
-// register adds an experiment; duplicate IDs are programmer errors.
-func register(id, description string, r Runner) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate id " + id)
-	}
-	registry[id] = r
-	descriptions[id] = description
-}
-
 // IDs returns the registered experiment IDs in sorted order.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
+	out := make([]string, 0, len(sweeps))
+	for id := range sweeps {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -149,18 +127,26 @@ func IDs() []string {
 }
 
 // Describe returns the one-line summary for an experiment ID.
-func Describe(id string) string { return descriptions[id] }
+func Describe(id string) string {
+	if s, ok := sweeps[id]; ok {
+		return s.Description
+	}
+	return ""
+}
 
-// Run executes one experiment by ID under ctx.
+// Run executes one experiment by ID under ctx: its sweep's points in
+// axis order on the calling goroutine. Like every path into an
+// experiment it is pure in seed — the same seed always yields
+// bit-identical output, and ctx is consulted only for cancellation.
 func Run(ctx context.Context, id string, seed int64) (*Result, error) {
-	r, ok := registry[id]
+	s, ok := sweeps[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r(ctx, seed)
+	return s.runSerial(ctx, seed)
 }
 
 // RunAll executes every experiment serially in ID order. It is the

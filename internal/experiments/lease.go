@@ -1,65 +1,53 @@
 package experiments
 
 // Lease support: the fleet coordinator's pull path into the scheduler.
-// A lease holder runs the local pool worker's job body — TryLease deals
-// from the same ring walk, ComputeJob computes, Complete or Fail
-// commits through the same settle — so the local pool is a holder that
-// never hands its job back. An external holder (a remote worker reached
-// over HTTP — see internal/fleet) completes or fails its job, or the
-// job is abandoned back onto its submission's queue when the holder's
-// lease expires. Every terminal path funnels through the per-job
-// settle CAS, so a duplicate or late completion from a presumed-dead
-// worker is dropped without corrupting collection slots — fleet
-// transparency, determinism invariant 9 in ARCHITECTURE.md.
+// Every job has one shape — a contiguous point range of one sweep
+// (JobDesc) — and a lease holder runs the local pool worker's job body:
+// TryLease deals from the same ring walk, ComputeJob computes the
+// range, Complete or Fail commits its points through the same settle.
+// The local pool is thus a holder that never hands its job back. An
+// external holder (a remote worker reached over HTTP — see
+// internal/fleet) completes or fails its job, or the job is abandoned
+// back onto its submission's queue when the holder's lease expires.
+// Every terminal path funnels through the per-job settle CAS, so a
+// duplicate or late completion from a presumed-dead worker is dropped
+// without corrupting collection slots — fleet transparency,
+// determinism invariant 9 in ARCHITECTURE.md.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"time"
-
-	"github.com/llama-surface/llama/internal/metasurface"
 )
 
-// JobDesc names one leased job in worker-computable terms: which
-// experiment, which seed, and — for a row-sharded job — which
-// contiguous point batch of the sweep axis. It is pure data; a worker
-// process with the same experiment registry recomputes the job from it
-// bit-identically (ComputeJob).
+// JobDesc names one job in worker-computable terms: which experiment,
+// which seed, and which contiguous point range of the sweep axis — the
+// whole axis for an unsharded cell, one batch of a row-sharded one. It
+// is pure data; a worker process with the same experiment registry
+// recomputes the job from it bit-identically (ComputeJob).
 type JobDesc struct {
 	// ID and Seed name the (experiment, seed) cell the job belongs to.
 	ID   string
 	Seed int64
-	// Sharded reports whether the job is a sweep point batch (compute
-	// Count points starting at Point) or a whole-experiment cell
-	// (Point/Count are 0/1 and the worker runs the full experiment).
-	Sharded bool
-	// Point is the first axis index of a sharded job's batch.
+	// Point is the first axis index of the job's range.
 	Point int
 	// Count is the number of consecutive points the job covers.
 	Count int
 }
 
-// String renders the desc for logs: "fig15/seed7[3+2]" for a sharded
-// batch, "tab1/seed1" for a whole cell.
+// String renders the desc for logs, e.g. "fig15/seed7[3+2]".
 func (d JobDesc) String() string {
-	if d.Sharded {
-		return fmt.Sprintf("%s/seed%d[%d+%d]", d.ID, d.Seed, d.Point, d.Count)
-	}
-	return fmt.Sprintf("%s/seed%d", d.ID, d.Seed)
+	return fmt.Sprintf("%s/seed%d[%d+%d]", d.ID, d.Seed, d.Point, d.Count)
 }
 
 // ExternalResult is a job's computed output, whoever computed it: a
 // local pool worker, an in-process lease holder or a remote fleet
-// worker. Exactly one of Points/Cell is set for a completed job,
-// matching its shape (JobDesc.Sharded); a JobError's Done holds the
-// part a failed job completed.
+// worker. A JobError's Done holds the part a failed job completed.
 type ExternalResult struct {
-	// Points holds one PointResult per point of a sharded job's batch,
-	// in axis order.
+	// Points holds one PointResult per point of the job's range, in
+	// axis order.
 	Points []PointResult
-	// Cell is the full table of a whole-experiment job.
-	Cell *Result
 	// Elapsed optionally reports the compute time for the whole job; it
 	// feeds timing aggregation only, never result bytes.
 	Elapsed time.Duration
@@ -67,12 +55,11 @@ type ExternalResult struct {
 
 // JobError is ComputeJob's failure. Besides the error it carries what
 // the job completed before failing, so a holder's Fail(err) salvages
-// exactly what the local pool does: a batch's finished prefix
-// (Done.Points, the points before the failing one) or a whole cell's
-// partial table (Done.Cell).
+// exactly what the local pool does: the range's finished prefix
+// (Done.Points, the points before the failing one).
 type JobError struct {
-	// Err is the failure: a *PointError naming the failing point of a
-	// sharded job, or the experiment's own error for a whole cell.
+	// Err is the failure: a *PointError naming the failing point,
+	// wrapping the point's own error or the cancellation seen before it.
 	Err error
 	// Done is the completed part and the compute time spent.
 	Done ExternalResult
@@ -88,38 +75,64 @@ func (e *JobError) Unwrap() error { return e.Err }
 // registry. It is the one compute path: a local pool worker and every
 // lease holder call it. It is pure in desc (invariant 1 applied
 // remotely): any process with the same registry produces bit-identical
-// output for the same desc. A compute failure is a *JobError, and the
-// returned result is then its Done: the part that completed.
+// output for the same desc. A job covering its sweep's whole axis —
+// every unsharded cell, and a sharded cell whose one batch spans the
+// axis (a one-point sweep, or BatchRows at least the axis length) —
+// checks ctx before each point, as the serial path does, so a cancelled
+// cell stops between points. Any other batch of a sharded cell runs to
+// its end, so a failing run's in-flight batches still finish and the
+// salvaged prefix of a multi-batch cell does not depend on timing. A
+// compute failure or cancellation is a *JobError whose *PointError
+// names the first uncomputed point, and the returned result is then its
+// Done: the part that completed.
 func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 	start := time.Now()
-	if !d.Sharded {
-		res, err := Run(ctx, d.ID, d.Seed)
-		done := ExternalResult{Cell: res, Elapsed: time.Since(start)}
-		if err != nil {
-			return done, &JobError{Err: err, Done: done}
-		}
-		return done, nil
-	}
 	sw, ok := sweeps[d.ID]
 	if !ok {
 		return ExternalResult{}, fmt.Errorf("experiments: %s is not a registered sweep", d.ID)
 	}
 	if d.Point < 0 || d.Count < 1 || d.Count > sw.Points-d.Point {
-		return ExternalResult{}, fmt.Errorf("experiments: %s: batch [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
+		return ExternalResult{}, fmt.Errorf("experiments: %s: range [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
 	}
 	pts := make([]PointResult, d.Count)
 	if sw.Warm != nil {
 		sw.Warm(ctx, d.Seed, d.Point, d.Count)
 	}
+	whole := d.Point == 0 && d.Count == sw.Points
 	for i := range pts {
-		pt, err := sw.Point(ctx, d.Seed, d.Point+i)
+		var err error
+		if whole {
+			err = ctx.Err()
+		}
+		if err == nil {
+			pts[i], err = sw.Point(ctx, d.Seed, d.Point+i)
+		}
 		if err != nil {
 			done := ExternalResult{Points: pts[:i], Elapsed: time.Since(start)}
 			return done, &JobError{Err: &PointError{Point: d.Point + i, Points: sw.Points, Err: err}, Done: done}
 		}
-		pts[i] = pt
 	}
 	return ExternalResult{Points: pts, Elapsed: time.Since(start)}, nil
+}
+
+// AssembleCell folds the points of a job covering its sweep's whole axis
+// into the cell's table, exactly as a submission's finalize assembles
+// it: points in axis order, then the sweep's Finish. ok is false when
+// the job covers less than the whole axis (its points are only part of
+// a cell), the point count does not match, or Finish fails.
+func AssembleCell(d JobDesc, points []PointResult) (res *Result, ok bool) {
+	sw := sweeps[d.ID]
+	if sw == nil || d.Point != 0 || d.Count != sw.Points || len(points) != sw.Points {
+		return nil, false
+	}
+	res = sw.newResult()
+	for _, pt := range points {
+		sw.appendPoint(res, pt)
+	}
+	if sw.finish(res, d.Seed) != nil {
+		return nil, false
+	}
+	return res, true
 }
 
 // LeasedJob is one job dealt to an external holder by TryLease. The
@@ -161,10 +174,10 @@ func (l *LeasedJob) Settled() bool { return l.sub.settled[l.jb.ji].Load() }
 
 // Complete delivers the holder's computed output through the same
 // commit the local pool takes (submission.settle). A malformed payload
-// (wrong batch length, wrong row arity, missing table) is rejected
-// with an error BEFORE the settle CAS, leaving the job leased — the
-// caller abandons it so an honest worker recomputes it; a corrupt
-// reply must never poison collection slots. A well-formed duplicate —
+// (wrong point count, wrong row arity) is rejected with an error
+// BEFORE the settle CAS, leaving the job leased — the caller abandons
+// it so an honest worker recomputes it; a corrupt reply must never
+// poison collection slots. A well-formed duplicate —
 // the job was reassigned and someone else already settled it — is
 // dropped silently: Complete returns nil and the slots keep the first
 // writer's bytes, which are identical anyway (invariant 1).
@@ -179,7 +192,7 @@ func (l *LeasedJob) Complete(res ExternalResult) error {
 // Fail records the holder's compute error as the job's failure and
 // fails the submission fast, through the same commit as a local worker
 // error: a *JobError's completed part is salvaged (dropped if
-// malformed), and a *PointError inside the job's batch places the
+// malformed), and a *PointError inside the job's range places the
 // failure at its point, so the run error names that point once.
 // Idempotent: if the job already settled, the error is dropped.
 func (l *LeasedJob) Fail(err error) {
@@ -194,36 +207,19 @@ func (l *LeasedJob) Fail(err error) {
 	l.commit(done, err)
 }
 
-// check validates a holder's output against the job's shape. partial
-// accepts a failed job's completed part: a shorter batch or no table.
+// check validates a holder's output against the job's range. partial
+// accepts a failed job's completed part: a shorter prefix.
 func (l *LeasedJob) check(res ExternalResult, partial bool) error {
 	jb := l.jb
-	c := &l.sub.cells[jb.cell]
-	if c.sweep != nil {
-		if len(res.Points) != jb.count && !(partial && len(res.Points) < jb.count) {
-			return fmt.Errorf("experiments: %s: completion carries %d points, lease covers %d", l.Desc(), len(res.Points), jb.count)
-		}
-		for i, pt := range res.Points {
-			for _, row := range pt.Rows {
-				if len(row) != len(c.sweep.Columns) {
-					return fmt.Errorf("experiments: %s: point %d row arity %d != %d columns", l.Desc(), jb.point+i, len(row), len(c.sweep.Columns))
-				}
+	sw := l.sub.cells[jb.cell].sweep
+	if len(res.Points) != jb.count && !(partial && len(res.Points) < jb.count) {
+		return fmt.Errorf("experiments: %s: completion carries %d points, lease covers %d", l.Desc(), len(res.Points), jb.count)
+	}
+	for i, pt := range res.Points {
+		for _, row := range pt.Rows {
+			if len(row) != len(sw.Columns) {
+				return fmt.Errorf("experiments: %s: point %d row arity %d != %d columns", l.Desc(), jb.point+i, len(row), len(sw.Columns))
 			}
-		}
-		return nil
-	}
-	if res.Cell == nil {
-		if partial {
-			return nil
-		}
-		return fmt.Errorf("experiments: %s: completion carries no result table", l.Desc())
-	}
-	if res.Cell.ID != c.id {
-		return fmt.Errorf("experiments: %s: completion names experiment %q", l.Desc(), res.Cell.ID)
-	}
-	for ri, row := range res.Cell.Rows {
-		if len(row) != len(res.Cell.Columns) {
-			return fmt.Errorf("experiments: %s: row %d arity %d != %d columns", l.Desc(), ri, len(row), len(res.Cell.Columns))
 		}
 	}
 	return nil
@@ -233,7 +229,7 @@ func (l *LeasedJob) check(res ExternalResult, partial bool) error {
 // and only then accounts it — detach before jobDone, so fed is
 // released before the submission can finalize.
 func (l *LeasedJob) commit(done ExternalResult, err error) {
-	won := l.sub.settle(l.jb, done, err, metasurface.CacheStats{})
+	won := l.sub.settle(l.jb, done, err)
 	l.detach()
 	if won {
 		l.sub.jobDone(1)

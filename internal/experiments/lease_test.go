@@ -302,18 +302,18 @@ func TestLeaseCompleteValidates(t *testing.T) {
 // confused or stale worker) error instead of panicking.
 func TestComputeJobValidatesDesc(t *testing.T) {
 	ctx := context.Background()
-	if _, err := ComputeJob(ctx, JobDesc{ID: "no-such", Sharded: true, Count: 1}); err == nil {
+	if _, err := ComputeJob(ctx, JobDesc{ID: "no-such", Count: 1}); err == nil {
 		t.Error("unknown sweep accepted")
 	}
-	if _, err := ComputeJob(ctx, JobDesc{ID: "tab1", Sharded: true, Point: 10000, Count: 5}); err == nil {
+	if _, err := ComputeJob(ctx, JobDesc{ID: "tab1", Point: 10000, Count: 5}); err == nil {
 		t.Error("out-of-axis batch accepted")
 	}
 	// Point+Count overflows int for these; a hostile or corrupt lease
 	// must still be refused, not panic in makeslice or the point index.
-	if _, err := ComputeJob(ctx, JobDesc{ID: "fig16", Sharded: true, Point: 1, Count: math.MaxInt}); err == nil {
+	if _, err := ComputeJob(ctx, JobDesc{ID: "fig16", Point: 1, Count: math.MaxInt}); err == nil {
 		t.Error("overflowing count accepted")
 	}
-	if _, err := ComputeJob(ctx, JobDesc{ID: "fig16", Sharded: true, Point: math.MaxInt, Count: 1}); err == nil {
+	if _, err := ComputeJob(ctx, JobDesc{ID: "fig16", Point: math.MaxInt, Count: 1}); err == nil {
 		t.Error("overflowing point accepted")
 	}
 	if _, err := ComputeJob(ctx, JobDesc{ID: "no-such"}); err == nil {
@@ -321,19 +321,37 @@ func TestComputeJobValidatesDesc(t *testing.T) {
 	}
 }
 
-// TestLeaseRoundTripEncoding: an ExternalResult that crosses the wire
-// must round-trip NaN and ±Inf exactly; this guards the in-memory half
-// (the fleet package's wire tests guard the string encoding).
+// TestLeaseRoundTripEncoding: the points of a whole-axis job, folded by
+// AssembleCell (the fleet worker's persistence path), render exactly the
+// table the serial path computes; the fleet package's wire tests guard
+// the string encoding in between. A range short of the whole axis is
+// not a cell.
 func TestLeaseRoundTripEncoding(t *testing.T) {
-	res, err := ComputeJob(context.Background(), JobDesc{ID: "tab1", Seed: 1})
+	ctx := context.Background()
+	d := JobDesc{ID: "tab1", Seed: 1, Count: len(Table1Biases)}
+	res, err := ComputeJob(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cell == nil || len(res.Cell.Rows) == 0 {
-		t.Fatal("whole-cell compute returned no table")
+	cell, ok := AssembleCell(d, res.Points)
+	if !ok || len(cell.Rows) == 0 {
+		t.Fatal("whole-axis job assembled no table")
 	}
-	var buf bytes.Buffer
-	if err := res.Cell.Render(&buf); err != nil {
+	serial, err := Run(ctx, "tab1", 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := cell.Render(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.Render(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("assembled cell differs from the serial table:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	if _, ok := AssembleCell(JobDesc{ID: "tab1", Seed: 1, Count: 1}, res.Points[:1]); ok {
+		t.Error("a one-point range of tab1 assembled as a cell")
 	}
 }

@@ -301,3 +301,96 @@ func TestFailMalformedReport(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestUnshardedCancelMidAxis: an unsharded cell runs as one job over
+// its whole axis, and a cancellation arriving mid-axis stops it before
+// the next point. Whether the local pool runs the job (the submitter's
+// context is cancelled) or a lease holder does (the holder's context is
+// cancelled, and it reports Fail), the run fails with
+// context.Canceled and salvages the same prefix: the points computed
+// before the cancellation. A sharded cell whose one batch spans the
+// axis is the same whole-axis job and stops the same way.
+func TestUnshardedCancelMidAxis(t *testing.T) {
+	const cancelAt = 3
+	var cancel context.CancelFunc
+	s := countingSweep("zz-cancel", 6)
+	inner := s.Point
+	s.Point = func(ctx context.Context, seed int64, i int) (PointResult, error) {
+		if i == cancelAt {
+			cancel()
+		}
+		return inner(ctx, seed, i)
+	}
+	tempSweep(t, s)
+	spec := RunSpec{IDs: []string{"zz-cancel"}}
+
+	local := func(opts Options) func(*testing.T) (*Report, error) {
+		return func(t *testing.T) (*Report, error) {
+			var ctx context.Context
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			opts.IDs, opts.Concurrency = spec.IDs, 1
+			return Execute(ctx, opts)
+		}
+	}
+	lease := func(t *testing.T) (*Report, error) {
+		sched := NewScheduler(SchedulerConfig{LeaseOnly: true})
+		defer sched.Close()
+		h, err := sched.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var holderCtx context.Context
+		holderCtx, cancel = context.WithCancel(context.Background())
+		defer cancel()
+		for {
+			lj := sched.TryLease()
+			if lj == nil {
+				break
+			}
+			if d := lj.Desc(); d.Point != 0 || d.Count != s.Points {
+				t.Fatalf("unsharded cell leased as %s, want one whole-axis job", d)
+			}
+			res, err := ComputeJob(holderCtx, lj.Desc())
+			if err == nil {
+				t.Fatal("cancelled job completed")
+			}
+			var pe *PointError
+			if !errors.As(err, &pe) || pe.Point != cancelAt+1 || !errors.Is(err, context.Canceled) {
+				t.Fatalf("ComputeJob err = %v, want a cancellation at point %d", err, cancelAt+1)
+			}
+			if len(res.Points) != cancelAt+1 {
+				t.Fatalf("ComputeJob kept %d points, want %d", len(res.Points), cancelAt+1)
+			}
+			lj.Fail(err)
+		}
+		return h.Report()
+	}
+	for _, holder := range []struct {
+		name string
+		run  func(*testing.T) (*Report, error)
+	}{
+		{"local1", local(Options{})},
+		{"local1-whole-batch", local(Options{ShardRows: true, BatchRows: s.Points})},
+		{"lease", lease},
+	} {
+		t.Run(holder.name, func(t *testing.T) {
+			rep, err := holder.run(t)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if len(rep.Results) != 0 || len(rep.Salvaged) != 1 {
+				t.Fatalf("results %d, salvaged %d tables; want 0 and the one prefix", len(rep.Results), len(rep.Salvaged))
+			}
+			rows := rep.Salvaged[0].Rows
+			if len(rows) != cancelAt+1 {
+				t.Fatalf("salvaged %d rows, want the %d points before the cancellation: %v", len(rows), cancelAt+1, rows)
+			}
+			for i, row := range rows {
+				if row[0] != float64(i) || row[1] != 1 {
+					t.Fatalf("salvaged row %d = %v, want [%d 1]", i, row, i)
+				}
+			}
+		})
+	}
+}

@@ -2,13 +2,15 @@ package experiments
 
 // The scheduler is the one execution core behind every run: ONE bounded
 // worker pool serves MANY concurrent submissions. A long-lived service
-// Submits runs as they arrive and every run's jobs — whole-experiment
-// cells, sharded sweep points, batched point runs — interleave in the
-// same queue. Collection stays slot-indexed per submission and assembly
-// runs per submission in slot order, so sharing the pool cannot change
-// any submission's bytes; that is what lets `llama-serve` promise
-// service-served results bit-identical to `llama-bench` output
-// (determinism invariant 7 in ARCHITECTURE.md). The one-shot path
+// Submits runs as they arrive and every run's jobs interleave in the
+// same queue. A job has one shape: a contiguous point range of one
+// (experiment, seed) cell's sweep — the whole axis for an unsharded
+// cell, a BatchRows-sized batch of a sharded one. Collection stays
+// slot-indexed per submission and assembly runs per cell from its own
+// slots, so sharing the pool cannot change any submission's bytes;
+// that is what lets `llama-serve` promise service-served results
+// bit-identical to `llama-bench` output (determinism invariant 7 in
+// ARCHITECTURE.md). The one-shot path
 // (Execute, and llama.RunExperiments over it) lays its run out as one
 // submission on a private scheduler, so every entry point executes this
 // same core. A local pool worker is one more job holder: it deals from
@@ -392,8 +394,8 @@ func (s *Scheduler) Close() {
 	s.pool.Wait()
 }
 
-// schedJob is one unit of queued work: a whole-experiment cell, one
-// sweep point, or a contiguous batch of points of one cell. ji is the
+// schedJob is one unit of queued work: the contiguous point range
+// [point, point+count) of one cell's sweep. ji is the
 // job's index in its submission's fixed queue — the settle key that
 // makes completion idempotent when a job is dispatched more than once
 // (lease expiry requeues it).
@@ -407,7 +409,7 @@ type schedJob struct {
 // desc returns the job in worker-computable terms.
 func (jb schedJob) desc() JobDesc {
 	c := &jb.sub.cells[jb.cell]
-	return JobDesc{ID: c.id, Seed: c.seed, Sharded: c.sweep != nil, Point: jb.point, Count: jb.count}
+	return JobDesc{ID: c.id, Seed: c.seed, Point: jb.point, Count: jb.count}
 }
 
 // submission is one Submit call in flight: its fixed cell/job layout,
@@ -505,9 +507,10 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 		done:       make(chan struct{}),
 	}
 	// Lay out every cell and its job slots before any worker starts: the
-	// fixed layout is what makes collection order-independent. With
-	// BatchRows > 1 a job covers a contiguous run of sweep points, but
-	// collection slots stay per point, so batching cannot reorder rows.
+	// fixed layout is what makes collection order-independent. A job
+	// covers a contiguous range of sweep points — the whole axis, or a
+	// batch when sharded — but collection slots stay per point, so the
+	// range size cannot reorder rows.
 	sub.cells = make([]cellRun, 0, len(ids)*len(seeds))
 	for _, id := range ids {
 		for _, seed := range seeds {
@@ -526,13 +529,8 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 					sub.storeWarns = append(sub.storeWarns, warn)
 				}
 			}
-			if spec.ShardRows {
-				c.sweep = sweeps[id]
-			}
-			slots := 1
-			if c.sweep != nil {
-				slots = c.sweep.Points
-			}
+			c.sweep = sweeps[id]
+			slots := c.sweep.Points
 			c.points = make([]PointResult, slots)
 			c.done = make([]bool, slots)
 			c.errs = make([]error, slots)
@@ -542,12 +540,12 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 			c.cacheMisses = make([]uint64, slots)
 			ci := len(sub.cells)
 			sub.cells = append(sub.cells, c)
-			if c.sweep != nil {
-				for p := 0; p < c.sweep.Points; p += batch {
-					sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: p, count: min(batch, c.sweep.Points-p), ji: len(sub.queue)})
-				}
-			} else {
-				sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: 0, count: 1, ji: len(sub.queue)})
+			step := slots // an unsharded cell is one whole-axis job
+			if spec.ShardRows {
+				step = batch
+			}
+			for p := 0; p < slots; p += step {
+				sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: p, count: min(step, slots-p), ji: len(sub.queue)})
 			}
 		}
 	}
@@ -556,9 +554,11 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	return sub, nil
 }
 
-// execute runs one job on a pool worker: ComputeJob, then settle,
-// sampling the response-cache counters around the compute on
-// single-worker pools (trackCache).
+// execute runs one job on a pool worker: ComputeJob, then settle. On
+// single-worker pools (trackCache) it samples the response-cache
+// counters around both — settle may assemble the cell — and records
+// the delta at the job's first slot, which the settle winner owns
+// until jobDone.
 func (sub *submission) execute(jb schedJob) {
 	if sub.settled[jb.ji].Load() {
 		return // a late external completion beat the requeue; nothing to do
@@ -568,41 +568,38 @@ func (sub *submission) execute(jb schedJob) {
 		cs = metasurface.GlobalCacheStats()
 	}
 	res, err := ComputeJob(sub.ctx, jb.desc())
+	if !sub.settle(jb, res, err) {
+		return
+	}
 	if sub.trackCache {
 		cs = metasurface.GlobalCacheStats().Sub(cs)
+		c := &sub.cells[jb.cell]
+		c.cacheHits[jb.point], c.cacheMisses[jb.point] = cs.Hits, cs.Misses
 	}
-	if sub.settle(jb, res, err, cs) {
-		sub.jobDone(1)
-	}
+	sub.jobDone(1)
 }
 
 // settle is the one commit of a job's slots for every finisher: the
 // local pool, Complete and Fail. Only the winner of the job's settle
 // CAS writes (a requeued job can race a late external completion); it
-// records the job's timing and cache delta at its first slot and
-// commits done — on failure, the completed part. A *PointError inside
-// the batch lands at its point as its inner error, which assemble
-// wraps exactly once; any other failure lands at the first point. A
-// failure cancels the submission. The caller runs jobDone on true.
-func (sub *submission) settle(jb schedJob, done ExternalResult, err error, cache metasurface.CacheStats) bool {
+// records the job's timing at its first slot and commits done — on
+// failure, the completed part. A *PointError inside the range lands at
+// its point as its inner error, which assemble wraps exactly once; any
+// other failure lands at the first point. In an unsharded run the job
+// is its cell's only one, so settle assembles the cell on the spot:
+// Finish follows the points inside the job, as it does on the serial
+// path. Finalize assembles every other cell (a sharded one once every
+// batch is in). A failure, or a Finish error, cancels the submission.
+// The caller runs jobDone on true.
+func (sub *submission) settle(jb schedJob, done ExternalResult, err error) bool {
 	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
 		return false
 	}
 	c := &sub.cells[jb.cell]
 	c.started[jb.point] = time.Now().Add(-done.Elapsed)
 	c.elapsed[jb.point] = done.Elapsed
-	c.cacheHits[jb.point], c.cacheMisses[jb.point] = cache.Hits, cache.Misses
 	n, fail := len(done.Points), jb.point
-	switch {
-	case c.sweep == nil && err == nil:
-		c.res = done.Cell
-		c.done[jb.point] = true
-	case c.sweep == nil:
-		err = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
-		if done.Cell != nil && len(done.Cell.Rows) > 0 {
-			c.partial = done.Cell // the serial runner's salvaged prefix
-		}
-	case err != nil:
+	if err != nil {
 		var pe *PointError
 		if errors.As(err, &pe) && pe.Err != nil && pe.Point >= jb.point && pe.Point < jb.point+jb.count {
 			fail, err = pe.Point, pe.Err
@@ -615,6 +612,11 @@ func (sub *submission) settle(jb schedJob, done ExternalResult, err error, cache
 	}
 	if err != nil {
 		c.errs[fail] = err
+	}
+	if !sub.spec.ShardRows {
+		c.assemble()
+	}
+	if err != nil || c.err != nil {
 		sub.cancelFn()
 	}
 	return true
@@ -667,12 +669,16 @@ func (sub *submission) finalize() {
 	}
 	cells := sub.cells
 	seeds := sub.spec.Seeds
-	// Assemble every cell in slot order, then resolve the error policy
-	// deterministically: the submitter's cancellation wins, then the
-	// first real (non-cancellation) cell failure by slot index, then any
-	// remaining cell error.
+	// Assemble, in slot order, every computed cell settle did not: all
+	// sharded cells, and the unsharded cells whose job never settled
+	// (abandoned, or a zero-point sweep with no job). Then resolve the
+	// error policy deterministically: the submitter's cancellation wins,
+	// then the first real (non-cancellation) cell failure by slot index,
+	// then any remaining cell error.
 	for ci := range cells {
-		cells[ci].assemble()
+		if !cells[ci].loaded {
+			cells[ci].assemble()
+		}
 	}
 	firstErr := sub.parent.Err()
 	if firstErr == nil && sub.userCancel.Load() {
@@ -681,10 +687,6 @@ func (sub *submission) finalize() {
 	if firstErr == nil {
 		for ci := range cells {
 			cerr := cells[ci].err
-			if cerr == nil && len(cells[ci].errs) > 0 {
-				// A whole-experiment worker error lands in errs[0].
-				cerr = cells[ci].errs[0]
-			}
 			if cerr == nil {
 				continue
 			}
@@ -763,8 +765,10 @@ func (sub *submission) finalize() {
 			h, m := c.cacheDelta()
 			hits += h
 			misses += m
-			if c.jobs() > points {
-				points = c.jobs()
+			if sub.spec.ShardRows {
+				// A sharded cell reports its axis length, whatever the
+				// batch size; an unsharded one stays at 1.
+				points = max(points, len(c.points))
 			}
 			if c.res != nil {
 				if incomplete {
@@ -850,9 +854,10 @@ func (h *RunHandle) Progress() Progress {
 
 // Progress is a point-in-time snapshot of one submission.
 type Progress struct {
-	// TotalJobs and DoneJobs count queued job slots (experiment cells,
-	// sweep points, or point batches); DoneJobs includes slots abandoned
-	// by cancellation, so it always reaches TotalJobs.
+	// TotalJobs and DoneJobs count queued jobs (point ranges: one per
+	// unsharded cell, one per point batch of a sharded one); DoneJobs
+	// includes jobs abandoned by cancellation, so it always reaches
+	// TotalJobs.
 	TotalJobs, DoneJobs int
 	// TotalCells is the (experiment × seed) cell count of the spec;
 	// ReusedCells of those were answered from the store at layout.

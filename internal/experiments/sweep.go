@@ -8,9 +8,10 @@ import (
 // A Sweep declares one experiment as an axis of independent points: a
 // fixed number of points plus a per-point function that is pure in
 // (seed, point). The serial reference path executes points 0..Points-1 in
-// order; the scheduler, when row sharding is enabled, fans the same points
-// out across its worker pool as individual jobs and reassembles them in
-// slot (point) order, so both paths produce bit-identical tables.
+// order; the scheduler computes the same points as point-range jobs — one
+// job over the whole axis, or, when row sharding is enabled, one job per
+// point batch fanned out across its worker pool — and reassembles them in
+// slot (point) order, so every path produces bit-identical tables.
 //
 // A sweep point may produce several rows (a histogram computed in one
 // pass) or exactly one (a distance step of a §5 sweep). Experiments whose
@@ -35,14 +36,14 @@ type Sweep struct {
 	// over all rows). It runs exactly once, after every point, on the
 	// already-ordered rows — never concurrently. Optional.
 	Finish func(res *Result, seed int64) error
-	// Warm, when set, pre-populates memoization state for the batch of
-	// points [start, start+count) before they run — typically one
-	// Surface.Warm covering the batch's whole operating-point axis, so a
-	// cold process resolves the batch's misses in one grouped pass
-	// instead of one mutex round-trip per point. Warm MUST be
-	// bit-neutral: it may only populate the same caches the points
-	// themselves would populate, never alter an output (the sharded and
-	// serial paths call it at different batch granularities, and both
+	// Warm, when set, pre-populates memoization state for the point range
+	// [start, start+count) before it runs — typically one Surface.Warm
+	// covering the range's whole operating-point axis, so a cold process
+	// resolves the range's misses in one grouped pass instead of one
+	// mutex round-trip per point. Warm MUST be bit-neutral: it may only
+	// populate the same caches the points themselves would populate,
+	// never alter an output (a whole-axis job and the serial path warm
+	// the full axis, a sharded job only its batch, and every granularity
 	// must still reproduce the unwarmed tables bit-for-bit). Optional.
 	Warm func(ctx context.Context, seed int64, start, count int)
 }
@@ -81,9 +82,8 @@ func (e *PointError) Error() string {
 // Unwrap returns the underlying point failure.
 func (e *PointError) Unwrap() error { return e.Err }
 
-// sweeps indexes the row-shardable experiments by ID. Every sweep is also
-// in registry (via its serial closure), so the non-sharded paths need no
-// special cases.
+// sweeps is the experiment registry: every experiment is a sweep, indexed
+// by ID, populated by init functions in the per-figure files.
 var sweeps = map[string]*Sweep{}
 
 // RegisterSweep adds a custom sweep-shaped experiment to the registry,
@@ -94,9 +94,8 @@ var sweeps = map[string]*Sweep{}
 // all programmer errors.
 func RegisterSweep(s *Sweep) { registerSweep(s) }
 
-// registerSweep registers a sweep-shaped experiment: the serial closure
-// goes into the ordinary registry and the sweep itself is indexed for the
-// scheduler's row-sharded mode.
+// registerSweep adds an experiment to the registry; a duplicate ID is a
+// programmer error.
 func registerSweep(s *Sweep) {
 	if s.Point == nil {
 		panic("experiments: sweep " + s.ID + " has no Point function")
@@ -104,7 +103,9 @@ func registerSweep(s *Sweep) {
 	if s.Points < 0 {
 		panic("experiments: sweep " + s.ID + " has negative Points")
 	}
-	register(s.ID, s.Description, s.runSerial)
+	if _, dup := sweeps[s.ID]; dup {
+		panic("experiments: duplicate id " + s.ID)
+	}
 	sweeps[s.ID] = s
 }
 
@@ -134,8 +135,8 @@ func (s *Sweep) finish(res *Result, seed int64) error {
 	return s.Finish(res, seed)
 }
 
-// runSerial is the sweep's registry Runner: points in axis order on one
-// goroutine — the reference the sharded path must reproduce bit-for-bit.
+// runSerial is the sweep's serial runner behind Run: points in axis order
+// on one goroutine — the reference the scheduler must reproduce bit-for-bit.
 // On a point failure the rows assembled so far are returned alongside a
 // *PointError naming the failing point, so callers can salvage the
 // completed prefix.

@@ -13,8 +13,6 @@ func tempSweep(t *testing.T, s *Sweep) {
 	t.Helper()
 	registerSweep(s)
 	t.Cleanup(func() {
-		delete(registry, s.ID)
-		delete(descriptions, s.ID)
 		delete(sweeps, s.ID)
 	})
 }
@@ -38,8 +36,10 @@ func countingSweep(id string, n int) *Sweep {
 	}
 }
 
-// TestSweepZeroPoints: an empty axis is legal — the serial path and the
-// sharded engine both yield an empty table, and Finish still runs.
+// TestSweepZeroPoints: an empty axis is legal — the serial path, the
+// engine sharded or not, and a lease-only scheduler all yield an empty
+// table, and Finish still runs. The cell queues no job, so finalize
+// assembles it.
 func TestSweepZeroPoints(t *testing.T) {
 	tempSweep(t, countingSweep("zz-empty", 0))
 	ctx := context.Background()
@@ -55,12 +55,31 @@ func TestSweepZeroPoints(t *testing.T) {
 		t.Fatalf("Finish did not run on empty sweep: notes = %v", serial.Notes)
 	}
 
-	rep, err := Execute(ctx, Options{Concurrency: 4, ShardRows: true, IDs: []string{"zz-empty"}})
-	if err != nil {
-		t.Fatalf("sharded: %v", err)
+	spec := RunSpec{IDs: []string{"zz-empty"}}
+	leaseOnly := func() (*Report, error) {
+		sched := NewScheduler(SchedulerConfig{LeaseOnly: true})
+		defer sched.Close()
+		h, err := sched.Submit(ctx, spec)
+		if err != nil {
+			return nil, err
+		}
+		return h.Report()
 	}
-	if got := rep.Results; len(got) != 1 || !sameResult(got[0], serial) {
-		t.Fatalf("sharded zero-point sweep differs from serial: %+v", got)
+	for _, mode := range []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"unsharded", func() (*Report, error) { return Execute(ctx, Options{Concurrency: 4, IDs: spec.IDs}) }},
+		{"sharded", func() (*Report, error) { return Execute(ctx, Options{Concurrency: 4, ShardRows: true, IDs: spec.IDs}) }},
+		{"lease-only", leaseOnly},
+	} {
+		rep, err := mode.run()
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		if got := rep.Results; len(got) != 1 || !sameResult(got[0], serial) {
+			t.Fatalf("%s zero-point sweep differs from serial: %+v", mode.name, got)
+		}
 	}
 }
 
@@ -228,8 +247,10 @@ func TestShardedReplicateMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedReportShape: the timing rows of a sharded run carry the row
-// counts and shard (point) counts the Render summary reports.
+// TestShardedReportShape: the timing rows of a run carry the row counts
+// and the shard counts the Render summary reports. Timing.Points is the
+// axis length of a sharded experiment, whatever the batch size, and 1
+// for an unsharded one — never the job count.
 func TestShardedReportShape(t *testing.T) {
 	ctx := context.Background()
 	rep, err := Execute(ctx, Options{IDs: []string{"fig16", "tab1"}, Concurrency: 2, ShardRows: true})
@@ -261,6 +282,33 @@ func TestShardedReportShape(t *testing.T) {
 	for _, want := range []string{"row-sharded", "shards", "rows"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("sharded report render missing %q:\n%s", want, sb.String())
+		}
+	}
+
+	// fig10 unsharded, sharded, and sharded in 4-point batches.
+	n := sweeps["fig10"].Points
+	for _, tc := range []struct {
+		opts   Options
+		points int
+	}{
+		{Options{IDs: []string{"fig10"}, Concurrency: 2}, 1},
+		{Options{IDs: []string{"fig10"}, Concurrency: 2, ShardRows: true}, n},
+		{Options{IDs: []string{"fig10"}, Concurrency: 2, ShardRows: true, BatchRows: 4}, n},
+	} {
+		rep, err := Execute(ctx, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Timings) != 1 || rep.Timings[0].Points != tc.points {
+			t.Errorf("shard %v batch %d: timings %+v, want Points %d", tc.opts.ShardRows, tc.opts.BatchRows, rep.Timings, tc.points)
+		}
+		var sb strings.Builder
+		if err := rep.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+		shards := fmt.Sprintf("%4d shards", n)
+		if got := strings.Contains(sb.String(), shards); got != tc.opts.ShardRows {
+			t.Errorf("shard %v batch %d: render has %q = %v, want %v:\n%s", tc.opts.ShardRows, tc.opts.BatchRows, shards, got, tc.opts.ShardRows, sb.String())
 		}
 	}
 }

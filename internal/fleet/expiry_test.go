@@ -38,8 +38,8 @@ func simCoordinator(t *testing.T, ttl time.Duration) (*experiments.Scheduler, *C
 	return sched, c, clk
 }
 
-// submitCell queues one whole-experiment job (tab1, one seed) and
-// returns its handle.
+// submitCell queues one unsharded cell (tab1, one seed) — a single job
+// covering the whole axis — and returns its handle.
 func submitCell(t *testing.T, sched *experiments.Scheduler) *experiments.RunHandle {
 	t.Helper()
 	h, err := sched.Submit(context.Background(), experiments.RunSpec{IDs: []string{"tab1"}, Seeds: []int64{1}})

@@ -1,5 +1,5 @@
 // Package fleet distributes llama-serve's compute across worker
-// processes. The coordinator side pulls shard jobs out of the
+// processes. The coordinator side pulls point-range jobs out of the
 // experiment scheduler through its lease interface
 // (experiments.Scheduler.TryLease) and deals them to remote workers
 // over a small HTTP pull protocol — lease, heartbeat, complete — with
@@ -236,6 +236,10 @@ type Grant struct {
 	// TTL is the heartbeat deadline interval; holders heartbeat at a
 	// fraction of it (Worker uses TTL/3).
 	TTL time.Duration
+	// wholeCell marks a grant from a coordinator that predates point
+	// ranges: its lease reply said "sharded": false, so the job is a
+	// whole-experiment cell whose Desc range means nothing here.
+	wholeCell bool
 }
 
 // Heartbeat extends a live lease's deadline to now+TTL. A heartbeat
@@ -329,15 +333,12 @@ func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workEr
 }
 
 // failure rebuilds a worker's reported failure for Fail: the message
-// and what completed (res). A sharded job's failure is placed after the
-// completed prefix, at d.Point+len(res.Points); a message from a worker
-// that sends no prefix thus lands at the batch's first point, with its
-// text as before.
+// and what completed (res). The failure is placed after the completed
+// prefix, at d.Point+len(res.Points); a message from a worker that
+// sends no prefix thus lands at the range's first point, with its text
+// as before.
 func failure(d experiments.JobDesc, res experiments.ExternalResult, msg string) error {
-	err := errors.New(msg)
-	if d.Sharded {
-		err = &experiments.PointError{Point: d.Point + len(res.Points), Err: err}
-	}
+	err := &experiments.PointError{Point: d.Point + len(res.Points), Err: errors.New(msg)}
 	return &experiments.JobError{Err: err, Done: res}
 }
 

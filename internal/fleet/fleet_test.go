@@ -11,6 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -123,31 +126,63 @@ func referenceCSV(t *testing.T, spec experiments.RunSpec) string {
 }
 
 // TestFleetHTTPEndToEnd: real Workers over real HTTP drain a
-// lease-only run — sharded sweep jobs and whole-experiment cells,
-// NaN/Inf cells included — to bytes identical to the single-process
-// reference, and the workers' whole-cell records land in the shared
-// store byte-identically to coordinator-side persistence.
+// lease-only run — sharded point batches and unsharded whole-axis
+// cells, NaN/Inf cells included — to bytes identical to the
+// single-process reference. Workers with a store persist exactly the
+// jobs that cover a whole axis: in a sharded run only the one-point
+// sweep's batches, in an unsharded run every cell, each record decoding
+// to the coordinator's table.
 func TestFleetHTTPEndToEnd(t *testing.T) {
-	spec := experiments.RunSpec{
-		IDs:   []string{"fleet-chaos", "tab1"},
-		Seeds: []int64{1, 2},
-		// tab1 rides whole-cell (unsharded sweeps still shard when
-		// ShardRows is set, so shard fleet-chaos but keep batches >1).
-		ShardRows: true,
-		BatchRows: 4,
-	}
-	want := referenceCSV(t, spec)
+	const onePoint = "fig23"
+	ids, seeds := []string{onePoint, "fleet-chaos", "tab1"}, []int64{1, 2}
+	// Batches of 4 points cover neither fleet-chaos's nor tab1's axis
+	// (25 and 7 points) whole; fig23's one batch is its whole axis.
+	sharded := experiments.RunSpec{IDs: ids, Seeds: seeds, ShardRows: true, BatchRows: 4}
+	want := referenceCSV(t, sharded)
 	sched, c, ts := httpFleet(t, 2*time.Second)
-	dir := t.TempDir()
-	wst, err := store.Open(dir)
+	wst, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	workers, stop := startWorkers(t, ts.URL, 3, func(wc *WorkerConfig) { wc.Store = wst })
 	defer stop()
-	if got := runCSV(t, sched, spec); got != want {
+	// checkRecords requires the record the workers wrote for every
+	// (id, seed) of ids to decode to the single-process table.
+	checkRecords := func(ids []string) {
+		t.Helper()
+		for _, id := range ids {
+			for _, seed := range seeds {
+				res, err := experiments.Run(context.Background(), id, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := wst.Get(res.ID, seed)
+				if err != nil {
+					t.Fatalf("%s seed %d: worker record: %v", res.ID, seed, err)
+				}
+				rows, err := rec.DecodeRows()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Title != res.Title || !slices.Equal(rec.Columns, res.Columns) || !slices.Equal(rec.Notes, res.Notes) || !sameRows(rows, res.Rows) {
+					t.Errorf("%s seed %d: worker record does not decode to the single-process table", res.ID, seed)
+				}
+			}
+		}
+	}
+
+	if got := runCSV(t, sched, sharded); got != want {
 		t.Error("fleet-over-HTTP bytes differ from single-process run")
 	}
+	for _, id := range ids {
+		for _, seed := range seeds {
+			_, err := os.Stat(wst.CellPath(id, seed))
+			if persisted := err == nil; persisted != (id == onePoint) {
+				t.Errorf("sharded run: %s seed %d persisted by a worker: %v, want %v", id, seed, persisted, id == onePoint)
+			}
+		}
+	}
+	checkRecords([]string{onePoint})
 	var jobs int64
 	for _, w := range workers {
 		jobs += w.Jobs()
@@ -158,6 +193,19 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	if st := c.Stats(); st.Completed == 0 {
 		t.Errorf("coordinator stats %+v: no completions", st)
 	}
+
+	unsharded := experiments.RunSpec{IDs: ids, Seeds: seeds}
+	if got := runCSV(t, sched, unsharded); got != want {
+		t.Error("unsharded fleet-over-HTTP bytes differ from single-process run")
+	}
+	entries, err := os.ReadDir(filepath.Dir(wst.CellPath(onePoint, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(entries); n != len(ids)*len(seeds) {
+		t.Errorf("unsharded run: workers persisted %d cell records, want %d", n, len(ids)*len(seeds))
+	}
+	checkRecords(ids)
 }
 
 // TestFleetWorkerDeathMidRun: a worker killed while holding leases has
@@ -262,7 +310,7 @@ func TestFleetScaling(t *testing.T) {
 // numbers.
 func TestWireEncodingRoundTrip(t *testing.T) {
 	res, err := experiments.ComputeJob(context.Background(), experiments.JobDesc{
-		ID: "fleet-chaos", Seed: 3, Sharded: true, Point: 0, Count: 5,
+		ID: "fleet-chaos", Seed: 3, Point: 0, Count: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,12 @@ type leaseResponse struct {
 	TTLMillis int64 `json:"ttl_ms"`
 }
 
-// wireDesc mirrors experiments.JobDesc field for field.
+// wireDesc mirrors experiments.JobDesc field for field, plus Sharded:
+// always true, because every job is a point range. Workers built when a
+// job could also be a whole-experiment cell read it to compute the
+// range rather than run the full experiment; a worker that reads false
+// is talking to a coordinator from that time and fails the job (see
+// Worker).
 type wireDesc struct {
 	ID      string `json:"id"`
 	Seed    int64  `json:"seed"`
@@ -54,11 +59,11 @@ type wireDesc struct {
 }
 
 func toWireDesc(d experiments.JobDesc) wireDesc {
-	return wireDesc{ID: d.ID, Seed: d.Seed, Sharded: d.Sharded, Point: d.Point, Count: d.Count}
+	return wireDesc{ID: d.ID, Seed: d.Seed, Sharded: true, Point: d.Point, Count: d.Count}
 }
 
 func (w wireDesc) desc() experiments.JobDesc {
-	return experiments.JobDesc{ID: w.ID, Seed: w.Seed, Sharded: w.Sharded, Point: w.Point, Count: w.Count}
+	return experiments.JobDesc{ID: w.ID, Seed: w.Seed, Point: w.Point, Count: w.Count}
 }
 
 // heartbeatRequest is the body of POST /fleet/heartbeat.
@@ -66,20 +71,17 @@ type heartbeatRequest struct {
 	LeaseID string `json:"lease_id"`
 }
 
-// completeRequest is the body of POST /fleet/complete: the job-shaped
-// result payload, or Error with the part of the job that completed.
+// completeRequest is the body of POST /fleet/complete: the job's
+// per-point output, or Error with the part of the job that completed.
 type completeRequest struct {
 	LeaseID string `json:"lease_id"`
-	// Error, when non-empty, reports the worker's compute failure. The
-	// result fields then carry what completed before it: a sharded
-	// job's finished prefix in Points (Error is then the failing point's
-	// own message, and the failure sits at the batch's first point plus
-	// len(Points)), or a whole cell's partial table in Cell.
+	// Error, when non-empty, reports the worker's compute failure.
+	// Points then carries the finished prefix: Error is the failing
+	// point's own message, and the failure sits at the range's first
+	// point plus len(Points).
 	Error string `json:"error,omitempty"`
-	// Points carries a sharded job's per-point output, in batch order.
+	// Points carries the job's per-point output, in axis order.
 	Points []wirePoint `json:"points,omitempty"`
-	// Cell carries a whole-experiment job's table.
-	Cell *wireResult `json:"cell,omitempty"`
 	// ElapsedMillis is the worker's compute time for the job, kept for
 	// coordinators that do not read ElapsedNanos.
 	ElapsedMillis int64 `json:"elapsed_ms"`
@@ -92,15 +94,6 @@ type completeRequest struct {
 type wirePoint struct {
 	Rows  [][]string `json:"rows,omitempty"`
 	Notes []string   `json:"notes,omitempty"`
-}
-
-// wireResult is a whole experiment table with string-encoded rows.
-type wireResult struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows,omitempty"`
-	Notes   []string   `json:"notes,omitempty"`
 }
 
 // decodeWireRows parses string cells back to float64 rows (bit-exact,
@@ -127,15 +120,6 @@ func toWire(res experiments.ExternalResult) completeRequest {
 	for _, p := range res.Points {
 		req.Points = append(req.Points, wirePoint{Rows: store.EncodeRows(p.Rows), Notes: p.Notes})
 	}
-	if res.Cell != nil {
-		req.Cell = &wireResult{
-			ID:      res.Cell.ID,
-			Title:   res.Cell.Title,
-			Columns: res.Cell.Columns,
-			Rows:    store.EncodeRows(res.Cell.Rows),
-			Notes:   res.Cell.Notes,
-		}
-	}
 	return req
 }
 
@@ -152,19 +136,6 @@ func fromWire(req completeRequest) (experiments.ExternalResult, error) {
 			return out, fmt.Errorf("point %d: %w", i, err)
 		}
 		out.Points = append(out.Points, experiments.PointResult{Rows: rows, Notes: p.Notes})
-	}
-	if req.Cell != nil {
-		rows, err := decodeWireRows(req.Cell.Rows)
-		if err != nil {
-			return out, fmt.Errorf("cell: %w", err)
-		}
-		out.Cell = &experiments.Result{
-			ID:      req.Cell.ID,
-			Title:   req.Cell.Title,
-			Columns: req.Cell.Columns,
-			Rows:    rows,
-			Notes:   req.Cell.Notes,
-		}
 	}
 	return out, nil
 }
@@ -324,9 +295,10 @@ func (c *Client) Lease(worker string, tables *WorkerTables) (grant Grant, ok boo
 		return Grant{}, false, nil
 	}
 	return Grant{
-		ID:   resp.LeaseID,
-		Desc: resp.Job.desc(),
-		TTL:  time.Duration(resp.TTLMillis) * time.Millisecond,
+		ID:        resp.LeaseID,
+		Desc:      resp.Job.desc(),
+		TTL:       time.Duration(resp.TTLMillis) * time.Millisecond,
+		wholeCell: !resp.Job.Sharded,
 	}, true, nil
 }
 
@@ -346,10 +318,10 @@ func (c *Client) Complete(leaseID string, res experiments.ExternalResult) error 
 }
 
 // Fail reports the worker's compute failure for job d under its lease,
-// with what completed before it (a *experiments.JobError's Done). A
-// sharded job's failing point travels as its place after the completed
-// prefix, and Error as that point's own message, so the run error
-// names the point once.
+// with what completed before it (a *experiments.JobError's Done). The
+// failing point travels as its place after the completed prefix, and
+// Error as that point's own message, so the run error names the point
+// once.
 func (c *Client) Fail(leaseID string, d experiments.JobDesc, workErr error) error {
 	if workErr == nil {
 		workErr = errors.New("unknown worker error")
@@ -361,7 +333,7 @@ func (c *Client) Fail(leaseID string, d experiments.JobDesc, workErr error) erro
 	}
 	req.LeaseID, req.Error = leaseID, workErr.Error()
 	var pe *experiments.PointError
-	if d.Sharded && errors.As(workErr, &pe) && pe.Err != nil && pe.Point == d.Point+len(req.Points) {
+	if errors.As(workErr, &pe) && pe.Err != nil && pe.Point == d.Point+len(req.Points) {
 		req.Error = pe.Err.Error()
 	}
 	_, err := c.post("/fleet/complete", req, nil)

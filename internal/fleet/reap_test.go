@@ -151,10 +151,7 @@ func reapModelRun(t *testing.T, seed int64, steps int) {
 	t.Cleanup(c.Close)
 	base := time.Unix(1_700_000_000, 0)
 	now := func() time.Time { return clk.Time(base) }
-	res, err := experiments.ComputeJob(context.Background(), experiments.JobDesc{ID: "tab1", Seed: 1, Count: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := tab1CellResult(t)
 	rng := rand.New(rand.NewSource(seed))
 	m := &reapModel{ttl: ttl, leases: map[string]*modelLease{}, jobs: map[int64]*modelJob{}}
 	var known []string // every lease ID granted, in grant order
@@ -278,6 +275,30 @@ func reapModelRun(t *testing.T, seed int64, steps int) {
 	}
 }
 
+// tab1CellResult computes the completion payload of a tab1 cell job for
+// the desc a scheduler grants. Every tab1 cell job covers the same
+// whole-axis range, so the payload completes any of them.
+func tab1CellResult(tb testing.TB) experiments.ExternalResult {
+	tb.Helper()
+	sched := experiments.NewScheduler(experiments.SchedulerConfig{LeaseOnly: true})
+	defer sched.Close()
+	if _, err := sched.Submit(context.Background(), experiments.RunSpec{IDs: []string{"tab1"}}); err != nil {
+		tb.Fatal(err)
+	}
+	job := sched.TryLease()
+	if job == nil {
+		tb.Fatal("tab1 submission queued no job")
+	}
+	res, err := experiments.ComputeJob(context.Background(), job.Desc())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := job.Complete(res); err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkCoordinatorLeaseComplete times one Lease plus one Complete
 // with a number of terminal records retained. The simulated clock
 // stands still, so nothing purges; every 256 operations the coordinator is rebuilt
@@ -285,10 +306,8 @@ func reapModelRun(t *testing.T, seed int64, steps int) {
 // retained ones much. Due-ordered reaping keeps retained=4096 within a
 // small factor of retained=0.
 func BenchmarkCoordinatorLeaseComplete(b *testing.B) {
-	res, err := experiments.ComputeJob(context.Background(), experiments.JobDesc{ID: "tab1", Seed: 1, Count: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := tab1CellResult(b)
+	var err error
 	for _, retained := range []int{0, 4096} {
 		b.Run(fmt.Sprintf("retained=%d", retained), func(b *testing.B) {
 			const chunk = 256

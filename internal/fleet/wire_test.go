@@ -7,13 +7,18 @@ package fleet
 // decoder round-trips whatever it accepts.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,8 +128,9 @@ func TestWireElapsedNanos(t *testing.T) {
 // FuzzFromWire: the completion decoder must never panic, and whatever
 // it accepts must survive toWire, JSON and fromWire again bit-exactly,
 // NaN and ±Inf included. The seed corpus holds real completions: a
-// sharded batch with NaN/±Inf cells, a whole-cell table, and a failure
-// carrying its completed prefix.
+// batch with NaN/±Inf cells, a legacy whole-cell table (its "cell"
+// field is no longer part of the payload and decodes to no points),
+// and a failure carrying its completed prefix.
 func FuzzFromWire(f *testing.F) {
 	for _, name := range []string{"complete_points.json", "complete_cell.json", "fail_prefix.json"} {
 		data, err := os.ReadFile("testdata/" + name)
@@ -174,16 +180,6 @@ func resultDiff(a, b experiments.ExternalResult) string {
 			return fmt.Sprintf("point %d", i)
 		}
 	}
-	switch ac, bc := a.Cell, b.Cell; {
-	case (ac == nil) != (bc == nil):
-		return "cell presence"
-	case ac == nil:
-		return ""
-	case ac.ID != bc.ID || ac.Title != bc.Title || !slices.Equal(ac.Columns, bc.Columns) || !slices.Equal(ac.Notes, bc.Notes):
-		return "cell header"
-	case !sameRows(ac.Rows, bc.Rows):
-		return "cell rows"
-	}
 	return ""
 }
 
@@ -192,4 +188,190 @@ func sameRows(a, b [][]float64) bool {
 	return slices.EqualFunc(a, b, func(x, y []float64) bool {
 		return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
 	})
+}
+
+// postJSON posts body as JSON to url, decodes a 200 reply into out
+// when out is non-nil, and returns the status code.
+func postJSON(t *testing.T, url string, body, out any) int {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
+}
+
+// TestLeaseReplySharded: every lease reply says "sharded": true — an
+// unsharded cell's whole-axis job as much as a sharded batch — so a
+// worker built when a job could also be a whole-experiment cell
+// computes the granted range rather than the full experiment.
+func TestLeaseReplySharded(t *testing.T) {
+	sched, _, ts := httpFleet(t, 5*time.Second)
+	for _, spec := range []experiments.RunSpec{
+		{IDs: []string{"tab1"}},
+		{IDs: []string{"tab1"}, ShardRows: true, BatchRows: 3},
+	} {
+		if _, err := sched.Submit(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grants := 0
+	for {
+		var reply leaseResponse
+		status := postJSON(t, ts.URL+"/fleet/lease", leaseRequest{Worker: "old"}, &reply)
+		if status == http.StatusNoContent {
+			break
+		}
+		if status != http.StatusOK {
+			t.Fatalf("lease: status %d", status)
+		}
+		grants++
+		if !reply.Job.Sharded {
+			t.Errorf("lease %s: job %+v, want \"sharded\": true", reply.LeaseID, reply.Job)
+		}
+		res, err := experiments.ComputeJob(context.Background(), reply.Job.desc())
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := toWire(res)
+		req.LeaseID = reply.LeaseID
+		if status := postJSON(t, ts.URL+"/fleet/complete", req, nil); status != http.StatusNoContent {
+			t.Fatalf("complete %s: status %d", reply.LeaseID, status)
+		}
+	}
+	// One whole-axis job, then 7 points in batches of 3.
+	if grants != 1+3 {
+		t.Errorf("granted %d jobs, want 4", grants)
+	}
+}
+
+// TestLegacyCellCompletionRejected: a completion carrying only a
+// whole-experiment table in the legacy "cell" field delivers no points,
+// so the coordinator rejects it as malformed (400) and requeues the
+// job; an honest recomputation then finishes the run with reference
+// bytes.
+func TestLegacyCellCompletionRejected(t *testing.T) {
+	spec := experiments.RunSpec{IDs: []string{"tab1"}}
+	want := referenceCSV(t, spec)
+	sched, c, ts := httpFleet(t, 5*time.Second)
+	h, err := sched.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := c.Lease("old")
+	if !ok {
+		t.Fatal("no lease granted")
+	}
+	data, err := os.ReadFile("testdata/complete_cell.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy map[string]any
+	if err := json.Unmarshal(data, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if legacy["cell"] == nil || legacy["points"] != nil {
+		t.Fatalf("fixture is not a cell-only completion: %s", data)
+	}
+	legacy["lease_id"] = g.ID
+	if status := postJSON(t, ts.URL+"/fleet/complete", legacy, nil); status != http.StatusBadRequest {
+		t.Fatalf("legacy cell completion: status %d, want 400", status)
+	}
+	again, ok := c.Lease("honest")
+	if !ok || again.Desc != g.Desc {
+		t.Fatalf("rejected job not requeued: re-lease %v (ok %v), want %s", again, ok, g.Desc)
+	}
+	res, err := experiments.ComputeJob(context.Background(), again.Desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(again.ID, res, ""); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteTables(&buf, "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Error("bytes differ after a rejected legacy completion")
+	}
+}
+
+// TestWorkerRefusesOldCoordinator: a coordinator that predates point
+// ranges leases an unsharded cell as {"sharded": false, "point": 0,
+// "count": 1}. Computing that one point would be rejected as a
+// malformed cell and the job requeued to the next worker forever, so
+// the worker fails the job instead, naming the mismatch, and computes
+// nothing.
+func TestWorkerRefusesOldCoordinator(t *testing.T) {
+	reports := make(chan completeRequest, 1)
+	leased := false
+	var mu sync.Mutex
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/fleet/lease":
+			mu.Lock()
+			first := !leased
+			leased = true
+			mu.Unlock()
+			if !first {
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
+			fmt.Fprint(w, `{"lease_id":"lease-1","job":{"id":"tab1","seed":1,"sharded":false,"point":0,"count":1},"ttl_ms":60000}`)
+		case "/fleet/complete":
+			var req completeRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("complete: %v", err)
+			}
+			reports <- req
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			w.WriteHeader(http.StatusNoContent)
+		}
+	}))
+	defer ts.Close()
+	computed := false
+	wk, err := NewWorker(WorkerConfig{
+		Client: &Client{Base: ts.URL},
+		Poll:   time.Millisecond,
+		Compute: func(ctx context.Context, d experiments.JobDesc) (experiments.ExternalResult, error) {
+			computed = true
+			return experiments.ComputeJob(ctx, d)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = wk.Run(ctx) }()
+	var req completeRequest
+	select {
+	case req = <-reports:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never answered the whole-cell lease")
+	}
+	cancel()
+	<-done
+	if req.LeaseID != "lease-1" || len(req.Points) != 0 || !strings.Contains(req.Error, "upgrade the coordinator") {
+		t.Errorf("completion %+v, want a failure naming the coordinator mismatch and no points", req)
+	}
+	if computed {
+		t.Error("worker computed a whole-cell grant")
+	}
 }

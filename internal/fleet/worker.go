@@ -9,6 +9,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -23,12 +24,15 @@ type WorkerConfig struct {
 	// Name identifies the worker in coordinator logs; defaults to
 	// "worker".
 	Name string
-	// Store, when non-nil, persists whole-experiment cell results
-	// directly (shared filesystem deployments); sharded point batches
-	// are partial cells and always flow back through the coordinator,
-	// whose finalize persists them. Duplicate cell writes from racing
-	// workers are safe: records are deterministic and written atomically
-	// (see internal/store's cross-process notes).
+	// Store, when non-nil, persists the cell of every job that covers
+	// its sweep's whole axis directly (shared filesystem deployments),
+	// assembled with experiments.AssembleCell: every unsharded cell, and
+	// a sharded cell whose one batch spans the axis (a one-point sweep,
+	// or a batch at least the axis length). A job covering only part of
+	// the axis is a partial cell and flows back only through the
+	// coordinator, whose finalize persists it. Duplicate cell writes from racing workers are safe: records
+	// are deterministic and written atomically (see internal/store's
+	// cross-process notes).
 	Store *store.Store
 	// Poll is the idle backoff between lease attempts when the
 	// coordinator has no work; defaults to 200ms.
@@ -109,6 +113,18 @@ func (w *Worker) Run(ctx context.Context) error {
 // result or failure.
 func (w *Worker) runJob(ctx context.Context, g Grant) {
 	w.cfg.Logf("fleet worker %s: %s under %s", w.cfg.Name, g.Desc, g.ID)
+	if g.wholeCell {
+		// A coordinator that predates point ranges leased a whole
+		// experiment, which this worker cannot compute. Failing the job
+		// fails its run; leaving it to expire would requeue it to the
+		// next new worker, and the run would never end.
+		err := fmt.Errorf("fleet worker %s: coordinator leased %s as a whole-experiment cell; upgrade the coordinator to match its workers", w.cfg.Name, g.Desc.ID)
+		w.cfg.Logf("%v", err)
+		if ferr := w.cfg.Client.Fail(g.ID, g.Desc, err); ferr != nil {
+			w.cfg.Logf("fleet worker %s: reporting failure for %s: %v", w.cfg.Name, g.ID, ferr)
+		}
+		return
+	}
 	// The compute context dies with the lease: once a heartbeat comes
 	// back "expired" the job has been requeued, so burning more CPU on
 	// it only produces a duplicate the coordinator will drop anyway.
@@ -156,12 +172,14 @@ func (w *Worker) runJob(ctx context.Context, g Grant) {
 		}
 		return
 	}
-	if w.cfg.Store != nil && res.Cell != nil {
-		rec := experiments.CellRecord(res.Cell, g.Desc.Seed, store.Meta{
-			Concurrency: 1, ElapsedNs: int64(res.Elapsed),
-		})
-		if perr := w.cfg.Store.Put(rec); perr != nil {
-			w.cfg.Logf("fleet worker %s: persisting %s: %v", w.cfg.Name, g.Desc, perr)
+	if w.cfg.Store != nil {
+		if cell, ok := experiments.AssembleCell(g.Desc, res.Points); ok {
+			rec := experiments.CellRecord(cell, g.Desc.Seed, store.Meta{
+				Concurrency: 1, ElapsedNs: int64(res.Elapsed),
+			})
+			if perr := w.cfg.Store.Put(rec); perr != nil {
+				w.cfg.Logf("fleet worker %s: persisting %s: %v", w.cfg.Name, g.Desc, perr)
+			}
 		}
 	}
 	if err := w.cfg.Client.Complete(g.ID, res); err != nil {
