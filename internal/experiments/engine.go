@@ -52,7 +52,7 @@ type Timing struct {
 // submission: the per-seed results in ID order, per-experiment wall
 // time, and the total wall time of the fan-out.
 type Report struct {
-	// Seeds are the seeds run, in the order given.
+	// Seeds are the seeds run, in the order given, each once.
 	Seeds []int64
 	// Concurrency is the resolved worker count, capped at the run's job
 	// count.
@@ -223,7 +223,8 @@ func (r *ReplicatedResult) Render(w io.Writer) error {
 type Options struct {
 	// IDs restricts the run; nil means every registered experiment.
 	IDs []string
-	// Seeds are the replication seeds; nil means {1}.
+	// Seeds are the replication seeds; nil means {1}. A repeated seed
+	// runs once, at its first appearance.
 	Seeds []int64
 	// Concurrency bounds the worker pool; ≤0 means GOMAXPROCS.
 	Concurrency int

@@ -13,8 +13,8 @@ import (
 var Fig15Distances = []float64{0.24, 0.30, 0.36, 0.42, 0.48, 0.54, 0.60}
 
 // warmScanAxis returns a Sweep.Warm hook that pre-resolves, in one
-// batched pass, every per-axis response a default-scene FullScan with
-// the given voltage step will look up. A bias-plane scan visits the
+// Surface.Warm call, every per-axis response a default-scene FullScan
+// with the given voltage step will look up. A bias-plane scan visits the
 // cross product of ScanVoltages on both axes, but the memoized axis
 // responses are keyed per axis by (frequency, bias) — so warming the
 // diagonal {v, v} covers the entire plane. The hook warms both Jones

@@ -86,10 +86,9 @@ func fig11Sweep() *Sweep {
 				return PointResult{}, err
 			}
 			f := freqs[i]
-			// The whole Vy axis of this frequency resolves in one batched
-			// pass — one snapshot load and one grouped miss computation
-			// instead of seven scalar round-trips (bit-identical to the
-			// SetBias+EfficiencyDB loop, invariant #11).
+			// The whole Vy axis of this frequency evaluates in one
+			// JonesBatch call (bit-identical to the SetBias+EfficiencyDB
+			// loop, invariant #11).
 			pts := make([]metasurface.BatchPoint, len(biases))
 			for j, vy := range biases {
 				pts[j] = metasurface.BatchPoint{F: f, VX: 8, VY: vy}

@@ -39,7 +39,9 @@ type RunSpec struct {
 	// Submit resolves, sorts and dedupes the list, so a handle's Spec
 	// always names the concrete IDs it runs.
 	IDs []string
-	// Seeds are the replication seeds; nil means {1}.
+	// Seeds are the replication seeds; nil means {1}. A repeated seed
+	// counts once: Submit keeps each seed at its first appearance, so a
+	// handle's Spec names each seed it runs exactly once.
 	Seeds []int64
 	// ShardRows splits sweep-shaped experiments into per-point row jobs.
 	ShardRows bool
@@ -417,7 +419,7 @@ func (jb schedJob) desc() JobDesc {
 // any job runs (invariant 3), so concurrent submissions sharing the
 // pool cannot perturb each other's slot assignment.
 type submission struct {
-	spec RunSpec // normalized: IDs resolved, seeds defaulted, batch clamped
+	spec RunSpec // normalized: IDs resolved, seeds deduplicated and defaulted, batch clamped
 
 	parent     context.Context // the submitter's context: its cancellation wins
 	ctx        context.Context // derived; cancelled on failure/Cancel/Close
@@ -478,7 +480,16 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	if err != nil {
 		return nil, err
 	}
-	seeds := spec.Seeds
+	// Each seed runs once, in the order of its first appearance: a
+	// repeated seed would compute and persist the same cells twice.
+	var seeds []int64
+	seen := make(map[int64]bool, len(spec.Seeds))
+	for _, seed := range spec.Seeds {
+		if !seen[seed] {
+			seen[seed] = true
+			seeds = append(seeds, seed)
+		}
+	}
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
@@ -492,7 +503,7 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	sub := &submission{
 		spec: RunSpec{
 			IDs:       ids,
-			Seeds:     append([]int64(nil), seeds...),
+			Seeds:     seeds,
 			ShardRows: spec.ShardRows,
 			BatchRows: batch,
 			Resume:    spec.Resume,
@@ -809,8 +820,8 @@ func (sub *submission) finalize() {
 type RunHandle struct{ sub *submission }
 
 // Spec returns the normalized spec the submission runs: IDs resolved
-// and sorted, seeds defaulted, batch size clamped to ≥1 (and 1 unless
-// ShardRows is set).
+// and sorted, seeds deduplicated in first-seen order and defaulted,
+// batch size clamped to ≥1 (and 1 unless ShardRows is set).
 func (h *RunHandle) Spec() RunSpec { return h.sub.spec.clone() }
 
 // Done returns a channel closed when the submission has finished —

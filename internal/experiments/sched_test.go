@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -204,6 +205,60 @@ func TestResolveIDsEmptyAndDuplicates(t *testing.T) {
 	}
 	if len(rep.Results) != 1 {
 		t.Errorf("duplicated spec produced %d tables, want 1", len(rep.Results))
+	}
+}
+
+// TestSeedsDeduplicated: a repeated seed runs once, at its first
+// appearance — it must not compute or persist the same cell twice, nor
+// report a replication over the duplicate — on both the one-shot and
+// the scheduler path.
+func TestSeedsDeduplicated(t *testing.T) {
+	rep, err := Execute(context.Background(), Options{IDs: []string{"tab1"}, Seeds: []int64{1, 1}, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ComputedCells != 1 || rep.PersistedCells != 1 || len(rep.Seeds) != 1 || rep.Replicated != nil {
+		t.Errorf("seeds {1,1}: computed %d, persisted %d, seeds %v, %d replicated; want 1, 1, [1], none",
+			rep.ComputedCells, rep.PersistedCells, rep.Seeds, len(rep.Replicated))
+	}
+
+	ids := []string{"fig2a", "tab1"}
+	dup, err := Execute(context.Background(), Options{IDs: ids, Seeds: []int64{2, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(context.Background(), Options{IDs: ids, Seeds: []int64{2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(dup.Seeds) != "[2 1]" || dup.ComputedCells != want.ComputedCells ||
+		len(dup.Results) != len(want.Results) || len(dup.Replicated) != len(want.Replicated) {
+		t.Fatalf("seeds {2,1,2}: seeds %v, %d cells, %d tables, %d replicated; want [2 1], %d, %d, %d",
+			dup.Seeds, dup.ComputedCells, len(dup.Results), len(dup.Replicated),
+			want.ComputedCells, len(want.Results), len(want.Replicated))
+	}
+	for i := range want.Results {
+		if !sameResult(dup.Results[i], want.Results[i]) {
+			t.Errorf("%s: seeds {2,1,2} table differs from {2,1}", want.Results[i].ID)
+		}
+	}
+	for i := range want.Replicated {
+		if !sameReplicated(dup.Replicated[i], want.Replicated[i]) {
+			t.Errorf("%s: seeds {2,1,2} replication differs from {2,1}", want.Replicated[i].ID)
+		}
+	}
+
+	s := NewScheduler(SchedulerConfig{Workers: 2})
+	defer s.Close()
+	h, err := s.Submit(context.Background(), RunSpec{IDs: []string{"tab1"}, Seeds: []int64{2, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Spec().Seeds; fmt.Sprint(got) != "[2 1]" {
+		t.Errorf("RunHandle.Spec().Seeds = %v, want [2 1]", got)
+	}
+	if _, err := h.Report(); err != nil {
+		t.Fatal(err)
 	}
 }
 

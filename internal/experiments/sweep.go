@@ -39,12 +39,12 @@ type Sweep struct {
 	// Warm, when set, pre-populates memoization state for the point range
 	// [start, start+count) before it runs — typically one Surface.Warm
 	// covering the range's whole operating-point axis, so a cold process
-	// resolves the range's misses in one grouped pass instead of one
-	// mutex round-trip per point. Warm MUST be bit-neutral: it may only
-	// populate the same caches the points themselves would populate,
-	// never alter an output (a whole-axis job and the serial path warm
-	// the full axis, a sharded job only its batch, and every granularity
-	// must still reproduce the unwarmed tables bit-for-bit). Optional.
+	// resolves the range's misses before its points run. Warm MUST be
+	// bit-neutral: it may only populate the same caches the points
+	// themselves would populate, never alter an output (a whole-axis
+	// job and the serial path warm the full axis, a sharded job only its
+	// batch, and every granularity must still reproduce the unwarmed
+	// tables bit-for-bit). Optional.
 	Warm func(ctx context.Context, seed int64, start, count int)
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -126,6 +127,11 @@ func toWire(res experiments.ExternalResult) completeRequest {
 // fromWire decodes a completion payload back to an ExternalResult.
 func fromWire(req completeRequest) (experiments.ExternalResult, error) {
 	var out experiments.ExternalResult
+	// A negative (or, in milliseconds, overflowing) compute time would
+	// turn the run's Timing.Busy and the stored Meta.ElapsedNs negative.
+	if req.ElapsedMillis < 0 || req.ElapsedMillis > math.MaxInt64/int64(time.Millisecond) || req.ElapsedNanos < 0 {
+		return out, fmt.Errorf("elapsed time out of range (elapsed_ms %d, elapsed_ns %d)", req.ElapsedMillis, req.ElapsedNanos)
+	}
 	out.Elapsed = time.Duration(req.ElapsedMillis) * time.Millisecond
 	if req.ElapsedNanos != 0 {
 		out.Elapsed = time.Duration(req.ElapsedNanos)

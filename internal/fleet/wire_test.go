@@ -125,8 +125,31 @@ func TestWireElapsedNanos(t *testing.T) {
 	}
 }
 
-// FuzzFromWire: the completion decoder must never panic, and whatever
-// it accepts must survive toWire, JSON and fromWire again bit-exactly,
+// TestFromWireRejectsNegativeElapsed: a completion whose compute time
+// is negative, or overflows when read in milliseconds, is malformed —
+// fromWire refuses it and /fleet/complete answers 400 — so no negative
+// time reaches Timing.Busy or the stored Meta.ElapsedNs.
+func TestFromWireRejectsNegativeElapsed(t *testing.T) {
+	for _, req := range []completeRequest{
+		{ElapsedMillis: -1},
+		{ElapsedNanos: -1},
+		{ElapsedMillis: 5, ElapsedNanos: -300},
+		{ElapsedMillis: -5, ElapsedNanos: 300},
+		{ElapsedMillis: math.MaxInt64 / 1000},
+	} {
+		if res, err := fromWire(req); err == nil {
+			t.Errorf("elapsed_ms %d, elapsed_ns %d: accepted as %v, want an error", req.ElapsedMillis, req.ElapsedNanos, res.Elapsed)
+		}
+	}
+	_, _, ts := httpFleet(t, 5*time.Second)
+	body := map[string]any{"lease_id": "any", "elapsed_ms": 3, "elapsed_ns": -3000000}
+	if status := postJSON(t, ts.URL+"/fleet/complete", body, nil); status != http.StatusBadRequest {
+		t.Errorf("negative elapsed_ns: status %d, want 400", status)
+	}
+}
+
+// FuzzFromWire: the completion decoder must never panic or accept a
+// negative elapsed time, and whatever it accepts must survive toWire, JSON and fromWire again bit-exactly,
 // NaN and ±Inf included. The seed corpus holds real completions: a
 // batch with NaN/±Inf cells, a legacy whole-cell table (its "cell"
 // field is no longer part of the payload and decodes to no points),
@@ -147,6 +170,9 @@ func FuzzFromWire(f *testing.F) {
 		res, err := fromWire(req)
 		if err != nil {
 			return
+		}
+		if res.Elapsed < 0 {
+			t.Fatalf("accepted a negative elapsed time %v", res.Elapsed)
 		}
 		body, err := json.Marshal(toWire(res))
 		if err != nil {

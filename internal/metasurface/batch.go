@@ -2,17 +2,14 @@ package metasurface
 
 // The batched evaluation API. A sweep runner visits a whole axis of
 // operating points per row — 21×21 bias pairs in a FullScan, seven
-// biases per fig11 frequency — and the scalar path pays a snapshot
-// load, counter update and (on a cold table) a mutex round-trip per
-// point. JonesBatch resolves the whole axis against ONE published
-// snapshot, computes every miss in one grouped singleflight pass, and
-// folds the counters in one add, so per-point synchronization traffic
-// amortizes away. Results are bit-identical to calling the scalar path
-// point by point in both modes — cached and caching disabled — because
-// both paths resolve through the same memoized evaluations and assemble
-// through the same helpers (jonesTransmissiveFrom /
-// jonesReflectiveFrom). That equivalence is determinism invariant #11
-// in ARCHITECTURE.md, locked in under -race by batch_test.go.
+// biases per fig11 frequency — and JonesBatch evaluates such an axis in
+// one call. Each point resolves through the same scalar lookups a
+// SetBias+Jones query makes (Surface.axisAt / qwpAt, one table read
+// each) and assembles through the same helpers (jonesTransmissiveFrom /
+// jonesReflectiveFrom), so results are bit-identical to the scalar path
+// in both modes — cached and caching disabled — by construction. That
+// equivalence is determinism invariant #11 in ARCHITECTURE.md, locked
+// in under -race by batch_test.go.
 
 import (
 	"github.com/llama-surface/llama/internal/mat2"
@@ -30,10 +27,10 @@ type BatchPoint struct {
 	VX, VY float64
 }
 
-// JonesBatch computes the surface's Jones matrix at every point in one
-// grouped pass, appending nothing to the surface's own bias state. dst
-// is reused when it has capacity (pass nil to allocate); the resized
-// slice is returned. Each dst[i] is bit-identical to
+// JonesBatch computes the surface's Jones matrix at every point,
+// leaving the surface's own bias state untouched. dst is reused when it
+// has capacity (pass nil to allocate); the resized slice is returned.
+// Each dst[i] is bit-identical to
 //
 //	s.SetBias(pts[i].VX, pts[i].VY)
 //	s.Jones(mode, pts[i].F)
@@ -44,15 +41,12 @@ func (s *Surface) JonesBatch(mode Mode, pts []BatchPoint, dst []mat2.Mat) []mat2
 		dst = make([]mat2.Mat, len(pts))
 	}
 	dst = dst[:len(pts)]
-	if len(pts) == 0 {
-		return dst
-	}
-	xr, yr, qw := s.batchResponses(pts)
-	for i := range pts {
+	for i, p := range pts {
+		xr, yr, qw := s.responsesAt(p)
 		if mode == Reflective {
-			dst[i] = jonesReflectiveFrom(xr[i], yr[i], qw[i])
+			dst[i] = jonesReflectiveFrom(xr, yr, qw)
 		} else {
-			dst[i] = jonesTransmissiveFrom(xr[i], yr[i], qw[i])
+			dst[i] = jonesTransmissiveFrom(xr, yr, qw)
 		}
 	}
 	return dst
@@ -65,51 +59,16 @@ func (s *Surface) JonesBatch(mode Mode, pts []BatchPoint, dst []mat2.Mat) []mat2
 // Warming is bit-neutral by construction: it only populates the same
 // memoization state the scan itself would populate, never an output.
 func (s *Surface) Warm(pts []BatchPoint) {
-	if len(pts) == 0 {
-		return
+	for _, p := range pts {
+		s.responsesAt(p)
 	}
-	s.batchResponses(pts)
 }
 
-// batchResponses resolves the per-axis and QWP responses of every
-// point. On the exact cached path all 2·n axis points and n QWP
-// frequencies resolve against one snapshot each, in one grouped
-// singleflight pass per kind. The uncached path loops the same
-// per-point resolution the scalar path uses — per-mode bit-identity is
-// the contract, not a shared fast path.
-func (s *Surface) batchResponses(pts []BatchPoint) (xr, yr []axisResponse, qw []qwpResponse) {
-	n := len(pts)
-	xr = make([]axisResponse, n)
-	yr = make([]axisResponse, n)
-	qw = make([]qwpResponse, n)
+// responsesAt resolves one batch point's per-axis and QWP responses
+// through the scalar lookups, clamping the biases as SetBias does.
+func (s *Surface) responsesAt(p BatchPoint) (xr, yr axisResponse, qw qwpResponse) {
 	lo, hi := s.design.MinBiasV, s.design.MaxBiasV
-	if s.table == nil || !CachingEnabled() {
-		// The scalar resolution already handles direct evaluation;
-		// batching only groups the loop.
-		for i, p := range pts {
-			xr[i] = s.axisAt(AxisX, p.F, units.Clamp(p.VX, lo, hi))
-			yr[i] = s.axisAt(AxisY, p.F, units.Clamp(p.VY, lo, hi))
-			qw[i] = s.qwpAt(p.F)
-		}
-		return xr, yr, qw
-	}
-	ap := make([]axisPoint, 2*n)
-	for i, p := range pts {
-		ap[2*i] = axisPoint{axis: AxisX, f: p.F, v: units.Clamp(p.VX, lo, hi)}
-		ap[2*i+1] = axisPoint{axis: AxisY, f: p.F, v: units.Clamp(p.VY, lo, hi)}
-	}
-	ar := make([]axisResponse, 2*n)
-	ahits, amisses := s.table.axisBatch(s.design, ap, ar, s.shard)
-	for i := range pts {
-		xr[i] = ar[2*i]
-		yr[i] = ar[2*i+1]
-	}
-	freqs := make([]float64, n)
-	for i, p := range pts {
-		freqs[i] = p.F
-	}
-	qhits, qmisses := s.table.qwpBatch(s.design, freqs, qw, s.shard)
-	s.hits.Add(ahits + qhits)
-	s.misses.Add(amisses + qmisses)
-	return xr, yr, qw
+	xr = s.axisAt(AxisX, p.F, units.Clamp(p.VX, lo, hi))
+	yr = s.axisAt(AxisY, p.F, units.Clamp(p.VY, lo, hi))
+	return xr, yr, s.qwpAt(p.F)
 }

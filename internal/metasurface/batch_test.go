@@ -1,6 +1,7 @@
 package metasurface
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -157,12 +158,14 @@ func TestWarmFillsTheTable(t *testing.T) {
 	}
 }
 
-// TestSingleflightBoundsRedundantEvals hammers one snapMap with many
-// goroutines racing over the same fresh key set, all released together,
-// and asserts the singleflight grouping held: eval ran EXACTLY once per
-// distinct key — not once per goroutine — and every caller got the
-// computed value. Both the scalar and the batched lookup paths are
-// exercised against the same map. Run under -race.
+// TestSingleflightBoundsRedundantEvals hammers the singleflight grouping
+// from both entry points at once, every goroutine released together.
+// Half the workers race scalar lookups over one fresh snapMap key set:
+// eval must run EXACTLY once per distinct key, not once per goroutine.
+// The other half race JonesBatch over one fresh point set that repeats
+// points within a batch: the design's table must record exactly one
+// miss per distinct axis and QWP key, and every batch must match the
+// uncached reference. Run under -race.
 func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 	const workers = 16
 	const keys = 64
@@ -171,6 +174,25 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 	eval := func(k int) int {
 		evals.Add(1)
 		return k * 31
+	}
+
+	ResetResponseTables()
+	d := OptimizedFR4Design(units.DefaultCarrierHz)
+	pts := batchTestPoints()
+	pts = append(pts, pts[len(pts)-8:]...) // repeats within the batch
+	SetCaching(false)
+	ref := MustNew(d).JonesBatch(Transmissive, pts, nil)
+	SetCaching(true)
+	distinctAxis := make(map[axisKey]bool)
+	distinctQWP := make(map[float64]bool)
+	for _, p := range pts {
+		for _, k := range []axisKey{
+			{axis: AxisX, f: math.Float64bits(p.F), v: math.Float64bits(units.Clamp(p.VX, d.MinBiasV, d.MaxBiasV))},
+			{axis: AxisY, f: math.Float64bits(p.F), v: math.Float64bits(units.Clamp(p.VY, d.MinBiasV, d.MaxBiasV))},
+		} {
+			distinctAxis[k] = true
+		}
+		distinctQWP[p.F] = true
 	}
 
 	start := make(chan struct{})
@@ -182,7 +204,7 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 			defer wg.Done()
 			<-start
 			if w%2 == 0 {
-				// Scalar path, each worker in a different key order.
+				// Scalar snapMap lookups, each worker in a different key order.
 				for i := 0; i < keys; i++ {
 					k := (i*7 + w) % keys
 					if v, _ := m.lookup(k, func() int { return eval(k) }); v != k*31 {
@@ -190,20 +212,13 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 						return
 					}
 				}
-			} else {
-				// Batched path with in-batch duplicates.
-				ks := make([]int, 0, keys+8)
-				for i := 0; i < keys; i++ {
-					ks = append(ks, (keys-1-i+w)%keys)
-				}
-				ks = append(ks, ks[:8]...)
-				out := make([]int, len(ks))
-				m.lookupBatch(ks, out, eval)
-				for i, k := range ks {
-					if out[i] != k*31 {
-						errs <- "batched lookup returned a wrong value"
-						return
-					}
+				return
+			}
+			got := MustNew(d).JonesBatch(Transmissive, pts, nil)
+			for i := range pts {
+				if !sameMat(got[i], ref[i]) {
+					errs <- "JonesBatch diverged from the uncached reference"
+					return
 				}
 			}
 		}(w)
@@ -219,6 +234,10 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 	}
 	if got := m.size(); got != keys {
 		t.Fatalf("map holds %d entries, want %d", got, keys)
+	}
+	want := uint64(len(distinctAxis) + len(distinctQWP))
+	if st := TableStats(d); st.Misses != want {
+		t.Fatalf("table recorded %d misses for %d distinct axis+QWP keys; singleflight must evaluate each once", st.Misses, want)
 	}
 }
 

@@ -8,7 +8,8 @@ package metasurface
 // allocating nothing and clearing ≥2× the mutex throughput at 8
 // goroutines (BENCH_10.json): an RLock still writes the lock word, so
 // its cache line bounces between every reading core exactly like a
-// shared counter would.
+// shared counter would. BenchmarkTableBatchAxis times a warm 64-point
+// row through that same scalar path, the only way into a table.
 
 import (
 	"math"
@@ -19,17 +20,33 @@ import (
 	"github.com/llama-surface/llama/internal/units"
 )
 
+// benchKey is one per-axis operating point of the benchmark working set.
+type benchKey struct {
+	axis Axis
+	f, v float64
+}
+
+// flush publishes any pending entries immediately, so the benchmarks
+// below time only the steady-state lock-free read path.
+func (m *snapMap[K, V]) flush() {
+	m.mu.Lock()
+	if len(m.pending) > 0 {
+		m.publishLocked(m.unionLocked(0))
+	}
+	m.mu.Unlock()
+}
+
 // benchAxisKeys is the hot working set both tables are measured on:
 // enough keys to defeat trivial branch prediction, few enough to stay
 // cache-resident, the regime of a warm bias-plane scan.
-func benchAxisKeys() []axisPoint {
-	pts := make([]axisPoint, 64)
+func benchAxisKeys() []benchKey {
+	pts := make([]benchKey, 64)
 	for i := range pts {
 		axis := AxisX
 		if i%2 == 1 {
 			axis = AxisY
 		}
-		pts[i] = axisPoint{axis: axis, f: 2.0e9 + float64(i)*1.1e7, v: float64(i%31) + 0.25}
+		pts[i] = benchKey{axis: axis, f: 2.0e9 + float64(i)*1.1e7, v: float64(i%31) + 0.25}
 	}
 	return pts
 }
@@ -122,22 +139,24 @@ func BenchmarkTableParallelMutex(b *testing.B) {
 	})
 }
 
-// BenchmarkTableBatchAxis measures the grouped batch resolution of a
-// whole warm axis (the per-row unit of JonesBatch) against the same
-// table, for comparison with 64 scalar lookups.
+// BenchmarkTableBatchAxis measures one warm 64-point axis row — the
+// per-row unit of JonesBatch — read point by point through the scalar
+// lookup path that JonesBatch loops.
 func BenchmarkTableBatchAxis(b *testing.B) {
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
 	tbl := newResponseTable("bench-batch")
 	pts := benchAxisKeys()
-	out := make([]axisResponse, len(pts))
-	tbl.axisBatch(d, pts, out, 0)
+	for _, p := range pts {
+		tbl.axisAt(d, p.axis, p.f, p.v, 0)
+	}
 	tbl.axis.flush()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.axisBatch(d, pts, out, 0)
-	}
-	if out[0].s.Z0 == 0 {
-		b.Fatal("degenerate response")
+		for _, p := range pts {
+			if r, _ := tbl.axisAt(d, p.axis, p.f, p.v, 0); r.s.Z0 == 0 {
+				b.Fatal("degenerate response")
+			}
+		}
 	}
 }

@@ -26,7 +26,9 @@ package metasurface
 // goroutine evaluates, the rest wait on its completion channel, so
 // redundant evaluation is bounded at one per distinct key. Counters are
 // sharded across cache-line-padded slots (statShard) so hit accounting
-// never bounces one hot line between cores.
+// never bounces one hot line between cores. This scalar lookup is the
+// only way into a table: JonesBatch and Warm (batch.go) loop it point
+// by point.
 
 import (
 	"math"
@@ -178,11 +180,11 @@ type flightCall[V any] struct {
 //
 // Reads probe the snapshot first (lock-free, allocation-free); only a
 // snapshot miss takes the mutex, where the entry is found in pending,
-// joined in flight, or computed exactly once. Publishes merge
-// snapshot+pending into a fresh map: amortized O(1) per insert under
-// the size-proportional threshold in maybePublishLocked, with lockedHit
-// promoting hot pending entries early so a stable working set always
-// converges to the lock-free path.
+// joined in flight, or computed exactly once. Publishes copy the union
+// of snapshot and pending into a fresh map once pending reaches a
+// quarter of the snapshot (maybePublishLocked), so copy work stays
+// amortized O(1) per insert and fresh entries still reach the lock-free
+// path quickly.
 type snapMap[K comparable, V any] struct {
 	// snap is the published immutable snapshot. The pointed-to map is
 	// never mutated after Store — readers need no lock and the old
@@ -192,10 +194,6 @@ type snapMap[K comparable, V any] struct {
 	mu      sync.Mutex
 	pending map[K]V
 	flight  map[K]*flightCall[V]
-	// lockHits counts lookups since the last publish that had to take
-	// the mutex to find their answer; crossing the promotion threshold
-	// publishes early (see lockedHit).
-	lockHits int
 
 	// version, when set, is the owning table's version word: every
 	// insert of a new entry moves it to a fresh value (see bumpLocked).
@@ -238,12 +236,10 @@ func (m *snapMap[K, V]) lookup(k K, eval func() V) (V, bool) {
 	}
 	m.mu.Lock()
 	if v, ok := (*m.snap.Load())[k]; ok { // republished since the fast probe
-		m.lockedHit()
 		m.mu.Unlock()
 		return v, true
 	}
 	if v, ok := m.pending[k]; ok {
-		m.lockedHit()
 		m.mu.Unlock()
 		return v, true
 	}
@@ -266,118 +262,6 @@ func (m *snapMap[K, V]) lookup(k K, eval func() V) (V, bool) {
 	return c.val, false
 }
 
-// lookupBatch resolves every key against one snapshot load, then
-// handles all misses in one grouped pass under a single mutex
-// acquisition: still-missing keys are deduplicated, registered in
-// flight, and evaluated outside the lock; keys another goroutine is
-// already computing are joined, not recomputed. out must have len(keys)
-// slots. eval runs at most once per distinct missing key, and the
-// returned counters follow the scalar convention: misses counts
-// evaluations this call ran, everything else is a hit.
-func (m *snapMap[K, V]) lookupBatch(keys []K, out []V, eval func(K) V) (hits, misses uint64) {
-	snap := *m.snap.Load()
-	var missing []int
-	for i, k := range keys {
-		if v, ok := snap[k]; ok {
-			out[i] = v
-			hits++
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return hits, 0
-	}
-	var (
-		mine    []K         // distinct keys this call computes, in first-seen order
-		mineIdx map[K][]int // key → out positions awaiting it
-		waits   []*flightCall[V]
-		waitIdx []int
-	)
-	m.mu.Lock()
-	// No publish can happen while mu is held, so the re-loaded snapshot
-	// and pending are stable for the whole grouping pass.
-	snap = *m.snap.Load()
-	for _, i := range missing {
-		k := keys[i]
-		if v, ok := snap[k]; ok {
-			out[i] = v
-			hits++
-			continue
-		}
-		if v, ok := m.pending[k]; ok {
-			out[i] = v
-			hits++
-			continue
-		}
-		if c, ok := m.flight[k]; ok {
-			waits = append(waits, c)
-			waitIdx = append(waitIdx, i)
-			hits++
-			continue
-		}
-		if _, ok := mineIdx[k]; ok { // duplicate within this batch
-			mineIdx[k] = append(mineIdx[k], i)
-			hits++
-			continue
-		}
-		if mineIdx == nil {
-			mineIdx = make(map[K][]int)
-		}
-		c := &flightCall[V]{done: make(chan struct{})}
-		m.flight[k] = c
-		mine = append(mine, k)
-		mineIdx[k] = []int{i}
-		misses++
-	}
-	m.mu.Unlock()
-	if len(mine) > 0 {
-		vals := make([]V, len(mine))
-		for j, k := range mine {
-			vals[j] = eval(k)
-		}
-		closes := make([]*flightCall[V], len(mine))
-		m.mu.Lock()
-		for j, k := range mine {
-			c := m.flight[k]
-			c.val = vals[j]
-			closes[j] = c
-			delete(m.flight, k)
-			m.pending[k] = vals[j]
-		}
-		m.bumpLocked()
-		m.maybePublishLocked()
-		m.mu.Unlock()
-		for _, c := range closes {
-			close(c.done)
-		}
-		for j, k := range mine {
-			for _, i := range mineIdx[k] {
-				out[i] = vals[j]
-			}
-		}
-	}
-	for wi, c := range waits {
-		<-c.done
-		out[waitIdx[wi]] = c.val
-	}
-	return hits, misses
-}
-
-// lockedHit records a lookup that had to take the mutex to find its
-// answer (pending, or a snapshot republished since the fast probe).
-// Accumulating lock-path hits mean the pending entries are hot, so they
-// are promoted into a published snapshot ahead of the size threshold —
-// a stable working set therefore always ends up fully lock-free. The
-// threshold scales with the snapshot so promotion publishes stay
-// amortized against copy cost.
-func (m *snapMap[K, V]) lockedHit() {
-	m.lockHits++
-	if len(m.pending) > 0 && m.lockHits >= 32+len(*m.snap.Load())/16 {
-		m.publishLocked()
-	}
-}
-
 // maybePublishLocked publishes when pending has grown to a quarter of
 // the snapshot (or the snapshot is still empty): each publish then
 // copies at most ~5× the entries admitted since the last one, keeping
@@ -386,39 +270,32 @@ func (m *snapMap[K, V]) lockedHit() {
 // snapshot quickly.
 func (m *snapMap[K, V]) maybePublishLocked() {
 	if n := len(m.pending); n > 0 && 4*n >= len(*m.snap.Load()) {
-		m.publishLocked()
+		m.publishLocked(m.unionLocked(0))
 	}
 }
 
-// publishLocked merges snapshot+pending into a fresh map and publishes
-// it. The retired snapshot is never written again — readers still
-// holding it see a consistent, merely stale view — which is the entire
-// safety argument: every published map is immutable.
-func (m *snapMap[K, V]) publishLocked() {
+// unionLocked returns a fresh map holding every published and pending
+// entry, sized for extra more. It is the one copy every publish and
+// export makes.
+func (m *snapMap[K, V]) unionLocked(extra int) map[K]V {
 	old := *m.snap.Load()
-	merged := make(map[K]V, len(old)+len(m.pending))
-	//lint:allow purity copying a map into a fresh map is order-independent
-	for k, v := range old {
-		merged[k] = v
+	out := make(map[K]V, len(old)+len(m.pending)+extra)
+	for _, src := range [2]map[K]V{old, m.pending} {
+		//lint:allow purity copying a map into a fresh map is order-independent
+		for k, v := range src {
+			out[k] = v
+		}
 	}
-	//lint:allow purity copying a map into a fresh map is order-independent
-	for k, v := range m.pending {
-		merged[k] = v
-	}
+	return out
+}
+
+// publishLocked publishes merged, a fresh union from unionLocked, and
+// empties pending. The retired snapshot is never written again —
+// readers still holding it see a consistent, merely stale view — which
+// is the entire safety argument: every published map is immutable.
+func (m *snapMap[K, V]) publishLocked(merged map[K]V) {
 	m.snap.Store(&merged)
 	m.pending = make(map[K]V)
-	m.lockHits = 0
-}
-
-// flush publishes any pending entries immediately, so subsequent reads
-// of the current contents are answered lock-free. Benchmarks use it to
-// measure the steady-state read path; correctness never needs it.
-func (m *snapMap[K, V]) flush() {
-	m.mu.Lock()
-	if len(m.pending) > 0 {
-		m.publishLocked()
-	}
-	m.mu.Unlock()
 }
 
 // merge folds imported entries into the map and publishes immediately
@@ -427,16 +304,7 @@ func (m *snapMap[K, V]) flush() {
 // hold identical bits. keys and vals are parallel slices.
 func (m *snapMap[K, V]) merge(keys []K, vals []V) {
 	m.mu.Lock()
-	old := *m.snap.Load()
-	merged := make(map[K]V, len(old)+len(m.pending)+len(keys))
-	//lint:allow purity copying a map into a fresh map is order-independent
-	for k, v := range old {
-		merged[k] = v
-	}
-	//lint:allow purity copying a map into a fresh map is order-independent
-	for k, v := range m.pending {
-		merged[k] = v
-	}
+	merged := m.unionLocked(len(keys))
 	grew := false
 	for i, k := range keys {
 		if _, ok := merged[k]; !ok {
@@ -444,9 +312,7 @@ func (m *snapMap[K, V]) merge(keys []K, vals []V) {
 			grew = true
 		}
 	}
-	m.snap.Store(&merged)
-	m.pending = make(map[K]V)
-	m.lockHits = 0
+	m.publishLocked(merged)
 	if grew {
 		m.bumpLocked()
 	}
@@ -473,18 +339,8 @@ func (m *snapMap[K, V]) bumpLocked() {
 // the caller owns the returned map (export path).
 func (m *snapMap[K, V]) snapshot() map[K]V {
 	m.mu.Lock()
-	old := *m.snap.Load()
-	out := make(map[K]V, len(old)+len(m.pending))
-	//lint:allow purity copying a map into a fresh map is order-independent
-	for k, v := range old {
-		out[k] = v
-	}
-	//lint:allow purity copying a map into a fresh map is order-independent
-	for k, v := range m.pending {
-		out[k] = v
-	}
-	m.mu.Unlock()
-	return out
+	defer m.mu.Unlock()
+	return m.unionLocked(0)
 }
 
 // responseTable memoizes the per-axis and per-frequency QWP evaluations
@@ -534,12 +390,6 @@ func (t *responseTable) count(shard uint32, hit bool) {
 	}
 }
 
-// countBatch folds a batched lookup's outcome counters in one add per view.
-func (t *responseTable) countBatch(shard uint32, hits, misses uint64) {
-	t.counters.add(shard, hits, misses)
-	globalStats.add(shard, hits, misses)
-}
-
 // axisAt returns the memoized per-axis response, computing and storing
 // it on first use, and reports whether it was a hit. shard selects the
 // caller's counter slot. The hit path is one snapshot probe plus two
@@ -567,42 +417,4 @@ func (t *responseTable) qwpAt(d Design, f float64, shard uint32) (qwpResponse, b
 	r, hit := t.qwp.lookup(key, func() qwpResponse { return d.qwpEval(f) })
 	t.count(shard, hit)
 	return r, hit
-}
-
-// axisPoint is one per-axis operating point of a batched lookup.
-type axisPoint struct {
-	axis Axis
-	f, v float64
-}
-
-// axisBatch resolves a whole slice of per-axis operating points against
-// one snapshot load, computing all misses in one grouped singleflight
-// pass (see snapMap.lookupBatch). out must have len(pts) slots. The
-// returned counters follow the scalar convention (misses = evaluations
-// this call ran) and are already folded into the table and global views.
-func (t *responseTable) axisBatch(d Design, pts []axisPoint, out []axisResponse, shard uint32) (hits, misses uint64) {
-	keys := make([]axisKey, len(pts))
-	for i, p := range pts {
-		keys[i] = axisKey{axis: p.axis, f: math.Float64bits(p.f), v: math.Float64bits(p.v)}
-	}
-	hits, misses = t.axis.lookupBatch(keys, out, func(k axisKey) axisResponse {
-		return d.axisEval(k.axis, math.Float64frombits(k.f), math.Float64frombits(k.v))
-	})
-	t.countBatch(shard, hits, misses)
-	return hits, misses
-}
-
-// qwpBatch resolves the QWP responses of a whole frequency slice against
-// one snapshot load, grouping misses like axisBatch. out must have
-// len(freqs) slots.
-func (t *responseTable) qwpBatch(d Design, freqs []float64, out []qwpResponse, shard uint32) (hits, misses uint64) {
-	keys := make([]uint64, len(freqs))
-	for i, f := range freqs {
-		keys[i] = math.Float64bits(f)
-	}
-	hits, misses = t.qwp.lookupBatch(keys, out, func(k uint64) qwpResponse {
-		return d.qwpEval(math.Float64frombits(k))
-	})
-	t.countBatch(shard, hits, misses)
-	return hits, misses
 }

@@ -343,7 +343,8 @@ func runNumber(id string) int {
 }
 
 // submitRequest is the POST /runs body. Zero values mean: every
-// registered experiment, seed {1}, unsharded, store reuse on.
+// registered experiment, seed {1}, unsharded, store reuse on. A
+// repeated ID or seed counts once.
 type submitRequest struct {
 	IDs       []string `json:"ids,omitempty"`
 	Seeds     []int64  `json:"seeds,omitempty"`

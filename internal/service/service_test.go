@@ -385,3 +385,28 @@ func TestDefaultSeedAndFormat(t *testing.T) {
 		t.Errorf("default-format result: code %d, bytes match=%v", resp.StatusCode, string(raw) == want)
 	}
 }
+
+// TestRepeatedSeedsRunOnce: a spec that repeats a seed runs that seed
+// once — the run's recorded spec names [2 1], it computes two cells,
+// and it serves the bytes of the {2,1} spec.
+func TestRepeatedSeedsRunOnce(t *testing.T) {
+	_, ts := newServer(t, t.TempDir(), 2)
+	id := submit(t, ts.URL, `{"ids":["fig2a"],"seeds":[2,1,2]}`)
+	awaitStatus(t, ts.URL, id, service.StatusDone)
+	var got struct {
+		Spec struct {
+			Seeds []int64 `json:"seeds"`
+		} `json:"spec"`
+		ComputedCells int `json:"computed_cells"`
+	}
+	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/runs/"+id, "", &got); code != http.StatusOK {
+		t.Fatalf("GET /runs/%s: code %d body %s", id, code, raw)
+	}
+	if fmt.Sprint(got.Spec.Seeds) != "[2 1]" || got.ComputedCells != 2 {
+		t.Errorf("seeds {2,1,2}: spec seeds %v, %d computed cells; want [2 1], 2", got.Spec.Seeds, got.ComputedCells)
+	}
+	want := benchBytes(t, experiments.Options{IDs: []string{"fig2a"}, Seeds: []int64{2, 1}, Concurrency: 1}, "csv")
+	if code, body, _ := fetchResult(t, ts.URL, id, "csv"); code != http.StatusOK || body != want {
+		t.Errorf("seeds {2,1,2}: result code %d, bytes match {2,1} = %v", code, body == want)
+	}
+}

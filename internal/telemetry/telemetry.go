@@ -50,6 +50,9 @@ var (
 	ErrBadMagic   = errors.New("telemetry: bad magic byte")
 	ErrBadVersion = errors.New("telemetry: unsupported version")
 	ErrBadCRC     = errors.New("telemetry: CRC mismatch")
+	// ErrBadTimestamp marks a timestamp field too large to express in
+	// nanoseconds (time.Duration) without wrapping.
+	ErrBadTimestamp = errors.New("telemetry: timestamp out of range")
 )
 
 // Report is one RSSI measurement, timestamped in the receiver's virtual
@@ -66,15 +69,20 @@ type Report struct {
 }
 
 // SerializeTo writes the frame into buf, which must have length ≥
-// FrameLen; it returns the number of bytes written. RSSI magnitudes
-// beyond ±2 MdBm (absurd) are rejected rather than silently wrapped.
+// FrameLen; it returns the number of bytes written. RSSI is rounded to
+// the nearest milli-dBm, so a decoded report re-encodes to the same
+// bytes. RSSI magnitudes beyond ±2 MdBm (absurd) and negative
+// timestamps are rejected rather than silently wrapped.
 func (r *Report) SerializeTo(buf []byte) (int, error) {
 	if len(buf) < FrameLen {
 		return 0, fmt.Errorf("%w: need %d bytes, have %d", ErrShortFrame, FrameLen, len(buf))
 	}
-	milli := r.RSSIdBm * 1000
+	milli := math.Round(r.RSSIdBm * 1000)
 	if math.IsNaN(milli) || milli > math.MaxInt32 || milli < math.MinInt32 {
 		return 0, fmt.Errorf("telemetry: RSSI %g dBm not encodable", r.RSSIdBm)
+	}
+	if r.Timestamp < 0 {
+		return 0, fmt.Errorf("telemetry: negative timestamp %v not encodable", r.Timestamp)
 	}
 	buf[0] = frameMagic
 	buf[1] = frameVersion
@@ -98,8 +106,9 @@ func (r *Report) Append(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeFromBytes parses a frame in place, validating magic, version and
-// CRC. Extra trailing bytes are ignored (UDP padding tolerance).
+// DecodeFromBytes parses a frame in place, validating magic, version,
+// CRC and the timestamp's range. Extra trailing bytes are ignored (UDP
+// padding tolerance).
 func (r *Report) DecodeFromBytes(buf []byte) error {
 	if len(buf) < FrameLen {
 		return fmt.Errorf("%w: %d bytes", ErrShortFrame, len(buf))
@@ -114,9 +123,13 @@ func (r *Report) DecodeFromBytes(buf []byte) error {
 	if got := crc32.ChecksumIEEE(buf[:20]); got != want {
 		return fmt.Errorf("%w: got %08x want %08x", ErrBadCRC, got, want)
 	}
+	micros := binary.BigEndian.Uint64(buf[8:16])
+	if micros > math.MaxInt64/uint64(time.Microsecond) {
+		return fmt.Errorf("%w: %d µs", ErrBadTimestamp, micros)
+	}
 	r.Flags = binary.BigEndian.Uint16(buf[2:4])
 	r.Seq = binary.BigEndian.Uint32(buf[4:8])
-	r.Timestamp = time.Duration(binary.BigEndian.Uint64(buf[8:16])) * time.Microsecond
+	r.Timestamp = time.Duration(micros) * time.Microsecond
 	r.RSSIdBm = float64(int32(binary.BigEndian.Uint32(buf[16:20]))) / 1000
 	return nil
 }

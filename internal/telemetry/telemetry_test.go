@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -29,7 +31,21 @@ func TestSerializeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundTripProperty: every encodable report decodes to exactly the
+// wire values it was built from — no tolerance. The exhaustive sweep
+// over ±200 dBm in milli-dBm steps catches values such as −131.069 dBm
+// whose product with 1000 falls just short of the integer, which a
+// truncating encoder writes one milli-dBm off.
 func TestRoundTripProperty(t *testing.T) {
+	roundTrip := func(in Report) (Report, error) {
+		buf := make([]byte, FrameLen)
+		if _, err := in.SerializeTo(buf); err != nil {
+			return Report{}, err
+		}
+		var out Report
+		err := out.DecodeFromBytes(buf)
+		return out, err
+	}
 	f := func(seq uint32, micros uint32, milli int32, flags uint16) bool {
 		in := Report{
 			Seq:       seq,
@@ -37,19 +53,49 @@ func TestRoundTripProperty(t *testing.T) {
 			RSSIdBm:   float64(milli) / 1000,
 			Flags:     flags,
 		}
-		buf := make([]byte, FrameLen)
-		if _, err := in.SerializeTo(buf); err != nil {
-			return false
-		}
-		var out Report
-		if err := out.DecodeFromBytes(buf); err != nil {
-			return false
-		}
-		return out.Seq == in.Seq && out.Timestamp == in.Timestamp &&
-			out.Flags == in.Flags && math.Abs(out.RSSIdBm-in.RSSIdBm) < 0.0011
+		out, err := roundTrip(in)
+		return err == nil && out == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+	bad := 0
+	for milli := -200000; milli <= 200000; milli++ {
+		in := Report{RSSIdBm: float64(milli) / 1000}
+		out, err := roundTrip(in)
+		if err != nil || out.RSSIdBm != in.RSSIdBm {
+			if bad == 0 {
+				t.Errorf("%v dBm decodes as %v dBm (%v)", in.RSSIdBm, out.RSSIdBm, err)
+			}
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of 400001 milli-dBm values in ±200 dBm do not round-trip", bad)
+	}
+}
+
+// TestTimestampRange: a negative timestamp is not encodable, and a
+// timestamp field too large for a time.Duration is rejected on decode
+// rather than wrapped; the largest field that fits decodes exactly.
+func TestTimestampRange(t *testing.T) {
+	buf := make([]byte, FrameLen)
+	if _, err := (&Report{Timestamp: -time.Microsecond}).SerializeTo(buf); err == nil {
+		t.Error("negative timestamp serialized")
+	}
+	frame := func(micros uint64) []byte {
+		b := make([]byte, FrameLen)
+		b[0], b[1] = frameMagic, frameVersion
+		binary.BigEndian.PutUint64(b[8:16], micros)
+		binary.BigEndian.PutUint32(b[20:24], crc32.ChecksumIEEE(b[:20]))
+		return b
+	}
+	var r Report
+	if err := r.DecodeFromBytes(frame(math.MaxInt64/1000 + 1)); !errors.Is(err, ErrBadTimestamp) {
+		t.Errorf("overflowing timestamp: err = %v (decoded %v), want ErrBadTimestamp", err, r.Timestamp)
+	}
+	if err := r.DecodeFromBytes(frame(math.MaxInt64 / 1000)); err != nil || r.Timestamp != math.MaxInt64/1000*time.Microsecond {
+		t.Errorf("largest timestamp: %v, %v", r.Timestamp, err)
 	}
 }
 
