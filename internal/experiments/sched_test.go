@@ -297,17 +297,17 @@ func TestHandleProgressAndSpec(t *testing.T) {
 
 	// Batching only groups sweep points: an unsharded spec runs with
 	// batch 1 and must record 1 in its spec, report and cell metadata,
-	// while a sharded one keeps the size it asked for.
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := NewScheduler(SchedulerConfig{Workers: 2, Store: st})
-	defer ss.Close()
+	// while a sharded one keeps the size it asked for. Each case gets
+	// its own store, so the cell's batch is the one its run recorded.
 	for _, tc := range []struct {
 		shard bool
 		want  int
 	}{{false, 1}, {true, 4}} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := NewScheduler(SchedulerConfig{Workers: 2, Store: st})
 		h, err := ss.Submit(context.Background(), RunSpec{IDs: []string{"fig16"}, ShardRows: tc.shard, BatchRows: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -323,6 +323,25 @@ func TestHandleProgressAndSpec(t *testing.T) {
 		if got := [3]int{h.Spec().BatchRows, rep.BatchRows, rec.Meta.BatchRows}; got != [3]int{tc.want, tc.want, tc.want} {
 			t.Errorf("shard=%v batch 4: spec/report/cell batch = %v, want all %d", tc.shard, got, tc.want)
 		}
+		// A second run of another shape computes the same table: the
+		// store confirms the stored cell and keeps the first run's Meta.
+		h2, err := ss.Submit(context.Background(), RunSpec{IDs: []string{"fig16"}, ShardRows: !tc.shard, BatchRows: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep2, err := h2.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := st.Get("fig16", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep2.PersistedCells != 1 || again.Meta != rec.Meta {
+			t.Errorf("shard=%v: equal second run persisted %d cell(s), Meta %+v, want 1 and the first run's %+v",
+				tc.shard, rep2.PersistedCells, again.Meta, rec.Meta)
+		}
+		ss.Close()
 	}
 }
 

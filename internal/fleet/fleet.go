@@ -307,15 +307,7 @@ func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workEr
 		return nil // a racing Complete for the same lease got there first
 	}
 	if err != nil {
-		// Malformed payload: if the lease is still live its job is still
-		// leased, so requeue it rather than strand it until the TTL
-		// reaps it. An expired lease's job went back when it expired and
-		// may already be leased to another worker.
-		if l.state == leaseLive {
-			l.job.Abandon()
-		}
-		c.endLocked(l, leaseExpired, now)
-		c.logf("fleet: lease %s: rejected completion from worker %s: %v", l.id, l.worker, err)
+		c.rejectLocked(l, err, now)
 		return err
 	}
 	c.endLocked(l, leaseDone, now)
@@ -330,6 +322,33 @@ func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workEr
 		c.stats.Completed++
 	}
 	return nil
+}
+
+// reject handles a completion for lease id whose payload the wire
+// layer could not decode, exactly as Complete handles one the job
+// rejects: the lease ends and, while it is still live, its job is
+// requeued at once instead of waiting for the TTL. An unknown or
+// already finished lease is left alone.
+func (c *Coordinator) reject(id string, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.now()
+	c.reapLocked(now)
+	if l, ok := c.leases[id]; ok && l.state != leaseDone {
+		c.rejectLocked(l, err, now)
+	}
+}
+
+// rejectLocked ends lease l after a malformed completion. If the lease
+// is still live its job is still leased, so it is requeued rather than
+// stranded until the TTL reaps it. An expired lease's job went back
+// when it expired and may already be leased to another worker.
+func (c *Coordinator) rejectLocked(l *lease, err error, now time.Time) {
+	if l.state == leaseLive {
+		l.job.Abandon()
+	}
+	c.endLocked(l, leaseExpired, now)
+	c.logf("fleet: lease %s: rejected completion from worker %s: %v", l.id, l.worker, err)
 }
 
 // failure rebuilds a worker's reported failure for Fail: the message

@@ -199,6 +199,7 @@ func Handler(c *Coordinator) http.Handler {
 		}
 		res, err := fromWire(req)
 		if err != nil {
+			c.reject(req.LeaseID, err)
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}

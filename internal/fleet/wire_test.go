@@ -337,6 +337,53 @@ func TestLegacyCellCompletionRejected(t *testing.T) {
 	}
 }
 
+// TestWireRejectedCompletionRequeued: a completion the wire decoder
+// refuses (here a negative elapsed_ms) answers 400 and, like one the
+// coordinator rejects, ends the live lease and requeues its job at
+// once, so an honest worker is granted it without waiting out the TTL.
+func TestWireRejectedCompletionRequeued(t *testing.T) {
+	spec := experiments.RunSpec{IDs: []string{"tab1"}}
+	want := referenceCSV(t, spec)
+	sched, c, ts := httpFleet(t, time.Minute)
+	h, err := sched.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := c.Lease("bad")
+	if !ok {
+		t.Fatal("no lease granted")
+	}
+	body := map[string]any{"lease_id": g.ID, "elapsed_ms": -1}
+	if status := postJSON(t, ts.URL+"/fleet/complete", body, nil); status != http.StatusBadRequest {
+		t.Fatalf("negative elapsed_ms: status %d, want 400", status)
+	}
+	again, ok := c.Lease("honest")
+	if !ok || again.Desc != g.Desc {
+		t.Fatalf("wire-rejected job not requeued: re-lease %v (ok %v), want %s", again, ok, g.Desc)
+	}
+	res, err := experiments.ComputeJob(context.Background(), again.Desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(again.ID, res, ""); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteTables(&buf, "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Error("bytes differ after a wire-rejected completion")
+	}
+	if st := c.Stats(); st.Live != 0 || st.Duplicates != 0 {
+		t.Errorf("stats after the rejection = %+v, want no live lease and no duplicate", st)
+	}
+}
+
 // TestWorkerRefusesOldCoordinator: a coordinator that predates point
 // ranges leases an unsharded cell as {"sharded": false, "point": 0,
 // "count": 1}. Computing that one point would be rejected as a

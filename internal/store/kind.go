@@ -200,6 +200,35 @@ func (k *kind[T, P]) names(root string) ([]key, error) {
 	return keys, nil
 }
 
+// temps lists the temp files writeFileAtomic left in this kind's
+// directory: "<record file>.tmp<random>" names whose record part this
+// kind could have written. Each is an orphan of a writer that died
+// before its rename, or a write still in flight.
+func (k *kind[T, P]) temps(root string) ([]os.FileInfo, error) {
+	dir := filepath.Join(root, k.sub)
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: scan %s: %w", dir, err)
+	}
+	var out []os.FileInfo
+	for _, ent := range entries {
+		i := strings.LastIndex(ent.Name(), ".tmp")
+		if i < 0 || ent.IsDir() {
+			continue
+		}
+		if _, ok := k.parse(ent.Name()[:i]); !ok {
+			continue
+		}
+		if info, err := ent.Info(); err == nil {
+			out = append(out, info)
+		}
+	}
+	return out, nil
+}
+
 // remove deletes the record for a key. Removing a missing record is a
 // no-op.
 func (k *kind[T, P]) remove(root, id string, seed int64) error {

@@ -24,7 +24,17 @@
 // Every write is crash-safe: a record is written to a temp file,
 // fsync'd, then renamed into place, and the directory is fsync'd so the
 // rename is durable. A reader observes either no file or one complete
-// record, never a torn one.
+// record, never a torn one. A writer that dies before its rename leaves
+// only the temp file, which readers and listings ignore and GC removes
+// once it is older than the retention window.
+//
+// A cell is written once per table, not once per computation: Put reads
+// the stored record first and, when it already holds the same table,
+// confirms it in place of a rewrite. Replacing a file costs far more
+// than reading it on some filesystems (ext4 mounted with discard frees
+// the old blocks inside the rename), and results are deterministic, so
+// a recomputation usually reproduces exactly the stored table. The
+// stored Meta then keeps the provenance of the first computation.
 //
 // Numeric cells are serialized as strconv 'g'/-1 strings rather than
 // JSON numbers: that round-trips every finite float64 bit-exactly and
@@ -36,7 +46,8 @@
 // directory open and persist the same cell concurrently. That is safe
 // by construction, not by locking: a record is a pure function of
 // (experiment, seed), so racing writers produce identical bytes, and
-// the atomic rename means the last rename wins with the same content.
+// the atomic rename means the last rename wins with the same content
+// (or a later writer finds the record stored and confirms it).
 // The property test TestCrossProcessWriters drives two handles
 // concurrently and checks exactly this.
 package store
@@ -46,6 +57,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -61,7 +73,10 @@ const SchemaVersion = 1
 // the same (experiment, seed) with different Meta still decode to the
 // same table.
 type Meta struct {
-	// SavedUnixNs is the wall-clock write time.
+	// SavedUnixNs is the wall-clock time of the write that stored the
+	// record. A Put that finds the same table already stored confirms
+	// the record without rewriting it, so this and every other Meta
+	// field keep the provenance of the first computation.
 	SavedUnixNs int64 `json:"saved_unix_ns"`
 	// Concurrency, ShardRows and BatchRows record the engine shape that
 	// produced the table (outputs are bit-identical across all of them).
@@ -169,9 +184,12 @@ func (r *Record) header() (*int, *string, string, int64) { return &r.Schema, &r.
 type Store struct {
 	dir string
 
-	// mu orders each cell rename against GC's re-read and unlink of that
-	// cell, so a sweep never removes a record a Put just rewrote.
-	mu sync.Mutex
+	// mu orders each cell rename or confirmation against GC's re-read
+	// and unlink of that cell, so a sweep never removes a record a Put
+	// just persisted. It guards confirmed: per cell, when this handle
+	// last confirmed the stored record (see Put and GC).
+	mu        sync.Mutex
+	confirmed map[key]time.Time
 
 	// tablesMu guards synced: per table fingerprint, what this handle
 	// last read or wrote for it (see NoteTableSynced). It holds no rows.
@@ -201,16 +219,55 @@ func (s *Store) Dir() string { return s.dir }
 // or not it exists yet.
 func (s *Store) CellPath(id string, seed int64) string { return cellKind.path(s.dir, id, seed) }
 
-// Put atomically persists one cell record, stamping its Schema, its
-// Path and, when unset, its Meta.SavedUnixNs (pinned stamps keep
-// cross-process writers byte-identical). A record whose rows do not
-// decode (DecodeRows) is refused, as Get would refuse to serve it.
+// Put persists one cell record and stamps its Schema and Path.
+//
+// When the stored record for the same (experiment, seed) decodes and
+// holds the same table — equal Title, Columns, Rows and Notes — and
+// neither record carries the legacy Meta.LUT marker, Put confirms it
+// instead of replacing it: nothing is written, the stored Meta keeps
+// the first computation's provenance, and rec.Meta is left as given.
+// The record is as durable as after a write, and GC counts the
+// confirmation as a save of the cell.
+//
+// Otherwise Put atomically writes the record, stamping
+// Meta.SavedUnixNs when unset (pinned stamps keep cross-process writers
+// byte-identical). A missing, corrupt or different record is replaced.
+// A record whose rows do not decode (DecodeRows) is refused, as Get
+// would refuse to serve it.
 func (s *Store) Put(rec *Record) error {
+	if s.confirm(rec) {
+		return nil
+	}
 	if rec != nil && rec.Meta.SavedUnixNs == 0 {
 		rec.Meta.SavedUnixNs = time.Now().UnixNano()
 	}
 	_, err := cellKind.put(s.dir, rec, &s.mu)
 	return err
+}
+
+// confirm reports whether the store already holds rec's table (see
+// Put), and if so notes the time for GC and stamps rec as a write
+// would. It runs under s.mu, as GC's re-read and unlink do, so a sweep
+// either removes the cell before the read (and Put writes it) or sees
+// the note.
+func (s *Store) confirm(rec *Record) bool {
+	if rec == nil || rec.Meta.LUT {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, _, err := cellKind.get(s.dir, rec.ID, rec.Seed)
+	if err != nil || old.Meta.LUT || old.Title != rec.Title ||
+		!slices.Equal(old.Columns, rec.Columns) || !slices.Equal(old.Notes, rec.Notes) ||
+		!slices.EqualFunc(old.Rows, rec.Rows, slices.Equal[[]string]) {
+		return false
+	}
+	if s.confirmed == nil {
+		s.confirmed = make(map[key]time.Time)
+	}
+	s.confirmed[key{rec.ID, rec.Seed}] = time.Now()
+	rec.Schema, rec.Path = old.Schema, old.Path
+	return true
 }
 
 // Get loads and validates the record for (id, seed). It returns a
@@ -223,12 +280,22 @@ func (s *Store) Get(id string, seed int64) (*Record, error) {
 	return rec, err
 }
 
+// tempMinAge is the least age at which GC removes a temp file, whatever
+// the retention window: a write takes milliseconds between creating its
+// temp file and renaming it, so a temp file this old is an orphan.
+const tempMinAge = time.Minute
+
 // GCPolicy controls one Store.GC sweep.
 type GCPolicy struct {
 	// MinAge is the retention window: only cells saved at least MinAge
-	// before Now are candidates for removal. Recency stands in for
-	// liveness — a cell a concurrent writer persisted moments ago is
-	// never collected, whether or not its run record landed yet.
+	// before Now are candidates for removal. A cell counts as saved when
+	// a Put wrote it or, on the same handle, confirmed it (found the same
+	// table already stored). Recency stands in for liveness — a cell a
+	// concurrent writer persisted moments ago is never collected, whether
+	// or not its run record landed yet. Temp files a dead writer left in
+	// cells/ are removed once their modification time is MinAge old, and
+	// never younger than tempMinAge: a younger one may belong to a write
+	// in flight, whose rename would then fail.
 	MinAge time.Duration
 	// Now anchors the age check; the zero value means time.Now(). Tests
 	// pin it to exercise retention without sleeping.
@@ -239,10 +306,13 @@ type GCPolicy struct {
 type GCResult struct {
 	// Scanned counts the cell records considered.
 	Scanned int `json:"scanned"`
-	// Removed counts cell records deleted; RemovedBytes is their total
-	// on-disk size.
+	// Removed counts cell records deleted.
 	Removed int `json:"removed"`
-	// RemovedBytes is the disk space the sweep reclaimed.
+	// RemovedTemps counts orphaned temp files deleted: writes whose
+	// process died before the rename.
+	RemovedTemps int `json:"removed_temps"`
+	// RemovedBytes is the disk space the sweep reclaimed: the on-disk
+	// size of the removed records and temp files.
 	RemovedBytes int64 `json:"removed_bytes"`
 	// Kept counts cells retained — referenced by a run record, younger
 	// than the retention window, or unreadable (kept as evidence).
@@ -254,14 +324,19 @@ type GCResult struct {
 // disk stays bounded by its live history instead of growing with every
 // spec it ever saw. A cell is referenced when any run record's spec
 // covers its (experiment, seed); deleting a run record (DELETE
-// /runs/{id}) is what releases its cells for a later sweep. Removal can
-// only ever cost recomputation, never correctness: a future run that
-// wants a collected cell recomputes it bit-identically (determinism
-// invariant 6). Safe for concurrent use with Put on the same handle:
-// each candidate is re-read and removed under the lock Put's rename
-// takes, so a cell rewritten mid-sweep is seen fresh and kept. A cell
-// that vanished since the listing (a concurrent sweep) is skipped
-// without being counted as kept or removed.
+// /runs/{id}) is what releases its cells for a later sweep. A cell's
+// age runs from the later of its record's Meta.SavedUnixNs and the
+// last time a Put on this handle confirmed it. Removal can only ever
+// cost recomputation, never correctness: a future run that wants a
+// collected cell recomputes it bit-identically (determinism invariant
+// 6). Safe for concurrent use with Put on the same handle: each
+// candidate is re-read and removed under the lock Put's rename and
+// confirmation take, so a cell persisted mid-sweep is seen fresh and
+// kept. A cell that vanished since the listing (a concurrent sweep) is
+// skipped without being counted as kept or removed. GC also removes
+// orphaned temp files older than the window (see GCPolicy.MinAge), and
+// forgets confirmations of removed cells and confirmations older than
+// the window, so the handle's memory stays bounded too.
 func (s *Store) GC(p GCPolicy) (GCResult, error) {
 	now := p.Now
 	if now.IsZero() {
@@ -291,23 +366,61 @@ func (s *Store) GC(p GCPolicy) (GCResult, error) {
 		}
 		// The re-read and the unlink both run under s.mu (through the kind
 		// helpers) so a Put's rename lands either before the re-read, and
-		// its fresh SavedUnixNs vetoes removal, or after the unlink.
+		// its fresh SavedUnixNs vetoes removal, or after the unlink; and a
+		// Put's confirmation is noted either before the re-read, and vetoes
+		// removal, or after the unlink, when it finds no record to confirm.
 		s.mu.Lock()
 		rec, info, err := cellKind.get(s.dir, k.id, k.seed)
 		switch {
 		case IsNotFound(err):
 			// Gone since the listing: neither kept nor removed.
-		case err != nil || now.Sub(time.Unix(0, rec.Meta.SavedUnixNs)) < p.MinAge:
+		case err != nil || now.Sub(s.savedLocked(k, rec)) < p.MinAge:
 			res.Kept++
 		default:
 			if err := cellKind.remove(s.dir, k.id, k.seed); err != nil {
 				s.mu.Unlock()
 				return res, err
 			}
+			delete(s.confirmed, k)
 			res.Removed++
 			res.RemovedBytes += info.Size()
 		}
 		s.mu.Unlock()
 	}
+	s.mu.Lock()
+	for k, t := range s.confirmed {
+		if now.Sub(t) >= p.MinAge {
+			delete(s.confirmed, k)
+		}
+	}
+	s.mu.Unlock()
+	temps, err := cellKind.temps(s.dir)
+	if err != nil {
+		return res, err
+	}
+	for _, t := range temps {
+		if age := now.Sub(t.ModTime()); age < p.MinAge || age < tempMinAge {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, cellKind.sub, t.Name())); err != nil {
+			if os.IsNotExist(err) {
+				continue // renamed into place or removed since the listing
+			}
+			return res, fmt.Errorf("store: remove temp file: %w", err)
+		}
+		res.RemovedTemps++
+		res.RemovedBytes += t.Size()
+	}
 	return res, nil
+}
+
+// savedLocked returns when cell k was last saved: the later of its
+// record's stamp and this handle's last confirmation of it. Callers
+// hold s.mu.
+func (s *Store) savedLocked(k key, rec *Record) time.Time {
+	saved := time.Unix(0, rec.Meta.SavedUnixNs)
+	if t, ok := s.confirmed[k]; ok && t.After(saved) {
+		return t
+	}
+	return saved
 }
