@@ -199,12 +199,6 @@ func (s *System) BaselineDBm() float64 {
 // present bias.
 func (s *System) CurrentDBm() float64 { return s.Scene.ReceivedPowerDBm() }
 
-// CacheStats returns the deployed surface's response-cache counters —
-// how much of the closed loop's physics (every sweep measurement
-// re-evaluates the surface at the applied bias) was answered from
-// memory. See metasurface.CacheStats.
-func (s *System) CacheStats() metasurface.CacheStats { return s.Surface.CacheStats() }
-
 // sqrt guards math.Sqrt against the zero-power edge.
 func sqrt(x float64) float64 {
 	if x <= 0 {

@@ -34,18 +34,6 @@ type Timing struct {
 	// unsharded one, which runs its whole axis as a single job. It is
 	// not the job count.
 	Points int
-	// CacheHits and CacheMisses are the metasurface response-cache
-	// lookups attributed to this experiment's jobs. The counters are
-	// process-global, so per-experiment attribution is measurable only
-	// on single-worker runs, where exactly one job executes at a time
-	// (Execute sizes its pool to the job count, so a one-job run is
-	// always single-worker).
-	// Multi-worker runs interleave jobs and CANNOT attribute lookups to
-	// an experiment: these fields are then zero — meaning "unattributed",
-	// not "no lookups" — and only the run-wide totals in Report are
-	// exact. Report.Render says so explicitly instead of printing the
-	// misleading zeros.
-	CacheHits, CacheMisses uint64
 }
 
 // Report summarises one run — an Execute call or a scheduler
@@ -127,21 +115,11 @@ func (rep *Report) Render(w io.Writer) error {
 			fmt.Fprintf(&sb, "  %4d shards  busy %v (%.1f×)",
 				t.Points, t.Busy.Round(time.Microsecond), speedup)
 		}
-		if n := t.CacheHits + t.CacheMisses; n > 0 {
-			fmt.Fprintf(&sb, "  cache %d/%d", t.CacheHits, n)
-		}
 		sb.WriteByte('\n')
 	}
 	if n := rep.CacheHits + rep.CacheMisses; n > 0 {
-		fmt.Fprintf(&sb, "cache: %d hits / %d misses (%.1f%% hit rate)",
+		fmt.Fprintf(&sb, "cache: %d hits / %d misses (%.1f%% hit rate)\n",
 			rep.CacheHits, rep.CacheMisses, 100*float64(rep.CacheHits)/float64(n))
-		if rep.Concurrency > 1 {
-			// The global counters cannot be split per experiment when
-			// jobs interleave; say so rather than leaving per-line zeros
-			// that read as "no lookups".
-			fmt.Fprintf(&sb, "; per-experiment: unattributed (%d workers)", rep.Concurrency)
-		}
-		sb.WriteByte('\n')
 	}
 	if rep.ReusedCells > 0 || rep.PersistedCells > 0 || len(rep.StoreWarnings) > 0 {
 		fmt.Fprintf(&sb, "store: reused %d cell(s), recomputed %d, persisted %d\n",
@@ -275,9 +253,7 @@ func Execute(ctx context.Context, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Size the pool to the run: never more workers than jobs, so a
-	// one-job run gets one worker and keeps per-experiment cache
-	// attribution (submission.trackCache).
+	// Size the pool to the run: never more workers than jobs.
 	workers := opts.Concurrency
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -334,15 +310,12 @@ type cellRun struct {
 	// sweep is the cell's experiment; nil only for a loaded cell.
 	sweep *Sweep
 	// Per-point slots, one entry per axis point; a job records its
-	// timing and cache delta at the slot of its range's first point.
+	// timing at the slot of its range's first point.
 	points  []PointResult
 	done    []bool
 	errs    []error
 	started []time.Time
 	elapsed []time.Duration
-	// Per-slot response-cache lookup deltas, recorded only on
-	// single-worker runs (see Timing.CacheHits).
-	cacheHits, cacheMisses []uint64
 	// res is the assembled table (nil when the cell failed or was
 	// cancelled); partial is the salvaged prefix of a failed sweep.
 	// assembled marks that assemble has run: it runs once per cell.
@@ -359,15 +332,6 @@ func (c *cellRun) busy() time.Duration {
 		total += d
 	}
 	return total
-}
-
-// cacheDelta sums the cell's per-slot response-cache lookups.
-func (c *cellRun) cacheDelta() (hits, misses uint64) {
-	for p := range c.cacheHits {
-		hits += c.cacheHits[p]
-		misses += c.cacheMisses[p]
-	}
-	return hits, misses
 }
 
 // span returns the wall-clock interval the cell occupied: first job start

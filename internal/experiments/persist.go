@@ -15,8 +15,17 @@ import (
 	"github.com/llama-surface/llama/internal/store"
 )
 
-// storeRecord converts one computed cell into its persisted form.
-func storeRecord(res *Result, seed int64, meta store.Meta) *store.Record {
+// CellRecord converts one computed cell into its persisted store form.
+// It is the one constructor of cell records: a submission's finalize
+// and a fleet worker's -store persistence both build through it. Their
+// records of the same cell are content-equal — same title, columns,
+// rows and notes — but not byte-identical, because their Meta differs:
+// a worker records Concurrency 1 and its job's ElapsedNs, finalize the
+// run's concurrency, ShardRows and BatchRows, and each stamps its own
+// SavedUnixNs. Store.Put confirms a content-equal record instead of
+// rewriting it, so whichever write lands second leaves the first
+// record, and its Meta, in place.
+func CellRecord(res *Result, seed int64, meta store.Meta) *store.Record {
 	return &store.Record{
 		ID:      res.ID,
 		Seed:    seed,
@@ -26,14 +35,6 @@ func storeRecord(res *Result, seed int64, meta store.Meta) *store.Record {
 		Notes:   slices.Clone(res.Notes),
 		Meta:    meta,
 	}
-}
-
-// CellRecord converts one computed cell into its persisted store form
-// — the exact record a submission's finalize writes, so worker-side
-// (fleet) and coordinator-side persistence of the same cell produce
-// byte-identical files.
-func CellRecord(res *Result, seed int64, meta store.Meta) *store.Record {
-	return storeRecord(res, seed, meta)
 }
 
 // resultFromRecord converts a validated store record back into the

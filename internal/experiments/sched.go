@@ -347,9 +347,6 @@ func (s *Scheduler) launch(sub *submission, lane int) error {
 	}
 	sub.sched = s
 	sub.workers = s.workers
-	// The response-cache counters are process-global, so per-job deltas
-	// are attributable only when exactly one job runs at a time.
-	sub.trackCache = s.workers == 1
 	sub.lane = lane
 	s.active[sub] = struct{}{}
 	s.subs.Add(1)
@@ -426,10 +423,9 @@ type submission struct {
 	cancelFn   context.CancelFunc
 	userCancel atomic.Bool
 
-	sched      *Scheduler
-	st         *store.Store
-	workers    int
-	trackCache bool
+	sched   *Scheduler
+	st      *store.Store
+	workers int
 
 	// Dispatch state, guarded by the scheduler's mu: the lane the
 	// submission queues on, the index of its next undispatched job, and
@@ -547,8 +543,6 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 			c.errs = make([]error, slots)
 			c.started = make([]time.Time, slots)
 			c.elapsed = make([]time.Duration, slots)
-			c.cacheHits = make([]uint64, slots)
-			c.cacheMisses = make([]uint64, slots)
 			ci := len(sub.cells)
 			sub.cells = append(sub.cells, c)
 			step := slots // an unsharded cell is one whole-axis job
@@ -565,29 +559,16 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	return sub, nil
 }
 
-// execute runs one job on a pool worker: ComputeJob, then settle. On
-// single-worker pools (trackCache) it samples the response-cache
-// counters around both — settle may assemble the cell — and records
-// the delta at the job's first slot, which the settle winner owns
-// until jobDone.
+// execute runs one job on a pool worker: ComputeJob, then settle, then
+// jobDone when this worker won the settle.
 func (sub *submission) execute(jb schedJob) {
 	if sub.settled[jb.ji].Load() {
 		return // a late external completion beat the requeue; nothing to do
 	}
-	var cs metasurface.CacheStats
-	if sub.trackCache {
-		cs = metasurface.GlobalCacheStats()
-	}
 	res, err := ComputeJob(sub.ctx, jb.desc())
-	if !sub.settle(jb, res, err) {
-		return
+	if sub.settle(jb, res, err) {
+		sub.jobDone(1)
 	}
-	if sub.trackCache {
-		cs = metasurface.GlobalCacheStats().Sub(cs)
-		c := &sub.cells[jb.cell]
-		c.cacheHits[jb.point], c.cacheMisses[jb.point] = cs.Hits, cs.Misses
-	}
-	sub.jobDone(1)
 }
 
 // settle is the one commit of a job's slots for every finisher: the
@@ -667,7 +648,7 @@ func (sub *submission) finish() {
 // applied, so a submission's report cannot depend on what else shared
 // the pool.
 func (sub *submission) finalize() {
-	cacheDelta := metasurface.GlobalCacheStats().Sub(sub.cacheStart)
+	cs := metasurface.GlobalCacheStats().Sub(sub.cacheStart)
 	conc := max(1, min(sub.workers, len(sub.queue)))
 	rep := &Report{
 		Seeds:       append([]int64(nil), sub.spec.Seeds...),
@@ -675,8 +656,8 @@ func (sub *submission) finalize() {
 		Wall:        time.Since(sub.start),
 		ShardRows:   sub.spec.ShardRows,
 		BatchRows:   sub.spec.BatchRows,
-		CacheHits:   cacheDelta.Hits,
-		CacheMisses: cacheDelta.Misses,
+		CacheHits:   cs.Hits,
+		CacheMisses: cs.Misses,
 	}
 	cells := sub.cells
 	seeds := sub.spec.Seeds
@@ -726,10 +707,9 @@ func (sub *submission) finalize() {
 			if c.loaded || c.res == nil {
 				continue
 			}
-			h, m := c.cacheDelta()
-			rec := storeRecord(c.res, c.seed, store.Meta{
+			rec := CellRecord(c.res, c.seed, store.Meta{
 				Concurrency: conc, ShardRows: sub.spec.ShardRows, BatchRows: sub.spec.BatchRows,
-				CacheHits: h, CacheMisses: m, ElapsedNs: int64(c.busy()),
+				ElapsedNs: int64(c.busy()),
 			})
 			if err := sub.st.Put(rec); err != nil {
 				err = fmt.Errorf("experiments: %s (seed %d): persisting result: %w", c.id, c.seed, err)
@@ -756,7 +736,6 @@ func (sub *submission) finalize() {
 	for i, id := range sub.spec.IDs {
 		var perSeed []*Result
 		var wall, busy time.Duration
-		var hits, misses uint64
 		points := 1
 		// An experiment row missing any seed is excluded from the report
 		// proper, but its completed seeds must not vanish: a failure in
@@ -773,9 +752,6 @@ func (sub *submission) finalize() {
 			c := &cells[i*len(seeds)+s]
 			wall += c.span()
 			busy += c.busy()
-			h, m := c.cacheDelta()
-			hits += h
-			misses += m
 			if sub.spec.ShardRows {
 				// A sharded cell reports its axis length, whatever the
 				// batch size; an unsharded one stays at 1.
@@ -798,7 +774,6 @@ func (sub *submission) finalize() {
 		rep.Timings = append(rep.Timings, Timing{
 			ID: id, Elapsed: wall, Busy: busy,
 			Rows: len(perSeed[0].Rows), Points: points,
-			CacheHits: hits, CacheMisses: misses,
 		})
 		rep.Results = append(rep.Results, perSeed[0])
 		if len(seeds) > 1 {

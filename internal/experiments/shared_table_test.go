@@ -302,8 +302,9 @@ func TestLoadSaveResponseTablesGlue(t *testing.T) {
 	}
 	warm := metasurface.MustNew(d)
 	warm.SetBias(8, 8)
+	before := metasurface.GlobalCacheStats()
 	warm.JonesTransmissive(f)
-	if cs := warm.CacheStats(); cs.Misses != 0 || cs.Hits != 3 {
+	if cs := metasurface.GlobalCacheStats().Sub(before); cs.Misses != 0 || cs.Hits != 3 {
 		t.Fatalf("warm surface = %+v, want 3 hits / 0 misses", cs)
 	}
 

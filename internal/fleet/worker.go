@@ -30,9 +30,12 @@ type WorkerConfig struct {
 	// a sharded cell whose one batch spans the axis (a one-point sweep,
 	// or a batch at least the axis length). A job covering only part of
 	// the axis is a partial cell and flows back only through the
-	// coordinator, whose finalize persists it. Duplicate cell writes from racing workers are safe: records
-	// are deterministic and written atomically (see internal/store's
-	// cross-process notes).
+	// coordinator, whose finalize persists it. Duplicate cell writes
+	// are safe: every writer builds the record with
+	// experiments.CellRecord, so the tables are equal (only Meta
+	// differs), writes are atomic, and Store.Put confirms a record
+	// whose table is already stored instead of rewriting it (see
+	// internal/store's cross-process notes).
 	Store *store.Store
 	// Poll is the idle backoff between lease attempts when the
 	// coordinator has no work; defaults to 200ms.

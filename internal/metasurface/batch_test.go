@@ -113,10 +113,11 @@ func TestBatchMatchesScalarAllModes(t *testing.T) {
 func TestJonesBatchEmptyAndDst(t *testing.T) {
 	ResetResponseTables()
 	s := MustNew(OptimizedFR4Design(units.DefaultCarrierHz))
+	since := window()
 	if got := s.JonesBatch(Transmissive, nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
-	if st := s.CacheStats(); st.Lookups() != 0 {
+	if st := since(); st.Lookups() != 0 {
 		t.Fatalf("empty batch recorded %d lookups", st.Lookups())
 	}
 	dst := make([]mat2.Mat, 0, 8)
@@ -141,8 +142,9 @@ func TestWarmFillsTheTable(t *testing.T) {
 	warmer := MustNew(d)
 	warmer.Warm(pts)
 	scan := MustNew(d)
+	since := window()
 	got := scan.JonesBatch(Transmissive, pts, nil)
-	if st := scan.CacheStats(); st.Misses != 0 {
+	if st := since(); st.Misses != 0 {
 		t.Fatalf("scan after Warm recorded %d misses, want 0", st.Misses)
 	}
 	for i := range pts {
@@ -151,10 +153,10 @@ func TestWarmFillsTheTable(t *testing.T) {
 		}
 	}
 	// Warming again is free: every entry already exists.
-	before := TableStats(d)
+	since = window()
 	warmer.Warm(pts)
-	if after := TableStats(d); after.Misses != before.Misses {
-		t.Fatalf("repeat Warm computed %d new entries", after.Misses-before.Misses)
+	if st := since(); st.Misses != 0 {
+		t.Fatalf("repeat Warm computed %d new entries", st.Misses)
 	}
 }
 
@@ -195,6 +197,7 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 		distinctQWP[p.F] = true
 	}
 
+	since := window()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
@@ -236,7 +239,7 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 		t.Fatalf("map holds %d entries, want %d", got, keys)
 	}
 	want := uint64(len(distinctAxis) + len(distinctQWP))
-	if st := TableStats(d); st.Misses != want {
+	if st := since(); st.Misses != want {
 		t.Fatalf("table recorded %d misses for %d distinct axis+QWP keys; singleflight must evaluate each once", st.Misses, want)
 	}
 }
@@ -245,9 +248,9 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 // writers continuously inserting fresh keys (forcing copy-on-write
 // publishes mid-read) across several seeds and goroutine counts. Every
 // read must return the precomputed reference bits — a reader sees the
-// old snapshot or the new one, never a torn map — and the per-table,
-// global and per-view counters must account every lookup exactly (the
-// three views never under-count). Run under -race this is the
+// old snapshot or the new one, never a torn map — and the hit/miss
+// counter must account every lookup exactly (it never under-counts).
+// Run under -race this is the
 // publication-safety certificate for the whole design.
 func TestSnapshotPublicationRace(t *testing.T) {
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
@@ -272,6 +275,7 @@ func TestSnapshotPublicationRace(t *testing.T) {
 			}
 
 			tbl := newResponseTable("race-test")
+			since := window()
 			const rounds = 300
 			errs := make(chan string, readers)
 			var lookups atomic.Uint64
@@ -302,7 +306,7 @@ func TestSnapshotPublicationRace(t *testing.T) {
 					for i := 0; i < rounds; i++ {
 						ki := (i + r) % len(hot)
 						k := hot[ki]
-						got, _ := tbl.axisAt(d, k.axis, k.f, k.v, uint32(r))
+						got := tbl.axisAt(d, k.axis, k.f, k.v, uint32(r))
 						lookups.Add(1)
 						if !sameC(got.s.S21, refs[ki].s.S21) || !sameC(got.shortGamma, refs[ki].shortGamma) {
 							errs <- "axis response diverged from the pure evaluation under publication churn"
@@ -318,8 +322,8 @@ func TestSnapshotPublicationRace(t *testing.T) {
 			for e := range errs {
 				t.Fatalf("seed %d readers %d: %s", seed, readers, e)
 			}
-			if st := tbl.stats(); st.Lookups() != lookups.Load() {
-				t.Fatalf("seed %d readers %d: table counted %d lookups, %d performed — views must never under-count",
+			if st := since(); st.Lookups() != lookups.Load() {
+				t.Fatalf("seed %d readers %d: counter saw %d lookups, %d performed — it must never under-count",
 					seed, readers, st.Lookups(), lookups.Load())
 			}
 		}

@@ -107,7 +107,7 @@ func BenchmarkTableParallelSnapshot(b *testing.B) {
 		for pb.Next() {
 			p := pts[i%len(pts)]
 			i++
-			r, _ := tbl.axisAt(d, p.axis, p.f, p.v, shard)
+			r := tbl.axisAt(d, p.axis, p.f, p.v, shard)
 			if r.s.Z0 == 0 {
 				b.Fatal("degenerate response")
 			}
@@ -154,7 +154,7 @@ func BenchmarkTableBatchAxis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pts {
-			if r, _ := tbl.axisAt(d, p.axis, p.f, p.v, 0); r.s.Z0 == 0 {
+			if r := tbl.axisAt(d, p.axis, p.f, p.v, 0); r.s.Z0 == 0 {
 				b.Fatal("degenerate response")
 			}
 		}

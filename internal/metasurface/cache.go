@@ -24,11 +24,11 @@ package metasurface
 // and the race detector can prove the absence of torn reads. Concurrent
 // misses on the same key are grouped singleflight-style: exactly one
 // goroutine evaluates, the rest wait on its completion channel, so
-// redundant evaluation is bounded at one per distinct key. Counters are
-// sharded across cache-line-padded slots (statShard) so hit accounting
-// never bounces one hot line between cores. This scalar lookup is the
-// only way into a table: JonesBatch and Warm (batch.go) loop it point
-// by point.
+// redundant evaluation is bounded at one per distinct key. The one
+// hit/miss counter (globalStats) is sharded across cache-line-padded
+// slots (statShard) so hit accounting never bounces one hot line
+// between cores. This scalar lookup is the only way into a table:
+// JonesBatch and Warm (batch.go) loop it point by point.
 
 import (
 	"math"
@@ -80,8 +80,8 @@ func SetCaching(on bool) { cachingOff.Store(!on) }
 // CachingEnabled reports whether response caching is on.
 func CachingEnabled() bool { return !cachingOff.Load() }
 
-// statShards is the number of padded counter slots per sharded counter
-// pair. Surfaces are dealt slots round-robin at construction, so up to
+// statShards is the number of padded slots of the hit/miss counter.
+// Surfaces are dealt slots round-robin at construction, so up to
 // statShards concurrently hot surfaces account their lookups without
 // ever contending on one cache line.
 const statShards = 16
@@ -96,21 +96,19 @@ type statShard struct {
 }
 
 // shardedStats is a pair of monotone counters spread over padded shards.
-// Adds touch one shard; loads sum all of them, so the three stat views
-// (per-surface, per-table, global) stay exact while the hot path never
-// serializes on a single counter word.
+// A lookup touches one shard; loads sum all of them, so the totals stay
+// exact while the hot path never serializes on a single counter word.
 type shardedStats struct {
 	shards [statShards]statShard
 }
 
-// add folds a lookup outcome into one shard.
-func (s *shardedStats) add(shard uint32, hits, misses uint64) {
+// count folds one lookup outcome into the given shard.
+func (s *shardedStats) count(shard uint32, hit bool) {
 	sh := &s.shards[shard%statShards]
-	if hits != 0 {
-		sh.hits.Add(hits)
-	}
-	if misses != 0 {
-		sh.misses.Add(misses)
+	if hit {
+		sh.hits.Add(1)
+	} else {
+		sh.misses.Add(1)
 	}
 }
 
@@ -132,12 +130,12 @@ func (s *shardedStats) reset() {
 	}
 }
 
-// globalStats aggregates lookups across every design table in the
-// process, so harnesses (llama-bench, the experiment engine) can report
-// cache effectiveness without plumbing individual surfaces out of
-// runners. Each lookup is counted exactly once here, once on its design
-// table, and once on the Surface that asked — three views of the same
-// event, never double-counted within a view.
+// globalStats is the response tables' one hit/miss counter: every
+// lookup against any design table in the process counts here exactly
+// once, so harnesses (llama-bench, the experiment scheduler, the perf
+// benchmark, a fleet worker's warmth report) read cache effectiveness
+// without plumbing individual surfaces out of runners. Windowed counts
+// come from GlobalCacheStats().Sub(before).
 var globalStats shardedStats
 
 // shardSeq deals out counter-shard slots round-robin at Surface
@@ -357,8 +355,6 @@ type responseTable struct {
 	qwp  *snapMap[uint64, qwpResponse]
 
 	version atomic.Uint64
-
-	counters shardedStats
 }
 
 // newResponseTable returns an empty table for one design fingerprint,
@@ -375,46 +371,30 @@ func newResponseTable(fp string) *responseTable {
 	return t
 }
 
-// stats sums the table's sharded counters.
-func (t *responseTable) stats() CacheStats { return t.counters.load() }
-
-// count folds one lookup outcome into the table's and the global
-// sharded counters on the caller's shard slot.
-func (t *responseTable) count(shard uint32, hit bool) {
-	if hit {
-		t.counters.add(shard, 1, 0)
-		globalStats.add(shard, 1, 0)
-	} else {
-		t.counters.add(shard, 0, 1)
-		globalStats.add(shard, 0, 1)
-	}
-}
-
 // axisAt returns the memoized per-axis response, computing and storing
-// it on first use, and reports whether it was a hit. shard selects the
-// caller's counter slot. The hit path is one snapshot probe plus two
-// sharded counter adds — no lock, no allocation.
-func (t *responseTable) axisAt(d Design, axis Axis, f, v float64, shard uint32) (axisResponse, bool) {
+// it on first use. shard selects the caller's counter slot. The hit
+// path is one snapshot probe plus one sharded counter add — no lock, no
+// allocation.
+func (t *responseTable) axisAt(d Design, axis Axis, f, v float64, shard uint32) axisResponse {
 	key := axisKey{axis: axis, f: math.Float64bits(f), v: math.Float64bits(v)}
 	if r, ok := t.axis.get(key); ok {
-		t.count(shard, true)
-		return r, true
+		globalStats.count(shard, true)
+		return r
 	}
 	r, hit := t.axis.lookup(key, func() axisResponse { return d.axisEval(axis, f, v) })
-	t.count(shard, hit)
-	return r, hit
+	globalStats.count(shard, hit)
+	return r
 }
 
 // qwpAt returns the memoized QWP response at frequency f, computing and
-// storing it on first use, and reports whether it was a hit. The hit
-// path performs no allocation.
-func (t *responseTable) qwpAt(d Design, f float64, shard uint32) (qwpResponse, bool) {
+// storing it on first use. The hit path performs no allocation.
+func (t *responseTable) qwpAt(d Design, f float64, shard uint32) qwpResponse {
 	key := math.Float64bits(f)
 	if r, ok := t.qwp.get(key); ok {
-		t.count(shard, true)
-		return r, true
+		globalStats.count(shard, true)
+		return r
 	}
 	r, hit := t.qwp.lookup(key, func() qwpResponse { return d.qwpEval(f) })
-	t.count(shard, hit)
-	return r, hit
+	globalStats.count(shard, hit)
+	return r
 }

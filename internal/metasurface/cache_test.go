@@ -82,31 +82,41 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	s := MustNew(OptimizedFR4Design(units.DefaultCarrierHz))
 	s.SetBias(8, 8)
 	f := units.DefaultCarrierHz
-	if st := s.CacheStats(); st.Lookups() != 0 {
-		t.Fatalf("fresh surface has %d lookups", st.Lookups())
+	since := window()
+	if st := since(); st.Lookups() != 0 {
+		t.Fatalf("building a surface counted %d lookups", st.Lookups())
 	}
 	s.JonesTransmissive(f)
-	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 3 {
+	if st := since(); st.Hits != 0 || st.Misses != 3 {
 		t.Fatalf("first evaluation: %+v, want 0 hits / 3 misses", st)
 	}
 	s.JonesTransmissive(f)
-	if st := s.CacheStats(); st.Hits != 3 || st.Misses != 3 {
+	if st := since(); st.Hits != 3 || st.Misses != 3 {
 		t.Fatalf("repeat evaluation: %+v, want 3 hits / 3 misses", st)
 	}
 	// FrontReflection reuses the axis entries the Jones call populated.
 	s.FrontReflection(f)
-	if st := s.CacheStats(); st.Hits != 5 || st.Misses != 3 {
+	if st := since(); st.Hits != 5 || st.Misses != 3 {
 		t.Fatalf("front reflection: %+v, want 5 hits / 3 misses", st)
 	}
 	// A new bias point misses on the changed axes but still hits the QWP.
 	s.SetBias(8, 9)
 	s.JonesTransmissive(f)
-	if st := s.CacheStats(); st.Hits != 7 || st.Misses != 4 {
+	if st := since(); st.Hits != 7 || st.Misses != 4 {
 		t.Fatalf("new Vy: %+v, want 7 hits / 4 misses (X axis + QWP hit, Y axis miss)", st)
 	}
-	if hr := s.CacheStats().HitRate(); hr <= 0.5 || hr >= 1 {
+	if hr := since().HitRate(); hr <= 0.5 || hr >= 1 {
 		t.Errorf("hit rate = %v, want in (0.5, 1)", hr)
 	}
+}
+
+// window starts a windowed read of the one hit/miss counter and returns
+// the function that reports the lookups counted since. No test in this
+// package calls t.Parallel, so a window sees only its own test's
+// lookups.
+func window() func() CacheStats {
+	before := GlobalCacheStats()
+	return func() CacheStats { return GlobalCacheStats().Sub(before) }
 }
 
 // TestCacheDisabledCountsNothing: with caching off the counters must not
@@ -119,9 +129,10 @@ func TestCacheDisabledCountsNothing(t *testing.T) {
 	}
 	s := MustNew(OptimizedFR4Design(units.DefaultCarrierHz))
 	s.SetBias(8, 8)
+	since := window()
 	s.JonesTransmissive(units.DefaultCarrierHz)
 	s.JonesReflective(units.DefaultCarrierHz)
-	if st := s.CacheStats(); st.Lookups() != 0 {
+	if st := since(); st.Lookups() != 0 {
 		t.Fatalf("disabled cache recorded %d lookups", st.Lookups())
 	}
 }
@@ -139,16 +150,13 @@ func TestGlobalCacheStats(t *testing.T) {
 	a.SetBias(8, 8)
 	b.SetBias(8, 8)
 	a.JonesTransmissive(units.DefaultCarrierHz)
+	if st := GlobalCacheStats(); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("first surface = %+v, want 0 hits / 3 misses", st)
+	}
 	b.JonesTransmissive(units.DefaultCarrierHz)
 	g := GlobalCacheStats()
 	if g.Misses != 3 || g.Hits != 3 {
 		t.Fatalf("global stats = %+v, want 3 misses (first surface computes) + 3 hits (same-design sibling reuses)", g)
-	}
-	if st := a.CacheStats(); st.Hits != 0 || st.Misses != 3 {
-		t.Fatalf("first surface = %+v, want 0 hits / 3 misses", st)
-	}
-	if st := b.CacheStats(); st.Hits != 3 || st.Misses != 0 {
-		t.Fatalf("sibling surface = %+v, want 3 hits / 0 misses (entries shared by design)", st)
 	}
 	a.JonesTransmissive(units.DefaultCarrierHz)
 	now := GlobalCacheStats()
@@ -206,6 +214,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 
 	const workers = 8
 	const rounds = 200
+	since := window()
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
@@ -242,7 +251,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 	// Everything after the first computation per (axis/QWP, f) key must
 	// hit; concurrent first touches may duplicate a miss per worker, but
 	// never more.
-	st := shared.CacheStats()
+	st := since()
 	if st.Hits == 0 {
 		t.Error("stress run recorded no hits")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync/atomic"
 
 	"github.com/llama-surface/llama/internal/jones"
 	"github.com/llama-surface/llama/internal/mat2"
@@ -31,12 +30,7 @@ type Surface struct {
 	// (SetCaching).
 	table *responseTable
 
-	// hits, misses count this surface's own lookups against the shared
-	// table, so per-surface attribution survives sharing: the sum over
-	// all surfaces of a design equals the design table's counters.
-	hits, misses atomic.Uint64
-
-	// shard is this surface's slot in the sharded table/global counters
+	// shard is this surface's slot in the sharded hit/miss counter
 	// (cache.go), dealt round-robin at construction so concurrently hot
 	// surfaces never bounce one counter cache line between cores.
 	shard uint32
@@ -83,24 +77,6 @@ func (s *Surface) Bias() (vx, vy float64) { return s.biasX, s.biasY }
 func (s *Surface) String() string {
 	return fmt.Sprintf("%s [%d units, bias %.1f/%.1f V]",
 		s.design.Name, s.design.Units(), s.biasX, s.biasY)
-}
-
-// CacheStats returns the counters of this surface's own lookups against
-// its design's shared response table — hits include entries another
-// surface of the same design computed. Counters advance only while
-// caching is enabled (SetCaching).
-func (s *Surface) CacheStats() CacheStats {
-	return CacheStats{Hits: s.hits.Load(), Misses: s.misses.Load()}
-}
-
-// TableStats returns the counters of the design-wide shared table this
-// surface resolves against: its own lookups plus every sibling
-// surface's. Zero for a zero-value Surface.
-func (s *Surface) TableStats() CacheStats {
-	if s.table == nil {
-		return CacheStats{}
-	}
-	return s.table.stats()
 }
 
 // axisResponse is the complete per-axis physics evaluation: the front-
@@ -160,13 +136,7 @@ func (s *Surface) axisAt(axis Axis, f, v float64) axisResponse {
 	if s.table == nil || !CachingEnabled() {
 		return s.design.axisEval(axis, f, v)
 	}
-	r, hit := s.table.axisAt(s.design, axis, f, v, s.shard)
-	if hit {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return r
+	return s.table.axisAt(s.design, axis, f, v, s.shard)
 }
 
 // qwpAt returns the QWP response, through the shared table when caching
@@ -176,13 +146,7 @@ func (s *Surface) qwpAt(f float64) qwpResponse {
 	if s.table == nil || !CachingEnabled() {
 		return s.design.qwpEval(f)
 	}
-	r, hit := s.table.qwpAt(s.design, f, s.shard)
-	if hit {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return r
+	return s.table.qwpAt(s.design, f, s.shard)
 }
 
 // effectiveIndex returns the unloaded effective refractive index of the

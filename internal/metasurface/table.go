@@ -116,19 +116,6 @@ func tableFor(fp string) *responseTable {
 	return t
 }
 
-// TableStats returns the shared response table's counters for design d:
-// hits and misses summed over every Surface of that design in this
-// process. Zero if no Surface of the design has been built yet.
-func TableStats(d Design) CacheStats {
-	tablesMu.Lock()
-	t := tables[DesignFingerprint(d)]
-	tablesMu.Unlock()
-	if t == nil {
-		return CacheStats{}
-	}
-	return t.stats()
-}
-
 // TableCount returns the number of design tables currently registered.
 func TableCount() int {
 	tablesMu.Lock()

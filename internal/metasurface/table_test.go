@@ -1,20 +1,25 @@
 package metasurface
 
 // Contracts of the design-keyed response-table registry: fingerprint
-// canonicalization, cross-surface sharing, three-view counter
-// attribution (per surface / per design table / global), and the
-// lossless export/import round trip that backs persistence.
+// canonicalization, cross-surface sharing, and the lossless
+// export/import round trip that backs persistence.
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/llama-surface/llama/internal/units"
 )
 
 // TestDesignFingerprintPhysics: the fingerprint must be stable for the
-// same design, indifferent to labels, and sensitive to every physical
-// parameter a response evaluation can observe.
+// same design and must cover Design field by field. The mutations are
+// generated by walking Design with reflect, Substrate and Diode
+// included: every numeric leaf is physics a response evaluation can
+// observe and must move the key (an aliased table would serve one
+// design's responses for another), and every string leaf is a label
+// and must not. A leaf of any other kind fails until the fingerprint
+// and this test say how it counts.
 func TestDesignFingerprintPhysics(t *testing.T) {
 	base := OptimizedFR4Design(units.DefaultCarrierHz)
 	fp := DesignFingerprint(base)
@@ -25,31 +30,54 @@ func TestDesignFingerprintPhysics(t *testing.T) {
 		t.Fatalf("fingerprint not deterministic: %s != %s", again, fp)
 	}
 
-	renamed := base
-	renamed.Name = "same physics, different label"
-	renamed.Substrate.Name = "relabelled laminate"
-	renamed.Diode.Name = "relabelled diode"
-	if got := DesignFingerprint(renamed); got != fp {
-		t.Errorf("renaming changed the fingerprint: labels must not split tables")
+	type leaf struct {
+		name  string
+		index []int
 	}
-
-	// Every mutation below changes physics and must change the key —
-	// an aliased table would serve one design's responses for another.
-	mutations := map[string]func(*Design){
-		"substrate epsilon": func(d *Design) { d.Substrate.EpsilonR *= 1.001 },
-		"diode C0":          func(d *Design) { d.Diode.C0 *= 1.001 },
-		"center frequency":  func(d *Design) { d.CenterHz += 1e6 },
-		"bfs layers":        func(d *Design) { d.BFSLayers++ },
-		"load pitch":        func(d *Design) { d.LoadPitch *= 1.001 },
-		"bias offset":       func(d *Design) { d.BiasOffsetX += 0.01 },
-		"bias range":        func(d *Design) { d.MaxBiasV += 1 },
-	}
-	for name, mutate := range mutations {
-		d := base
-		mutate(&d)
-		if got := DesignFingerprint(d); got == fp {
-			t.Errorf("%s: physics mutation did not change the fingerprint", name)
+	var leaves []leaf
+	var walk func(typ reflect.Type, index []int, prefix string)
+	walk = func(typ reflect.Type, index []int, prefix string) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			idx := append(slices.Clone(index), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, idx, prefix+f.Name+".")
+				continue
+			}
+			leaves = append(leaves, leaf{prefix + f.Name, idx})
 		}
+	}
+	walk(reflect.TypeOf(base), nil, "")
+
+	nested := 0
+	for _, l := range leaves {
+		d := base
+		v := reflect.ValueOf(&d).Elem().FieldByIndex(l.index)
+		physics := true
+		switch v.Kind() {
+		case reflect.Float64:
+			v.SetFloat(v.Float()*1.001 + 1e-3) // moves a zero field too
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.String:
+			v.SetString(v.String() + " (relabelled)")
+			physics = false
+		default:
+			t.Errorf("%s: field of kind %s is neither physics nor label", l.name, v.Kind())
+			continue
+		}
+		if len(l.index) > 1 {
+			nested++
+		}
+		switch moved := DesignFingerprint(d) != fp; {
+		case physics && !moved:
+			t.Errorf("%s: physics mutation did not change the fingerprint", l.name)
+		case !physics && moved:
+			t.Errorf("%s: relabelling changed the fingerprint; labels must not split tables", l.name)
+		}
+	}
+	if nested == 0 {
+		t.Fatal("walk found no Substrate or Diode fields")
 	}
 }
 
@@ -63,15 +91,17 @@ func TestSharedTableCrossSurface(t *testing.T) {
 
 	a := MustNew(d)
 	a.SetBias(8, 8)
+	since := window()
 	a.JonesTransmissive(f)
-	if st := a.CacheStats(); st.Misses != 3 || st.Hits != 0 {
+	if st := since(); st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("first surface = %+v, want 3 misses", st)
 	}
 
 	b := MustNew(d)
 	b.SetBias(8, 8)
+	since = window()
 	b.JonesTransmissive(f)
-	if st := b.CacheStats(); st.Hits != 3 || st.Misses != 0 {
+	if st := since(); st.Hits != 3 || st.Misses != 0 {
 		t.Fatalf("sibling surface = %+v, want 3 hits against shared entries", st)
 	}
 	if TableCount() != 1 {
@@ -80,51 +110,13 @@ func TestSharedTableCrossSurface(t *testing.T) {
 
 	other := MustNew(NaiveFR4Design(units.DefaultCarrierHz))
 	other.SetBias(8, 8)
+	since = window()
 	other.JonesTransmissive(f)
-	if st := other.CacheStats(); st.Misses != 3 || st.Hits != 0 {
+	if st := since(); st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("different design = %+v, want its own cold table", st)
 	}
 	if TableCount() != 2 {
 		t.Fatalf("TableCount = %d, want 2 after a second design", TableCount())
-	}
-}
-
-// TestTableStatsThreeViews: per-surface, per-design-table and global
-// counters must agree — each lookup counts exactly once in each view,
-// and the sum over a design's surfaces equals its table's counters.
-// The windowed (Sub) form is what the engine's single-worker
-// attribution relies on.
-func TestTableStatsThreeViews(t *testing.T) {
-	ResetResponseTables()
-	before := GlobalCacheStats()
-	d := OptimizedFR4Design(units.DefaultCarrierHz)
-	f := units.DefaultCarrierHz
-
-	a := MustNew(d)
-	b := MustNew(d)
-	a.SetBias(8, 8)
-	b.SetBias(8, 9) // shares the X-axis and QWP entries, misses on Y
-	a.JonesTransmissive(f)
-	b.JonesTransmissive(f)
-	b.JonesTransmissive(f) // all hits
-
-	sa, sb := a.CacheStats(), b.CacheStats()
-	sum := CacheStats{Hits: sa.Hits + sb.Hits, Misses: sa.Misses + sb.Misses}
-	table := TableStats(d)
-	global := GlobalCacheStats().Sub(before)
-	if sum != table {
-		t.Errorf("sum of surfaces %+v != design table %+v", sum, table)
-	}
-	if table != global {
-		t.Errorf("design table %+v != global window %+v (single design in window)", table, global)
-	}
-	if s := a.TableStats(); s != table {
-		t.Errorf("Surface.TableStats %+v != TableStats(design) %+v", s, table)
-	}
-	// Pin the arithmetic so the no-double-count claim is concrete:
-	// a misses 3; b hits X+QWP (2), misses Y (1); b's repeat hits 3.
-	if want := (CacheStats{Hits: 5, Misses: 4}); table != want {
-		t.Errorf("table counters %+v, want %+v", table, want)
 	}
 }
 
@@ -144,8 +136,9 @@ func TestResetResponseTables(t *testing.T) {
 	}
 	fresh := MustNew(OptimizedFR4Design(units.DefaultCarrierHz))
 	fresh.SetBias(8, 8)
+	since := window()
 	fresh.JonesTransmissive(units.DefaultCarrierHz)
-	if st := fresh.CacheStats(); st.Misses != 3 {
+	if st := since(); st.Misses != 3 {
 		t.Errorf("post-reset surface = %+v, want a cold start (3 misses)", st)
 	}
 }
@@ -193,6 +186,7 @@ func TestTableExportImportRoundTrip(t *testing.T) {
 	}
 
 	warm := MustNew(d)
+	since := window()
 	for _, v := range biases {
 		warm.SetBias(v, v)
 		for _, f := range []float64{2.2e9, units.DefaultCarrierHz} {
@@ -205,7 +199,7 @@ func TestTableExportImportRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if st := warm.CacheStats(); st.Misses != 0 {
+	if st := since(); st.Misses != 0 {
 		t.Errorf("warm surface recomputed %d entries; import should have pre-filled all of them", st.Misses)
 	}
 

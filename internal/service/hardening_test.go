@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,7 +44,43 @@ func init() {
 			return experiments.Row(float64(i), float64(seed)), nil
 		},
 	})
+	// svc-gated: TestEventsStream's sweep. Seed 1's job waits until the
+	// test has opened the event stream, and seed 4's until the test has
+	// read a progress frame from it, so with one worker the stream
+	// carries progress without depending on timing.
+	experiments.RegisterSweep(&experiments.Sweep{
+		ID:          "svc-gated",
+		Description: "test-only sweep gated by TestEventsStream",
+		Title:       "gated sweep",
+		Columns:     []string{"seed"},
+		Points:      1,
+		Point: func(ctx context.Context, seed int64, i int) (experiments.PointResult, error) {
+			var gate chan struct{}
+			if g := streamGates.Load(); g != nil {
+				switch seed {
+				case 1:
+					gate = g.opened
+				case 4:
+					gate = g.progressed
+				}
+			}
+			if gate != nil {
+				select {
+				case <-gate:
+				case <-ctx.Done():
+					return experiments.PointResult{}, ctx.Err()
+				}
+			}
+			return experiments.Row(float64(seed)), nil
+		},
+	})
 }
+
+// eventGates are the channels the svc-gated sweep waits on.
+type eventGates struct{ opened, progressed chan struct{} }
+
+// streamGates holds the current TestEventsStream run's gates.
+var streamGates atomic.Pointer[eventGates]
 
 // newServerCfg is newServer with the full hardening config exposed.
 func newServerCfg(t *testing.T, dir string, cfg service.Config) (*service.Server, *httptest.Server) {
@@ -74,38 +111,67 @@ type sseEvent struct {
 	data string
 }
 
-// readSSE consumes an event stream until the server closes it.
-func readSSE(t *testing.T, body io.Reader) []sseEvent {
-	t.Helper()
+// sseReader reads an event stream one frame at a time.
+type sseReader struct{ sc *bufio.Scanner }
+
+// newSSEReader wraps an event-stream body.
+func newSSEReader(body io.Reader) *sseReader {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var evs []sseEvent
+	return &sseReader{sc: sc}
+}
+
+// next returns the stream's next frame, or false once the server has
+// closed the stream.
+func (r *sseReader) next(t *testing.T) (sseEvent, bool) {
+	t.Helper()
 	var cur sseEvent
-	for sc.Scan() {
-		line := sc.Text()
+	for r.sc.Scan() {
+		line := r.sc.Text()
 		switch {
 		case strings.HasPrefix(line, "event: "):
 			cur.name = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
 			cur.data = strings.TrimPrefix(line, "data: ")
 		case line == "" && cur.name != "":
-			evs = append(evs, cur)
-			cur = sseEvent{}
+			return cur, true
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := r.sc.Err(); err != nil {
 		t.Fatalf("reading event stream: %v", err)
 	}
-	return evs
+	return sseEvent{}, false
+}
+
+// readSSE consumes an event stream until the server closes it.
+func readSSE(t *testing.T, body io.Reader) []sseEvent {
+	t.Helper()
+	r := newSSEReader(body)
+	var evs []sseEvent
+	for {
+		ev, ok := r.next(t)
+		if !ok {
+			return evs
+		}
+		evs = append(evs, ev)
+	}
 }
 
 // TestEventsStream: /runs/{id}/events opens with a status frame, emits
 // progress frames as job counters move, pushes the terminal status
-// frame promptly, and then ends the stream.
+// frame promptly, and then ends the stream. The svc-gated run's first
+// job waits for the opening frame to be read and its last job for a
+// progress frame, so the stream must carry progress however slowly
+// the client connects.
 func TestEventsStream(t *testing.T) {
+	gates := &eventGates{opened: make(chan struct{}), progressed: make(chan struct{})}
+	streamGates.Store(gates)
 	_, ts := newServerCfg(t, t.TempDir(), service.Config{Workers: 1, EventPoll: 10 * time.Millisecond})
-	id := submit(t, ts.URL, `{"ids":["svc-work"],"seeds":[1,2,3,4]}`)
-	resp, err := http.Get(ts.URL + "/runs/" + id + "/events")
+	id := submit(t, ts.URL, `{"ids":["svc-gated"],"seeds":[1,2,3,4]}`)
+	// The timeout only bounds a broken stream; a working one ends long
+	// before it.
+	client := &http.Client{Timeout: time.Minute}
+	resp, err := client.Get(ts.URL + "/runs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +179,23 @@ func TestEventsStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
 	}
-	evs := readSSE(t, resp.Body)
+	stream := newSSEReader(resp.Body)
+	var evs []sseEvent
+	progressed := false
+	for {
+		ev, ok := stream.next(t)
+		if !ok {
+			break
+		}
+		evs = append(evs, ev)
+		switch {
+		case len(evs) == 1:
+			close(gates.opened)
+		case ev.name == "progress" && !progressed:
+			close(gates.progressed)
+			progressed = true
+		}
+	}
 	if len(evs) < 2 {
 		t.Fatalf("got %d event frames, want at least an opening and a terminal status", len(evs))
 	}

@@ -18,56 +18,87 @@ import (
 // TestPutConfirmsEqualRecord: re-putting the same table with other
 // provenance leaves the file's bytes and inode alone, keeps the first
 // Meta, and stamps the new record's Schema and Path as a write would.
+// The stored record is either one this release wrote or one an older
+// release wrote, whose Meta still carried the cache_hits/cache_misses
+// counters: that record must decode to the same table and Meta and be
+// confirmed as it stands, old keys and all, with no schema bump.
 func TestPutConfirmsEqualRecord(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, _ := sampleRecord("fig8", 3)
-	if err := s.Put(first); err != nil {
-		t.Fatal(err)
-	}
-	path := s.CellPath("fig8", 3)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	beforeInfo, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, _ := sampleRecord("fig8", 3)
+			if err := s.Put(first); err != nil {
+				t.Fatal(err)
+			}
+			path := s.CellPath("fig8", 3)
+			if legacy {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				old := bytes.Replace(data, []byte(`"elapsed_ns"`), []byte(`"cache_hits":132,"cache_misses":15,"elapsed_ns"`), 1)
+				if bytes.Equal(old, data) {
+					t.Fatal("no elapsed_ns key to place the legacy counters before")
+				}
+				if err := os.WriteFile(path, old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Get("fig8", 3)
+				if err != nil {
+					t.Fatalf("legacy record does not decode: %v", err)
+				}
+				if _, err := got.DecodeRows(); err != nil {
+					t.Fatalf("legacy record's rows do not decode: %v", err)
+				}
+				if got.Meta != first.Meta || fmt.Sprint(got.Rows) != fmt.Sprint(first.Rows) {
+					t.Fatalf("legacy record decoded to Meta %+v rows %v, want %+v %v", got.Meta, got.Rows, first.Meta, first.Rows)
+				}
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			beforeInfo, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	again, _ := sampleRecord("fig8", 3)
-	again.Meta = Meta{Concurrency: 1, BatchRows: 7, ElapsedNs: 99}
-	if err := s.Put(again); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	afterInfo, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Errorf("equal re-put rewrote the record:\n got %s\nwant %s", after, before)
-	}
-	if !os.SameFile(beforeInfo, afterInfo) {
-		t.Error("equal re-put replaced the file (inode changed)")
-	}
-	got, err := s.Get("fig8", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta != first.Meta {
-		t.Errorf("stored Meta = %+v, want the first computation's %+v", got.Meta, first.Meta)
-	}
-	if again.Path != path || again.Schema != SchemaVersion {
-		t.Errorf("confirmed record stamped path %q schema %d, want %q and %d", again.Path, again.Schema, path, SchemaVersion)
-	}
-	if again.Meta.SavedUnixNs != 0 {
-		t.Errorf("confirmed record's Meta was restamped: %+v", again.Meta)
+			again, _ := sampleRecord("fig8", 3)
+			again.Meta = Meta{Concurrency: 1, BatchRows: 7, ElapsedNs: 99}
+			if err := s.Put(again); err != nil {
+				t.Fatal(err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			afterInfo, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Errorf("equal re-put rewrote the record:\n got %s\nwant %s", after, before)
+			}
+			if !os.SameFile(beforeInfo, afterInfo) {
+				t.Error("equal re-put replaced the file (inode changed)")
+			}
+			got, err := s.Get("fig8", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Meta != first.Meta {
+				t.Errorf("stored Meta = %+v, want the first computation's %+v", got.Meta, first.Meta)
+			}
+			if again.Path != path || again.Schema != SchemaVersion {
+				t.Errorf("confirmed record stamped path %q schema %d, want %q and %d", again.Path, again.Schema, path, SchemaVersion)
+			}
+			if again.Meta.SavedUnixNs != 0 {
+				t.Errorf("confirmed record's Meta was restamped: %+v", again.Meta)
+			}
+		})
 	}
 }
 

@@ -44,10 +44,11 @@
 // Cross-process writers: several processes (llama-serve plus fleet
 // llama-worker processes on a shared filesystem) may hold the same
 // directory open and persist the same cell concurrently. That is safe
-// by construction, not by locking: a record is a pure function of
-// (experiment, seed), so racing writers produce identical bytes, and
-// the atomic rename means the last rename wins with the same content
-// (or a later writer finds the record stored and confirms it).
+// by construction, not by locking: a record's table is a pure function
+// of (experiment, seed), so racing writers carry equal tables (their
+// Meta may differ), the atomic rename means the last rename wins with
+// the same table, and a writer that finds the table stored confirms
+// it instead.
 // The property test TestCrossProcessWriters drives two handles
 // concurrently and checks exactly this.
 package store
@@ -68,7 +69,7 @@ import (
 // and the caller recomputes the cell).
 const SchemaVersion = 1
 
-// Meta carries the engine/cache provenance of one stored record. It is
+// Meta carries the engine provenance of one stored record. It is
 // informational: none of it feeds back into results, so two records of
 // the same (experiment, seed) with different Meta still decode to the
 // same table.
@@ -83,10 +84,6 @@ type Meta struct {
 	Concurrency int  `json:"concurrency"`
 	ShardRows   bool `json:"shard_rows"`
 	BatchRows   int  `json:"batch_rows"`
-	// CacheHits and CacheMisses are the response-cache lookups the cell
-	// performed, when the run could attribute them (single-worker runs).
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
 	// ElapsedNs is the compute time the cell cost when it was computed.
 	ElapsedNs int64 `json:"elapsed_ns"`
 	// LUT is a legacy read-only marker: older releases had an

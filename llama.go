@@ -135,12 +135,11 @@ func BuildSurface(d Design) (*Surface, error) {
 	return metasurface.New(d)
 }
 
-// CacheStats reports response-table hit/miss counters in three views:
-// per surface via Surface.CacheStats, per design via Surface.TableStats,
-// process-wide via GlobalCacheStats. Response tables are keyed by a
-// fingerprint of the design's physical parameters and shared by every
-// surface of that design, so one surface's computation is every
-// sibling's hit.
+// CacheStats reports response-table hit/miss counts, as read from the
+// one process-wide counter by GlobalCacheStats. Response tables are
+// keyed by a fingerprint of the design's physical parameters and shared
+// by every surface of that design, so one surface's computation is
+// every sibling's hit.
 type CacheStats = metasurface.CacheStats
 
 // GlobalCacheStats returns the process-wide response-table counters
@@ -224,10 +223,6 @@ func (l *Loop) BaselineDBm() float64 { return l.sys.BaselineDBm() }
 // ElapsedVirtual returns the virtual time consumed so far (sweep pacing
 // at the supply's 50 Hz switch limit).
 func (l *Loop) ElapsedVirtual() time.Duration { return l.sys.Clock.Now() }
-
-// CacheStats returns the deployed surface's response-cache counters:
-// how much of the loop's sweep physics was answered from memory.
-func (l *Loop) CacheStats() CacheStats { return l.sys.CacheStats() }
 
 // NetworkedLoop is the closed loop running over real loopback sockets:
 // SCPI/TCP to the supply, binary UDP telemetry from the receiver.
