@@ -32,7 +32,7 @@ func ablSubstrateSweep() *Sweep {
 		Points:      len(tands),
 		Point: func(ctx context.Context, seed int64, i int) (PointResult, error) {
 			tand := tands[i]
-			d := metasurface.OptimizedFR4Design(units.DefaultCarrierHz)
+			d := optimizedFR4
 			d.Substrate = materials.Dielectric{
 				Name: "sweep", EpsilonR: 4.4, LossTangent: tand,
 				// Cost model: low-loss laminates price superlinearly.
@@ -62,7 +62,7 @@ func ablLayersSweep() *Sweep {
 		Points:      len(layerCounts),
 		Point: func(ctx context.Context, seed int64, i int) (PointResult, error) {
 			layers := layerCounts[i]
-			d := metasurface.OptimizedFR4Design(units.DefaultCarrierHz)
+			d := optimizedFR4
 			d.BFSLayers = layers
 			d.LoadPitch = d.CalibrateLoadPitch(units.Radians(97), 0.9, 15)
 			surf, err := metasurface.New(d)

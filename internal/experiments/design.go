@@ -9,5 +9,8 @@ import (
 // at package init. Design is an immutable value, so sweep points may
 // share it read-only and build their own (bias-mutable) Surface from it;
 // the calibration bisection is deterministic, so hoisting it preserves
-// bit-identical experiment output.
+// bit-identical experiment output. The substrate and layer-count
+// ablations derive their designs from it too: calibration never reads
+// the input LoadPitch, so a copy with one field changed (and, for
+// abl-layers, recalibrated) equals a freshly constructed design.
 var optimizedFR4 = metasurface.OptimizedFR4Design(units.DefaultCarrierHz)

@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"github.com/llama-surface/llama/internal/materials"
+	"github.com/llama-surface/llama/internal/twoport"
 	"github.com/llama-surface/llama/internal/units"
 	"github.com/llama-surface/llama/internal/varactor"
 )
@@ -239,8 +240,16 @@ func (d Design) BillOfMaterials() materials.BillOfMaterials {
 // The prototype lattice is 480×480 mm with 180 functional units; the
 // bias-asymmetry term reproduces the nonzero Table 1 diagonal.
 func OptimizedFR4Design(centerHz float64) Design {
+	return optimizedFR4Geometry(centerHz).calibrated()
+}
+
+// optimizedFR4Geometry is OptimizedFR4Design before calibration. Every
+// prefab constructor starts from it and calibrates exactly once:
+// CalibrateLoadPitch never reads the input LoadPitch, so a chain of
+// calibrated constructors would only repeat work.
+func optimizedFR4Geometry(centerHz float64) Design {
 	scale := units.ISMBandCenter / centerHz // geometric scaling for other bands
-	d := Design{
+	return Design{
 		Name:              fmt.Sprintf("LLAMA optimized FR4 @%.2f GHz", centerHz/1e9),
 		Substrate:         materials.FR4,
 		Diode:             varactor.SMV1233,
@@ -255,7 +264,7 @@ func OptimizedFR4Design(centerHz float64) Design {
 		BFSLayerThickness: 0.8e-3 * scale,
 		BFSPath:           0.0232 * scale, // Fig. 6 BFS trace length
 		BFSConcentration:  2.5,
-		LoadPitch:         80e-3 * scale, // recalibrated below
+		LoadPitch:         80e-3 * scale, // placeholder: calibrated sets it
 		BFSSelectivity:    0.35,
 		BFSResonanceBias:  8,
 		BiasOffsetX:       1.1,
@@ -267,6 +276,11 @@ func OptimizedFR4Design(centerHz float64) Design {
 		MinBiasV:          0,
 		MaxBiasV:          30,
 	}
+}
+
+// calibrated returns d with LoadPitch set for the paper's Table 1 corner:
+// a 97° swing between the X axis's effective bias at 2 V and 15 V.
+func (d Design) calibrated() Design {
 	d.LoadPitch = d.CalibrateLoadPitch(units.Radians(97), d.effectiveMinBias(2), 15)
 	return d
 }
@@ -287,7 +301,12 @@ func (d Design) effectiveMinBias(vNominal float64) float64 {
 // but fabricated on FR4. Twice the phase-shifter layers at three times the
 // thickness make the 0.02 loss tangent ruinous.
 func NaiveFR4Design(centerHz float64) Design {
-	d := OptimizedFR4Design(centerHz)
+	return naiveFR4Geometry(centerHz).calibrated()
+}
+
+// naiveFR4Geometry is NaiveFR4Design before calibration.
+func naiveFR4Geometry(centerHz float64) Design {
+	d := optimizedFR4Geometry(centerHz)
 	d.Name = fmt.Sprintf("naive FR4 @%.2f GHz", centerHz/1e9)
 	d.QWPLayerThickness *= 3
 	d.QWPPath *= 2
@@ -296,7 +315,6 @@ func NaiveFR4Design(centerHz float64) Design {
 	d.BFSLayerThickness *= 3
 	d.BFSPath *= 1.7
 	d.BFSConcentration = 14
-	d.LoadPitch = d.CalibrateLoadPitch(units.Radians(97), d.effectiveMinBias(2), 15)
 	return d
 }
 
@@ -304,12 +322,20 @@ func NaiveFR4Design(centerHz float64) Design {
 // multi-layer geometry as NaiveFR4Design but on low-loss Rogers 5880,
 // reproducing the high transmission efficiency of [36].
 func Rogers5880Design(centerHz float64) Design {
-	d := NaiveFR4Design(centerHz)
+	d := naiveFR4Geometry(centerHz)
 	d.Name = fmt.Sprintf("Rogers 5880 @%.2f GHz", centerHz/1e9)
 	d.Substrate = materials.Rogers5880
-	d.LoadPitch = d.CalibrateLoadPitch(units.Radians(97), d.effectiveMinBias(2), 15)
-	return d
+	return d.calibrated()
 }
+
+const (
+	// calibrationBiasSteps is the number of equal bias increments the
+	// calibration swing walks from vLo to vHi to unwrap the phase.
+	calibrationBiasSteps = 64
+	// calibrationMaxSteps bounds the pitch bisection. The geometric
+	// bisection of [0.2 mm, 20 m] reaches its fixed point well before.
+	calibrationMaxSteps = 80
+)
 
 // CalibrateLoadPitch searches for the varactor loading pitch that makes
 // the BFS transmission-phase swing between bias vLo and vHi equal target
@@ -319,15 +345,56 @@ func Rogers5880Design(centerHz float64) Design {
 // (loaded line plus varactor tanks) with phase unwrapped by stepping the
 // bias, so tank contributions are included. The returned pitch is found
 // by bisection; the search is monotone because heavier loading (smaller
-// pitch) always increases phase swing.
+// pitch) always increases phase swing. The input LoadPitch is never read.
+// The bracket runs from 0.2 mm (heaviest loading) to 20 m: when even
+// 0.2 mm falls short the pitch is 0.2 mm, and when even 20 m overshoots
+// (the face tanks alone swing further, as in the four-layer designs) the
+// bisection saturates at 20 m.
+//
+// The bias-only terms — C(v) and the face-tank two-port at each of the
+// 65 bias samples — are computed once per call, so each bisection step
+// evaluates only the pitch-dependent line. The bisection stops on the
+// first step that leaves its bracket unchanged: a step is a pure
+// function of the bracket, so every later step would repeat it.
 func (d Design) CalibrateLoadPitch(target float64, vLo, vHi float64) float64 {
+	pitch, _ := d.calibrateLoadPitch(target, vLo, vHi)
+	return pitch
+}
+
+// calibrateLoadPitch is CalibrateLoadPitch, also reporting the number of
+// bisection steps it ran (0 when even the heaviest loading falls short).
+func (d Design) calibrateLoadPitch(target float64, vLo, vHi float64) (pitch float64, steps int) {
 	if target <= 0 {
 		panic("metasurface: non-positive calibration target")
 	}
+	f := d.CenterHz
+	var cv [calibrationBiasSteps + 1]float64
+	var tank [calibrationBiasSteps + 1]twoport.ABCD
+	for i := range cv {
+		v := vLo
+		if i > 0 {
+			v = vLo + (vHi-vLo)*float64(i)/calibrationBiasSteps
+		}
+		cv[i] = d.Diode.Capacitance(v)
+		tank[i] = d.bfsTank(f, v)
+	}
+	// swing is the full-network transmission phase change as the bias
+	// steps from vLo to vHi: each wrapped step difference is accumulated,
+	// which unwraps the total even when it exceeds 2π.
 	swing := func(pitch float64) float64 {
 		trial := d
 		trial.LoadPitch = pitch
-		return math.Abs(trial.bfsUnwrappedPhaseDelta(trial.CenterHz, vLo, vHi))
+		phaseAt := func(i int) float64 {
+			return trial.bfsStackAt(f, cv[i], tank[i]).ToS(units.Z0FreeSpace).TransmissionPhase()
+		}
+		total := 0.0
+		prev := phaseAt(0)
+		for i := 1; i <= calibrationBiasSteps; i++ {
+			cur := phaseAt(i)
+			total += units.NormalizeAngle(cur - prev)
+			prev = cur
+		}
+		return math.Abs(total)
 	}
 	// Bracket: huge pitch = negligible loading; tiny pitch = heavy.
 	loPitch, hiPitch := 0.2e-3, 20.0
@@ -335,15 +402,21 @@ func (d Design) CalibrateLoadPitch(target float64, vLo, vHi float64) float64 {
 		// Even the heaviest loading cannot reach the target; return the
 		// heaviest valid pitch rather than failing, so exotic designs
 		// degrade gracefully.
-		return loPitch
+		return loPitch, 0
 	}
-	for i := 0; i < 80; i++ {
+	for steps < calibrationMaxSteps {
+		steps++
 		mid := math.Sqrt(loPitch * hiPitch) // geometric bisection
+		lo, hi := loPitch, hiPitch
 		if swing(mid) > target {
-			loPitch = mid
+			lo = mid
 		} else {
-			hiPitch = mid
+			hi = mid
 		}
+		if lo == loPitch && hi == hiPitch {
+			break // fixed point
+		}
+		loPitch, hiPitch = lo, hi
 	}
-	return math.Sqrt(loPitch * hiPitch)
+	return math.Sqrt(loPitch * hiPitch), steps
 }

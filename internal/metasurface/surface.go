@@ -229,13 +229,13 @@ func (d Design) qwpJones(f, theta float64) mat2.Mat {
 }
 
 // loadedLine describes the varactor-loaded synthetic line of one BFS axis
-// at a given bias: characteristic impedance drops and phase constant grows
-// with loading (distributed-loading relations), and the varactor ESR adds
+// whose diodes sit at capacitance cv (the bias enters only through C(v)):
+// characteristic impedance drops and phase constant grows with loading
+// (distributed-loading relations), and the varactor ESR adds
 // shunt-conductance loss.
-func (d Design) loadedLine(f, bias float64) (zc complex128, gamma complex128) {
+func (d Design) loadedLine(f, cv float64) (zc complex128, gamma complex128) {
 	n := d.PatternIndex
 	w := units.AngularFrequency(f)
-	cv := d.Diode.Capacitance(bias)
 	// Unloaded per-unit-length parameters of a Z0-matched line with
 	// index n: L' = Z0·n/c, C' = n/(Z0·c).
 	z0 := units.Z0FreeSpace
@@ -254,13 +254,27 @@ func (d Design) loadedLine(f, bias float64) (zc complex128, gamma complex128) {
 }
 
 // bfsStack returns the cascaded ABCD network of all BFS layers at the
-// literal bias v (no axis offset): one layer build, then the identical
-// layers composed as a matrix power — no per-call slice, ⌈log₂n⌉
-// multiplies.
+// literal bias v (no axis offset).
 func (d Design) bfsStack(f, v float64) twoport.ABCD {
-	zc, gamma := d.loadedLine(f, v)
+	return d.bfsStackAt(f, d.Diode.Capacitance(v), d.bfsTank(f, v))
+}
+
+// bfsTank returns the two-port of one BFS face tank at frequency f and
+// bias v. It depends on neither LoadPitch nor BFSLayers.
+func (d Design) bfsTank(f, v float64) twoport.ABCD {
+	return twoport.ShuntAdmittance(d.bfsTankAdmittance(f, v))
+}
+
+// bfsStackAt is bfsStack's evaluator with the bias-only terms supplied:
+// the diode capacitance cv = C(v) and the face tank at that bias. One
+// layer build, then the identical layers composed as a matrix power — no
+// per-call slice, ⌈log₂n⌉ multiplies. Surface queries reach it through
+// bfsStack; CalibrateLoadPitch computes the bias terms once per call and
+// re-evaluates only the pitch-dependent line, so both paths run the same
+// arithmetic.
+func (d Design) bfsStackAt(f, cv float64, tank twoport.ABCD) twoport.ABCD {
+	zc, gamma := d.loadedLine(f, cv)
 	line := twoport.TransmissionLine(zc, gamma, d.BFSPath)
-	tank := twoport.ShuntAdmittance(d.bfsTankAdmittance(f, v))
 	layer := twoport.Cascade(tank, line, tank)
 	return twoport.CascadeN(layer, d.BFSLayers)
 }
@@ -276,37 +290,6 @@ func (d Design) bfsAxisNetwork(f float64, axis Axis, bias float64) twoport.ABCD 
 		}
 	}
 	return d.bfsStack(f, bias)
-}
-
-// bfsAxisPhase returns the line-only transmission phase (radians) of one
-// BFS axis at frequency f and bias v — the electrical length of the
-// loaded line, with no mod-2π ambiguity (excludes face-tank phase).
-func (d Design) bfsAxisPhase(f, v float64) float64 {
-	_, gamma := d.loadedLine(f, v)
-	return imag(gamma) * d.BFSPath * float64(d.BFSLayers)
-}
-
-// bfsUnwrappedPhaseDelta returns the full-network transmission phase
-// change (radians, sign preserved) of one BFS axis as the bias moves from
-// v1 to v2 at frequency f. The bias is stepped in small increments and
-// each wrapped phase difference accumulated, which unwraps the total even
-// when it exceeds 2π.
-func (d Design) bfsUnwrappedPhaseDelta(f, v1, v2 float64) float64 {
-	const steps = 64
-	phaseAt := func(v float64) float64 {
-		// AxisY sees the nominal bias (no offset); build directly through
-		// the shared stack evaluator — no per-step layer slice.
-		return d.bfsStack(f, v).ToS(units.Z0FreeSpace).TransmissionPhase()
-	}
-	total := 0.0
-	prev := phaseAt(v1)
-	for i := 1; i <= steps; i++ {
-		v := v1 + (v2-v1)*float64(i)/steps
-		cur := phaseAt(v)
-		total += units.NormalizeAngle(cur - prev)
-		prev = cur
-	}
-	return total
 }
 
 // AxisTransmission returns the complex through-stack transmission
