@@ -64,23 +64,11 @@ func BenchmarkExtMultilink(b *testing.B)  { benchExperiment(b, "ext-multilink") 
 func BenchmarkExtThroughput(b *testing.B) { benchExperiment(b, "ext-throughput") }
 func BenchmarkExtSchedule(b *testing.B)   { benchExperiment(b, "ext-schedule") }
 
-// Whole-suite benchmarks: the serial reference path vs Execute's
-// concurrent pool at several widths, so the fan-out speedup (and any
+// Whole-suite benchmarks: Execute's pool at one worker (serial) vs
+// several widths, so the fan-out speedup (and any
 // coordination overhead on small machines) is measurable.
 
-func BenchmarkRunAllSerial(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAll(ctx, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) == 0 {
-			b.Fatal("no results")
-		}
-	}
-}
+func BenchmarkRunAllSerial(b *testing.B) { benchRunAllParallel(b, 1) }
 
 func benchRunAllParallel(b *testing.B, workers int) {
 	b.Helper()

@@ -148,14 +148,6 @@ func (m Model) PolarizationState(psi float64) jones.Vector {
 	return v
 }
 
-// MismatchLossDB returns the polarization loss (dB ≤ 0) between this
-// antenna at orientation psiTx and a receiving antenna rx at psiRx over a
-// clean line-of-sight path — the quantity plotted in Fig. 2's micro
-// benchmarks.
-func (m Model) MismatchLossDB(psiTx float64, rx Model, psiRx float64) float64 {
-	return jones.PLFdB(m.PolarizationState(psiTx), rx.PolarizationState(psiRx))
-}
-
 // String implements fmt.Stringer.
 func (m Model) String() string {
 	return fmt.Sprintf("%s (%.1f dBi, %s, XPD %.0f dB)", m.Name, m.GainDBi, m.Pattern, m.XPDdB)

@@ -421,12 +421,6 @@ func (s *Scene) SpectralEfficiency() float64 {
 	return units.SpectralEfficiency(s.MeasuredSNR())
 }
 
-// CapacityBps returns the Shannon capacity over the noise bandwidth using
-// the measured SNR.
-func (s *Scene) CapacityBps() float64 {
-	return units.ShannonCapacity(s.NoiseBandwidthHz, s.MeasuredSNR())
-}
-
 // DefaultScene returns a ready-to-evaluate controlled-experiment scene:
 // USRP endpoints with directional patches in a mismatched (orthogonal)
 // configuration behind absorber, 10 mW transmit power at the paper's

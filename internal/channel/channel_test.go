@@ -58,11 +58,12 @@ func TestFriisAgreementWithoutSurface(t *testing.T) {
 	// the antennas' XPD leakage (a fraction of a dB).
 	sc := matchedScene(1.0)
 	sc.Env = Absorber()
-	want := units.WattsToDBm(units.FriisReceivedPower(
-		sc.TxPowerW,
-		units.DBToLinear(sc.Tx.Antenna.GainDBi),
-		units.DBToLinear(sc.Rx.Antenna.GainDBi),
-		sc.FreqHz, 1.0))
+	// Friis: Pr = Pt·Gt·Gr·(λ/4πd)² at d = 1 m.
+	factor := units.Wavelength(sc.FreqHz) / (4 * math.Pi * 1.0)
+	want := units.WattsToDBm(sc.TxPowerW *
+		units.DBToLinear(sc.Tx.Antenna.GainDBi) *
+		units.DBToLinear(sc.Rx.Antenna.GainDBi) *
+		factor * factor)
 	got := sc.ReceivedPowerDBm()
 	if math.Abs(got-want) > 0.5 {
 		t.Errorf("LoS power = %v dBm, Friis says %v", got, want)

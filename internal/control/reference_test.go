@@ -1,5 +1,8 @@
 package control
 
+// Code only this package's tests call. No figure, command or service
+// reaches it, so it is compiled into the tests alone.
+
 import (
 	"errors"
 	"fmt"
@@ -25,31 +28,6 @@ type SyncConfig struct {
 	// States is the total number of voltage states in the schedule;
 	// times beyond the schedule clamp to the last state.
 	States int
-}
-
-// Validate reports an error for unusable sync parameters.
-func (s SyncConfig) Validate() error {
-	if s.SwitchPeriod <= 0 {
-		return errors.New("control: non-positive switch period")
-	}
-	if s.States < 1 {
-		return errors.New("control: sync needs ≥1 state")
-	}
-	return nil
-}
-
-// StateIndex returns the voltage-state index active at receiver time t.
-// Samples before the schedule start map to state 0.
-func (s SyncConfig) StateIndex(t time.Duration) int {
-	rel := t - s.StartOffset
-	if rel < 0 {
-		return 0
-	}
-	idx := int(rel / s.SwitchPeriod)
-	if idx >= s.States {
-		idx = s.States - 1
-	}
-	return idx
 }
 
 // VoltageAt returns the (Vx, Vy) state active at receiver time t — Eq. 13
@@ -112,6 +90,66 @@ func (s SyncConfig) EstimateOffset(reports []telemetry.Report, resolution time.D
 	return best, nil
 }
 
+// ReferenceDBm returns the power at the last accepted optimum.
+func (t *Tracker) ReferenceDBm() float64 { return t.reference }
+
+// CompareSweepTimes computes the summary for a given configuration and
+// full-scan step.
+func CompareSweepTimes(cfg SweepConfig, fullStepV float64) (SweepTimeSummary, error) {
+	if err := cfg.Validate(); err != nil {
+		return SweepTimeSummary{}, err
+	}
+	if fullStepV <= 0 {
+		return SweepTimeSummary{}, errors.New("control: non-positive full-scan step")
+	}
+	stepsPerAxis := int((cfg.VMax-cfg.VMin)/fullStepV) + 1
+	full := time.Duration(stepsPerAxis*stepsPerAxis) * cfg.SwitchPeriod
+	fast := cfg.TimeCost()
+	return SweepTimeSummary{
+		FullScan:     full,
+		CoarseToFine: fast,
+		Speedup:      float64(full) / float64(fast),
+	}, nil
+}
+
+// RefineCost returns the switch budget of one refinement (grid plus the
+// final apply) — n²+1 against the full sweep's N·T²+1.
+func (c TrackerConfig) RefineCost() int { return c.RefineSteps*c.RefineSteps + 1 }
+
+// TrackingBudget estimates the mean switches/second a deployment spends
+// given an observed action mix, at the supply's switch period.
+func (c TrackerConfig) TrackingBudget(stats TrackerStats, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(stats.Switches) / elapsed.Seconds()
+}
+
+// Validate reports an error for unusable sync parameters.
+func (s SyncConfig) Validate() error {
+	if s.SwitchPeriod <= 0 {
+		return errors.New("control: non-positive switch period")
+	}
+	if s.States < 1 {
+		return errors.New("control: sync needs ≥1 state")
+	}
+	return nil
+}
+
+// StateIndex returns the voltage-state index active at receiver time t.
+// Samples before the schedule start map to state 0.
+func (s SyncConfig) StateIndex(t time.Duration) int {
+	rel := t - s.StartOffset
+	if rel < 0 {
+		return 0
+	}
+	idx := int(rel / s.SwitchPeriod)
+	if idx >= s.States {
+		idx = s.States - 1
+	}
+	return idx
+}
+
 // withinStateVariance sums the per-state power variance (linear domain).
 func (s SyncConfig) withinStateVariance(reports []telemetry.Report) float64 {
 	sums := make([]float64, s.States)
@@ -133,4 +171,19 @@ func (s SyncConfig) withinStateVariance(reports []telemetry.Report) float64 {
 		total += sqs[i]/counts[i] - mean*mean
 	}
 	return total
+}
+
+// TimeCost returns the sweep duration predicted by the paper's model:
+// SwitchPeriod · N · T² (0.02·N·T² seconds at 50 Hz).
+func (c SweepConfig) TimeCost() time.Duration {
+	return time.Duration(c.Iterations*c.Switches*c.Switches) * c.SwitchPeriod
+}
+
+// SweepTimeSummary reports the time-cost comparison the paper makes in
+// §3.3: the full scan at 1 V steps takes ~30 s, while Algorithm 1 with
+// N=2, T=5 completes in 0.02·N·T² = 1 s.
+type SweepTimeSummary struct {
+	FullScan     time.Duration
+	CoarseToFine time.Duration
+	Speedup      float64
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // PowerAt measures received power (dBm) with the receiver element rotated
@@ -159,32 +158,4 @@ func foldedDegrees(rad float64) float64 {
 		deg = 180 - deg
 	}
 	return deg
-}
-
-// SweepTimeSummary reports the time-cost comparison the paper makes in
-// §3.3: the full scan at 1 V steps takes ~30 s, while Algorithm 1 with
-// N=2, T=5 completes in 0.02·N·T² = 1 s.
-type SweepTimeSummary struct {
-	FullScan     time.Duration
-	CoarseToFine time.Duration
-	Speedup      float64
-}
-
-// CompareSweepTimes computes the summary for a given configuration and
-// full-scan step.
-func CompareSweepTimes(cfg SweepConfig, fullStepV float64) (SweepTimeSummary, error) {
-	if err := cfg.Validate(); err != nil {
-		return SweepTimeSummary{}, err
-	}
-	if fullStepV <= 0 {
-		return SweepTimeSummary{}, errors.New("control: non-positive full-scan step")
-	}
-	stepsPerAxis := int((cfg.VMax-cfg.VMin)/fullStepV) + 1
-	full := time.Duration(stepsPerAxis*stepsPerAxis) * cfg.SwitchPeriod
-	fast := cfg.TimeCost()
-	return SweepTimeSummary{
-		FullScan:     full,
-		CoarseToFine: fast,
-		Speedup:      float64(full) / float64(fast),
-	}, nil
 }

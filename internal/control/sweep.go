@@ -1,8 +1,8 @@
 // Package control implements LLAMA's centralized controller logic (§3.3–
 // §3.4): the coarse-to-fine biasing voltage sweep of Algorithm 1, the
-// exhaustive full scan it replaces, the receiver/power-supply
-// synchronization of Eq. 13, and the polarization-rotation-degree
-// estimation procedure.
+// exhaustive full scan it replaces, and the polarization-rotation-degree
+// estimation procedure. The receiver/power-supply synchronization of
+// Eq. 13 is checked in the package tests.
 //
 // The algorithms are expressed over small interfaces (Actuator to apply a
 // bias pair, Sensor to obtain a fresh RSSI) so the same code drives the
@@ -76,12 +76,6 @@ func (c SweepConfig) Validate() error {
 		return errors.New("control: non-positive switch period")
 	}
 	return nil
-}
-
-// TimeCost returns the sweep duration predicted by the paper's model:
-// SwitchPeriod · N · T² (0.02·N·T² seconds at 50 Hz).
-func (c SweepConfig) TimeCost() time.Duration {
-	return time.Duration(c.Iterations*c.Switches*c.Switches) * c.SwitchPeriod
 }
 
 // Sample is one sweep measurement.

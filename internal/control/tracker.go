@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Tracker maintains the surface's optimum under drift: a wearable swings
@@ -122,12 +121,6 @@ func NewTracker(cfg TrackerConfig, act Actuator, sen Sensor) (*Tracker, error) {
 // Stats returns the accumulated tier counts.
 func (t *Tracker) Stats() TrackerStats { return t.stats }
 
-// Bias returns the current bias pair.
-func (t *Tracker) Bias() (vx, vy float64) { return t.vx, t.vy }
-
-// ReferenceDBm returns the power at the last accepted optimum.
-func (t *Tracker) ReferenceDBm() float64 { return t.reference }
-
 // Start performs the initial full sweep.
 func (t *Tracker) Start(ctx context.Context) error {
 	res, err := CoarseToFine(ctx, t.cfg.Sweep, t.act, t.sen)
@@ -212,17 +205,4 @@ func (t *Tracker) refine(ctx context.Context) (float64, error) {
 	t.vx, t.vy = bvx, bvy
 	t.reference = best
 	return best, nil
-}
-
-// RefineCost returns the switch budget of one refinement (grid plus the
-// final apply) — n²+1 against the full sweep's N·T²+1.
-func (c TrackerConfig) RefineCost() int { return c.RefineSteps*c.RefineSteps + 1 }
-
-// TrackingBudget estimates the mean switches/second a deployment spends
-// given an observed action mix, at the supply's switch period.
-func (c TrackerConfig) TrackingBudget(stats TrackerStats, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(stats.Switches) / elapsed.Seconds()
 }

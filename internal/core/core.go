@@ -125,9 +125,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}, nil
 }
 
-// Config returns the effective (defaulted) configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // applySupplyToSurface pushes the supply's current *output* voltages into
 // the surface model — the physical wiring of Fig. 5.
 func (s *System) applySupplyToSurface() error {

@@ -41,12 +41,6 @@ type Radio struct {
 
 // Prefab devices matching the paper's hardware list.
 var (
-	// USRPN210 with a UBX-40 daughterboard: the lab transceiver (§4).
-	USRPN210 = Radio{
-		Name: "USRP N210 + UBX-40", Antenna: antenna.DirectionalPatch,
-		TxPowerDBm: 10, FreqHz: units.DefaultCarrierHz,
-		RSSIStepDB: 0.01, RSSINoiseDB: 0.1,
-	}
 	// NetgearAP is the 802.11g access point [2].
 	NetgearAP = Radio{
 		Name: "Netgear N300 AP", Antenna: antenna.HalfWaveDipole,

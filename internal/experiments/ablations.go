@@ -63,8 +63,12 @@ func ablLayersSweep() *Sweep {
 		Point: func(ctx context.Context, seed int64, i int) (PointResult, error) {
 			layers := layerCounts[i]
 			d := optimizedFR4
-			d.BFSLayers = layers
-			d.LoadPitch = d.CalibrateLoadPitch(units.Radians(97), 0.9, 15)
+			// optimizedFR4 is already calibrated at its own layer
+			// count; recalibrating it reproduces LoadPitch bit for bit.
+			if layers != d.BFSLayers {
+				d.BFSLayers = layers
+				d.LoadPitch = d.CalibrateLoadPitch(units.Radians(97), 0.9, 15)
+			}
 			surf, err := metasurface.New(d)
 			if err != nil {
 				return PointResult{}, err

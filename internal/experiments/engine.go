@@ -48,7 +48,7 @@ type Report struct {
 	// Wall is the end-to-end wall time of the whole run.
 	Wall time.Duration
 	// Results holds the tables for Seeds[0], in ID order — deep-equal to
-	// the serial RunAll output for that seed.
+	// running each experiment serially (Run) at that seed.
 	Results []*Result
 	// Timings lists per-experiment wall time (summed across seeds), in
 	// ID order.

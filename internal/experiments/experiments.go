@@ -5,7 +5,7 @@
 // exercises as a benchmark.
 //
 // Experiments are declared as Sweeps: an axis of points plus a per-point
-// function pure in (seed, point). The serial path (Run/RunAll) walks the
+// function pure in (seed, point). The serial path (Run) walks the
 // axis in order; the concurrent scheduler queues every job as a point
 // range of one sweep — the whole axis per (experiment, seed) cell, or,
 // with ShardRows, batches of points — across one bounded worker pool,
@@ -147,24 +147,6 @@ func Run(ctx context.Context, id string, seed int64) (*Result, error) {
 		return nil, err
 	}
 	return s.runSerial(ctx, seed)
-}
-
-// RunAll executes every experiment serially in ID order. It is the
-// reference path the concurrent scheduler must reproduce bit-for-bit; on
-// error the results computed so far are returned alongside it.
-func RunAll(ctx context.Context, seed int64) ([]*Result, error) {
-	var out []*Result
-	for _, id := range IDs() {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		res, err := Run(ctx, id, seed)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }
 
 // maxIn returns the maximum of xs; -Inf for empty input.

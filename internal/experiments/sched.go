@@ -142,13 +142,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	return s
 }
 
-// Store returns the scheduler's durable results backend, nil when the
-// scheduler is memory-only.
-func (s *Scheduler) Store() *store.Store { return s.st }
-
-// Workers returns the resolved pool width.
-func (s *Scheduler) Workers() int { return s.workers }
-
 // worker is the local pool's holder loop — deal a job, compute it with
 // ComputeJob, commit it with settle — the same body every lease holder
 // runs. It waits for work until Close stops the pool.

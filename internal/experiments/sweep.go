@@ -92,6 +92,8 @@ var sweeps = map[string]*Sweep{}
 // registration is not safe concurrently with running experiments — and
 // panics on a duplicate ID, a nil Point function or negative Points,
 // all programmer errors.
+//
+//lint:allow unused test hook: fleet and service tests register their failing and slow sweeps through it
 func RegisterSweep(s *Sweep) { registerSweep(s) }
 
 // registerSweep adds an experiment to the registry; a duplicate ID is a

@@ -81,7 +81,7 @@ func loadResponseTable(st *store.Store, fp string) loadedTable {
 	if err != nil {
 		return loadedTable{warn: fmt.Sprintf("%v: skipping", err)}
 	}
-	n, version, exact, err := metasurface.ImportResponseTableVersion(metasurface.TableExport{
+	n, version, exact, err := metasurface.ImportResponseTable(metasurface.TableExport{
 		Fingerprint: rec.Fingerprint,
 		Axis:        rec.Axis,
 		QWP:         rec.QWP,
@@ -122,7 +122,7 @@ func SaveResponseTables(st *store.Store) (tables, entries int, warns []string) {
 			continue
 		}
 		if old, err := st.GetTable(tv.Fingerprint); err == nil {
-			if _, err := metasurface.ImportResponseTable(metasurface.TableExport{
+			if _, _, _, err := metasurface.ImportResponseTable(metasurface.TableExport{
 				Fingerprint: old.Fingerprint,
 				Axis:        old.Axis,
 				QWP:         old.QWP,

@@ -29,7 +29,7 @@ func simCoordinator(t *testing.T, ttl time.Duration) (*experiments.Scheduler, *C
 	c, err := NewCoordinator(Config{
 		Sched: sched,
 		TTL:   ttl,
-		Now:   func() time.Time { return clk.Time(base) },
+		Now:   func() time.Time { return base.Add(clk.Now()) },
 		Logf:  t.Logf,
 	})
 	if err != nil {

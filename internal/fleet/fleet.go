@@ -39,8 +39,6 @@ var (
 	// still worth posting — it is accepted if the recomputation has not
 	// finished first).
 	ErrLeaseExpired = errors.New("fleet: lease expired")
-	// ErrClosed means the coordinator is shutting down.
-	ErrClosed = errors.New("fleet: coordinator closed")
 )
 
 // Config configures a Coordinator.

@@ -346,20 +346,3 @@ func (c *Client) Fail(leaseID string, d experiments.JobDesc, workErr error) erro
 	_, err := c.post("/fleet/complete", req, nil)
 	return err
 }
-
-// Stats fetches the coordinator's lease counters.
-func (c *Client) Stats() (Stats, error) {
-	resp, err := c.httpClient().Get(c.Base + "/fleet/stats")
-	if err != nil {
-		return Stats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Stats{}, fmt.Errorf("fleet: /fleet/stats: %s", resp.Status)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
-}

@@ -150,7 +150,7 @@ func reapModelRun(t *testing.T, seed int64, steps int) {
 	sched, c, clk := simCoordinator(t, ttl)
 	t.Cleanup(c.Close)
 	base := time.Unix(1_700_000_000, 0)
-	now := func() time.Time { return clk.Time(base) }
+	now := func() time.Time { return base.Add(clk.Now()) }
 	res := tab1CellResult(t)
 	rng := rand.New(rand.NewSource(seed))
 	m := &reapModel{ttl: ttl, leases: map[string]*modelLease{}, jobs: map[int64]*modelJob{}}
@@ -337,7 +337,7 @@ func BenchmarkCoordinatorLeaseComplete(b *testing.B) {
 					closeAll()
 					sched = experiments.NewScheduler(experiments.SchedulerConfig{LeaseOnly: true})
 					clk := simclock.New()
-					c, err = NewCoordinator(Config{Sched: sched, TTL: time.Minute, Now: func() time.Time { return clk.Time(time.Unix(1_700_000_000, 0)) }})
+					c, err = NewCoordinator(Config{Sched: sched, TTL: time.Minute, Now: func() time.Time { return time.Unix(1_700_000_000, 0).Add(clk.Now()) }})
 					if err != nil {
 						b.Fatal(err)
 					}

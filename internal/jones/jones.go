@@ -7,8 +7,8 @@
 // elements composes by matrix multiplication (Eq. 2). The package provides
 // the standard states and elements, the paper's rotator construction
 // P = Q₊₄₅°·B·Q₋₄₅° (Eq. 8), and the measurement-side quantities the
-// evaluation relies on: polarization loss factor, extracted rotation angle,
-// Stokes parameters and axial ratio.
+// evaluation relies on: polarization loss factor and extracted rotation
+// angle.
 package jones
 
 import (
@@ -48,22 +48,6 @@ func CircularRight() Vector {
 	return Vector{X: s, Y: -1i * s}
 }
 
-// CircularLeft returns the left-hand circular unit state (1, +j)/√2.
-func CircularLeft() Vector {
-	s := complex(1/math.Sqrt2, 0)
-	return Vector{X: s, Y: 1i * s}
-}
-
-// Elliptical returns the Jones vector with X amplitude a, Y amplitude b and
-// a relative phase of phi radians on the Y component: [a, b·e^{jφ}]. The
-// paper's Eq. (1) is the special case φ = π/2.
-func Elliptical(a, b, phi float64) Vector {
-	return Vector{
-		X: complex(a, 0),
-		Y: complex(b, 0) * cmplx.Exp(complex(0, phi)),
-	}
-}
-
 // Rotator returns the Jones matrix of an ideal polarization rotator by
 // theta radians: the rotation matrix R(θ) of Eq. (4).
 func Rotator(theta float64) Matrix { return mat2.Rotation(theta) }
@@ -75,73 +59,9 @@ func Rotated(m Matrix, theta float64) Matrix {
 	return r.Mul(m).Mul(r.Transpose())
 }
 
-// WavePlate returns the Jones matrix of a retarder whose fast axis lies
-// along X, with retardation delta radians applied to the Y component and a
-// common phase alpha:
-//
-//	e^{jα} · diag(1, e^{jδ})
-func WavePlate(alpha, delta float64) Matrix {
-	return mat2.Diag(1, cmplx.Exp(complex(0, delta))).Scale(cmplx.Exp(complex(0, alpha)))
-}
-
-// QuarterWavePlate returns the axis-aligned QWP of the paper's Eq. (3):
-// e^{jα}·diag(1, e^{jπ/2}).
-func QuarterWavePlate(alpha float64) Matrix { return WavePlate(alpha, math.Pi/2) }
-
-// HalfWavePlate returns an axis-aligned half-wave plate diag(1, −1) with
-// common phase alpha.
-func HalfWavePlate(alpha float64) Matrix { return WavePlate(alpha, math.Pi) }
-
-// QWPAt returns a quarter-wave plate rotated by theta radians, as used for
-// the paper's Q₊₄₅° and Q₋₄₅° elements (Eqs. 5–6).
-//
-// Note the paper writes the rotated plate as R(θ)·M·R(θ) rather than
-// R(θ)·M·R(θ)ᵀ; for θ = ±45° the two differ only in a sign convention that
-// cancels in the composed rotator. We use the standard similarity transform
-// (R·M·Rᵀ) so that individual plates behave physically on their own.
-func QWPAt(alpha, theta float64) Matrix {
-	return Rotated(QuarterWavePlate(alpha), theta)
-}
-
-// Birefringent returns the tunable birefringent structure (BFS) of Eq. (7):
-// e^{jβ}·diag(1, e^{jδ}), where delta is the differential transmission
-// phase between the X and Y axes set by the bias voltages.
-func Birefringent(beta, delta float64) Matrix { return WavePlate(beta, delta) }
-
-// LossyBirefringent returns a BFS with per-axis field transmission
-// magnitudes tx, ty (≤1) in addition to the differential phase delta and
-// common phase beta. This models the FR4 structure, whose dielectric loss
-// makes the element sub-unitary.
-func LossyBirefringent(beta, delta, tx, ty float64) Matrix {
-	return mat2.Diag(
-		complex(tx, 0),
-		complex(ty, 0)*cmplx.Exp(complex(0, delta)),
-	).Scale(cmplx.Exp(complex(0, beta)))
-}
-
-// LinearPolarizer returns the Jones matrix of an ideal linear polarizer
-// with transmission axis at angle theta.
-func LinearPolarizer(theta float64) Matrix {
-	return Rotated(mat2.Diag(1, 0), theta)
-}
-
-// PolarizationRotator composes the paper's rotator (Eq. 8):
-//
-//	P = Q₊₄₅° · B(δ) · Q₋₄₅°
-//
-// which equals a pure rotation by δ/2 up to a common phase. alpha is the
-// QWP common phase, beta the BFS common phase, delta the BFS differential
-// phase.
-func PolarizationRotator(alpha, beta, delta float64) Matrix {
-	qPlus := QWPAt(alpha, math.Pi/4)
-	qMinus := QWPAt(alpha, -math.Pi/4)
-	b := Birefringent(beta, delta)
-	return qPlus.Mul(b).Mul(qMinus)
-}
-
 // RotationAngle extracts the equivalent rotation angle (radians, in
 // (−π/2, π/2]) of a Jones matrix that is a scalar multiple of a rotation
-// matrix, such as the output of PolarizationRotator. For matrices that are
+// matrix, such as the paper's rotator of Eq. (8). For matrices that are
 // not pure rotations it returns the angle of the best-fit rotation: the
 // polar angle of (Re tr(M·Rᵀ(θ)) maximizer), computed in closed form as
 // atan2(C−B, A+D) on the real rotation part.
@@ -184,90 +104,6 @@ func PLF(t, r Vector) float64 {
 	}
 	d := rn.Dot(tn)
 	return real(d)*real(d) + imag(d)*imag(d)
-}
-
-// PLFdB returns the polarization mismatch loss in dB (≤ 0), −Inf for fully
-// orthogonal states.
-func PLFdB(t, r Vector) float64 {
-	p := PLF(t, r)
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(p)
-}
-
-// TransmittedPower returns the power gain |M·v̂|² of element M applied to
-// the normalized state of v: ≤1 for passive elements. Zero input returns 0.
-func TransmittedPower(m Matrix, v Vector) float64 {
-	vn, ok := v.Normalize()
-	if !ok {
-		return 0
-	}
-	return m.MulVec(vn).NormSq()
-}
-
-// Stokes returns the Stokes parameters (S0, S1, S2, S3) of state v:
-//
-//	S0 = |Ex|² + |Ey|²   total power
-//	S1 = |Ex|² − |Ey|²   horizontal/vertical balance
-//	S2 = 2·Re(Ex*·Ey)    ±45° balance
-//	S3 = 2·Im(Ex*·Ey)    circular balance
-func Stokes(v Vector) (s0, s1, s2, s3 float64) {
-	px := real(v.X)*real(v.X) + imag(v.X)*imag(v.X)
-	py := real(v.Y)*real(v.Y) + imag(v.Y)*imag(v.Y)
-	cross := cmplx.Conj(v.X) * v.Y
-	return px + py, px - py, 2 * real(cross), 2 * imag(cross)
-}
-
-// OrientationAngle returns the orientation ψ (radians, in (−π/2, π/2]) of
-// the polarization ellipse major axis: ψ = ½·atan2(S2, S1).
-func OrientationAngle(v Vector) float64 {
-	_, s1, s2, _ := Stokes(v)
-	psi := 0.5 * math.Atan2(s2, s1)
-	for psi > math.Pi/2 {
-		psi -= math.Pi
-	}
-	for psi <= -math.Pi/2 {
-		psi += math.Pi
-	}
-	return psi
-}
-
-// EllipticityAngle returns the ellipticity angle χ ∈ [−π/4, π/4]:
-// χ = ½·asin(S3/S0). χ = 0 is linear, ±π/4 is circular.
-func EllipticityAngle(v Vector) float64 {
-	s0, _, _, s3 := Stokes(v)
-	if s0 <= 0 {
-		return 0
-	}
-	r := s3 / s0
-	if r > 1 {
-		r = 1
-	} else if r < -1 {
-		r = -1
-	}
-	return 0.5 * math.Asin(r)
-}
-
-// AxialRatio returns the polarization ellipse axial ratio (major/minor,
-// ≥ 1; +Inf for perfectly linear states).
-func AxialRatio(v Vector) float64 {
-	chi := math.Abs(EllipticityAngle(v))
-	t := math.Tan(chi)
-	if t == 0 {
-		return math.Inf(1)
-	}
-	return 1 / t
-}
-
-// DegreeOfLinearity returns sqrt(S1²+S2²)/S0 ∈ [0,1]; 1 for purely linear
-// states, 0 for circular.
-func DegreeOfLinearity(v Vector) float64 {
-	s0, s1, s2, _ := Stokes(v)
-	if s0 <= 0 {
-		return 0
-	}
-	return math.Hypot(s1, s2) / s0
 }
 
 // Cascade multiplies element matrices in propagation order: the wave meets

@@ -125,7 +125,7 @@ func TestPolarizationRotatorEq8(t *testing.T) {
 				deltaDeg, units.Degrees(got), units.Degrees(want))
 		}
 		// And it must be unitary (lossless ideal elements).
-		if !p.IsUnitary(1e-9) {
+		if !isUnitary(p, 1e-9) {
 			t.Errorf("δ=%v°: rotator is not unitary", deltaDeg)
 		}
 	}
@@ -190,7 +190,7 @@ func TestLinearPolarizer(t *testing.T) {
 
 func TestLossyBirefringent(t *testing.T) {
 	b := LossyBirefringent(0, math.Pi/3, 0.8, 0.6)
-	if b.IsUnitary(1e-6) {
+	if isUnitary(b, 1e-6) {
 		t.Error("lossy BFS should not be unitary")
 	}
 	if got := TransmittedPower(b, Horizontal()); math.Abs(got-0.64) > 1e-12 {

@@ -29,7 +29,7 @@ type Check struct {
 
 // Checks returns the registered analyzer suite in reporting order.
 func Checks() []*Check {
-	return []*Check{Purity, FloatEnc, Context, MutexIO, DocLint}
+	return []*Check{Purity, FloatEnc, Context, MutexIO, DocLint, Unused}
 }
 
 // pkgFuncCall resolves a call of the form pkg.Fn(...) to the imported

@@ -8,7 +8,7 @@
 // test reaches: a time.Now() in a pure kernel or a %v float in a store
 // encoder is a finding before it is ever a flaky bit-mismatch.
 //
-// The suite ships five checks (see Checks):
+// The suite ships six checks (see Checks):
 //
 //   - purity: pure-kernel packages and sweep point-functions must not
 //     read the wall clock, the global math/rand source, or the
@@ -21,6 +21,8 @@
 //     sync.Mutex/RWMutex is provably held in the same function body.
 //   - doclint: exported identifiers are documented and internal
 //     packages carry package comments (the old doclint_test.go gate).
+//   - unused: an exported identifier under an internal/ tree that no
+//     loaded non-test code refers to is a finding (see unused.go).
 //
 // A finding can be suppressed in place with a directive comment on the
 // offending line or the line directly above it:
@@ -47,6 +49,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Finding is one diagnostic: a position, the check that produced it,
@@ -183,6 +186,9 @@ type Suite struct {
 	Packages []*Package
 	// Config scopes the checks.
 	Config Config
+
+	unusedOnce sync.Once
+	unused     *unusedIndex
 }
 
 // modulePath extracts the module path from root/go.mod.
@@ -252,21 +258,6 @@ func GoDirs(root string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
-}
-
-// LoadTree loads every package under dir (skipping testdata, hidden
-// and underscore directories), ready for Run. dir may be anywhere
-// inside its module; findings stay relative to the module root.
-func LoadTree(dir string, cfg Config) (*Suite, error) {
-	dirs, err := GoDirs(dir)
-	if err != nil {
-		return nil, err
-	}
-	root, err := FindModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	return LoadDirs(root, dirs, cfg)
 }
 
 // LoadDirs parses and type-checks the non-test Go files of each

@@ -126,6 +126,20 @@ func TestDocLintFixtures(t *testing.T) {
 	})
 }
 
+func TestUnusedFixtures(t *testing.T) {
+	// lib's importers are lib and user, so loading both judges lib:
+	// clean.go's cross-package use, interface method and reasoned allow
+	// pass, and bad.go's three orphans are findings.
+	expectFindings(t, runFixture(t, nil, "unused/internal/lib", "unused/user"), []string{
+		"unused/internal/lib/bad.go:4: [unused] exported function Orphan has no non-test reference; delete it",
+		"unused/internal/lib/bad.go:10: [unused] exported method Widget.Spin has no non-test reference; delete it",
+		"unused/internal/lib/bad.go:13: [unused] exported const Limit has no non-test reference; delete it",
+	})
+	// A load that leaves out an importer cannot know what it uses, so
+	// it reports nothing.
+	expectFindings(t, runFixture(t, nil, "unused/internal/lib"), nil)
+}
+
 func TestAllowDirective(t *testing.T) {
 	scope := func(cfg *Config, rels []string) { cfg.PurePkgs = rels }
 	// A reasoned allow (line above or same line) suppresses exactly its

@@ -29,9 +29,6 @@ type Mat struct {
 // Identity returns the 2×2 identity matrix.
 func Identity() Mat { return Mat{A: 1, D: 1} }
 
-// Zero returns the zero matrix.
-func Zero() Mat { return Mat{} }
-
 // Rotation returns the real rotation matrix R(θ) for a counterclockwise
 // rotation by θ radians:
 //
@@ -56,11 +53,6 @@ func (m Mat) Scale(k complex128) Mat {
 // Add returns m + n.
 func (m Mat) Add(n Mat) Mat {
 	return Mat{A: m.A + n.A, B: m.B + n.B, C: m.C + n.C, D: m.D + n.D}
-}
-
-// Sub returns m − n.
-func (m Mat) Sub(n Mat) Mat {
-	return Mat{A: m.A - n.A, B: m.B - n.B, C: m.C - n.C, D: m.D - n.D}
 }
 
 // Mul returns the matrix product m·n.
@@ -98,20 +90,10 @@ func (m Mat) Det() complex128 { return m.A*m.D - m.B*m.C }
 // Trace returns the trace of m.
 func (m Mat) Trace() complex128 { return m.A + m.D }
 
-// Inverse returns m⁻¹ and true, or the zero matrix and false when m is
-// singular (|det| below tol, using 1e-12 relative to the largest element).
-func (m Mat) Inverse() (Mat, bool) {
-	det := m.Det()
-	scale := m.MaxAbs()
-	if scale == 0 || cmplx.Abs(det) < 1e-12*scale*scale {
-		return Mat{}, false
-	}
-	inv := 1 / det
-	return Mat{A: m.D * inv, B: -m.B * inv, C: -m.C * inv, D: m.A * inv}, true
-}
-
 // MaxAbs returns the largest element magnitude, a cheap matrix norm used
 // for tolerance scaling.
+//
+//lint:allow unused oracle: the twoport tests and the root benchmarks scale tolerances by it
 func (m Mat) MaxAbs() float64 {
 	max := cmplx.Abs(m.A)
 	for _, e := range []complex128{m.B, m.C, m.D} {
@@ -122,25 +104,9 @@ func (m Mat) MaxAbs() float64 {
 	return max
 }
 
-// FrobeniusNorm returns the Frobenius norm sqrt(Σ|mᵢⱼ|²).
-func (m Mat) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, e := range []complex128{m.A, m.B, m.C, m.D} {
-		a := cmplx.Abs(e)
-		s += a * a
-	}
-	return math.Sqrt(s)
-}
-
-// IsUnitary reports whether m†·m ≈ I within tol (element-wise absolute).
-// Lossless polarization elements (ideal wave plates, rotators) are unitary;
-// lossy ones (FR4 structures) are strictly sub-unitary.
-func (m Mat) IsUnitary(tol float64) bool {
-	p := m.Adjoint().Mul(m)
-	return p.ApproxEqual(Identity(), tol)
-}
-
 // ApproxEqual reports whether every element of m and n is within tol.
+//
+//lint:allow unused oracle: the jones, twoport and metasurface tests compare matrices with it
 func (m Mat) ApproxEqual(n Mat, tol float64) bool {
 	return cmplx.Abs(m.A-n.A) <= tol &&
 		cmplx.Abs(m.B-n.B) <= tol &&
@@ -155,9 +121,6 @@ func (m Mat) String() string {
 
 // Add returns v + w.
 func (v Vec) Add(w Vec) Vec { return Vec{X: v.X + w.X, Y: v.Y + w.Y} }
-
-// Sub returns v − w.
-func (v Vec) Sub(w Vec) Vec { return Vec{X: v.X - w.X, Y: v.Y - w.Y} }
 
 // Scale returns v scaled by the complex factor k.
 func (v Vec) Scale(k complex128) Vec { return Vec{X: k * v.X, Y: k * v.Y} }
@@ -182,11 +145,6 @@ func (v Vec) Normalize() (Vec, bool) {
 		return Vec{}, false
 	}
 	return v.Scale(complex(1/n, 0)), true
-}
-
-// ApproxEqual reports whether both components are within tol.
-func (v Vec) ApproxEqual(w Vec, tol float64) bool {
-	return cmplx.Abs(v.X-w.X) <= tol && cmplx.Abs(v.Y-w.Y) <= tol
 }
 
 // String renders the vector for debugging.

@@ -75,6 +75,8 @@ var cachingOff atomic.Bool
 // (ARCHITECTURE.md); no command exposes it. The switch is consulted per
 // evaluation, so it can be flipped between runs; outputs are
 // bit-identical either way.
+//
+//lint:allow unused test hook: the uncached reference path tests and *Uncached benchmarks compare against
 func SetCaching(on bool) { cachingOff.Store(!on) }
 
 // CachingEnabled reports whether response caching is on.
@@ -153,6 +155,8 @@ func nextStatShard() uint32 { return shardSeq.Add(1) % statShards }
 func GlobalCacheStats() CacheStats { return globalStats.load() }
 
 // ResetGlobalCacheStats zeroes the process-wide counters (test isolation).
+//
+//lint:allow unused test hook: isolates the process-wide counters between tests
 func ResetGlobalCacheStats() { globalStats.reset() }
 
 // axisKey identifies one per-axis evaluation by the exact float bit

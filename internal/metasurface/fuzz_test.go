@@ -32,7 +32,7 @@ func FuzzImportResponseTable(f *testing.F) {
 		ResetResponseTables()
 		defer ResetResponseTables()
 		const fp = "fuzz-import"
-		n, err := ImportResponseTable(TableExport{Fingerprint: fp, Axis: rows.Axis, QWP: rows.QWP})
+		n, _, _, err := ImportResponseTable(TableExport{Fingerprint: fp, Axis: rows.Axis, QWP: rows.QWP})
 		if err != nil {
 			if c := TableCount(); c != 0 {
 				t.Fatalf("rejected import (%v) left %d table(s) behind", err, c)
@@ -47,7 +47,7 @@ func FuzzImportResponseTable(f *testing.F) {
 			t.Fatalf("export after import: ok=%v entries=%d, imported %d", ok, ex.Entries(), n)
 		}
 		ResetResponseTables()
-		if _, _, exact, err := ImportResponseTableVersion(ex); err != nil || !exact {
+		if _, _, exact, err := ImportResponseTable(ex); err != nil || !exact {
 			t.Fatalf("re-import of an export: exact=%v err=%v", exact, err)
 		}
 		again, _, _ := ExportResponseTable(fp)

@@ -97,30 +97,12 @@ func NewLattice(d Design, spec LatticeSpec, seed int64) (*Lattice, error) {
 	return l, nil
 }
 
-// MustNewLattice panics on error; for prefab designs in examples/tests.
-func MustNewLattice(d Design, spec LatticeSpec, seed int64) *Lattice {
-	l, err := NewLattice(d, spec, seed)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Design returns the lattice's design description.
-func (l *Lattice) Design() Design { return l.design }
-
-// Units returns the unit count.
-func (l *Lattice) Units() int { return len(l.units) }
-
 // SetBias programs the shared bias rails (all units see the same rail,
 // §3.3's two-channel biasing).
 func (l *Lattice) SetBias(vx, vy float64) {
 	l.biasX = units.Clamp(vx, l.design.MinBiasV, l.design.MaxBiasV)
 	l.biasY = units.Clamp(vy, l.design.MinBiasV, l.design.MaxBiasV)
 }
-
-// Bias returns the rail voltages.
-func (l *Lattice) Bias() (vx, vy float64) { return l.biasX, l.biasY }
 
 // FailedUnits returns how many units have at least one dead axis.
 func (l *Lattice) FailedUnits() int {

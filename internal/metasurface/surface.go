@@ -60,9 +60,6 @@ func MustNew(d Design) *Surface {
 	return s
 }
 
-// Design returns the surface's immutable design description.
-func (s *Surface) Design() Design { return s.design }
-
 // SetBias sets the X- and Y-axis bias voltages, clamped to the design's
 // control range (the physical supply cannot exceed its programmed limits).
 func (s *Surface) SetBias(vx, vy float64) {
@@ -147,12 +144,6 @@ func (s *Surface) qwpAt(f float64) qwpResponse {
 		return s.design.qwpEval(f)
 	}
 	return s.table.qwpAt(s.design, f, s.shard)
-}
-
-// effectiveIndex returns the unloaded effective refractive index of the
-// synthetic line sections: fields live partly in substrate, partly in air.
-func (d Design) effectiveIndex() float64 {
-	return math.Sqrt((d.Substrate.EpsilonR + 1) / 2)
 }
 
 // qwpAxisLine returns the ABCD network of one QWP board along one
@@ -292,13 +283,6 @@ func (d Design) bfsAxisNetwork(f float64, axis Axis, bias float64) twoport.ABCD 
 	return d.bfsStack(f, bias)
 }
 
-// AxisTransmission returns the complex through-stack transmission
-// coefficient of one BFS principal axis at frequency f and bias v,
-// referenced to free space.
-func (s *Surface) AxisTransmission(axis Axis, f, v float64) complex128 {
-	return s.axisAt(axis, f, v).s.S21
-}
-
 // jonesTransmissiveFrom assembles Eq. (8)'s Q₊₄₅·B·Q₋₄₅ from resolved
 // responses. The scalar and batched paths both assemble through exactly
 // this function, which is what makes batched ≡ scalar bit-identity
@@ -316,13 +300,6 @@ func (s *Surface) JonesTransmissive(f float64) mat2.Mat {
 	xr := s.axisAt(AxisX, f, s.biasX)
 	yr := s.axisAt(AxisY, f, s.biasY)
 	return jonesTransmissiveFrom(xr, yr, s.qwpAt(f))
-}
-
-// axisReflection returns the complex reflection coefficient of one BFS
-// axis backed by the metal ground plane (short-circuit termination), as
-// seen from the front of the BFS stack.
-func (s *Surface) axisReflection(axis Axis, f, v float64) complex128 {
-	return s.axisAt(axis, f, v).shortGamma
 }
 
 // JonesReflective returns the Jones matrix of the surface in reflective
@@ -404,14 +381,6 @@ func (s *Surface) FrontReflection(f float64) complex128 {
 	return (sx + sy) / 2
 }
 
-// Jones returns the surface's Jones matrix in the given mode.
-func (s *Surface) Jones(mode Mode, f float64) mat2.Mat {
-	if mode == Reflective {
-		return s.JonesReflective(f)
-	}
-	return s.JonesTransmissive(f)
-}
-
 // JonesEfficiency returns the Eq. (11) transmission efficiency a Jones
 // matrix applies to an incident wave polarized along the given axis:
 // |S_co|² + |S_cross|², i.e. ‖M·ê‖². It is the scalar Efficiency path
@@ -449,22 +418,6 @@ func (s *Surface) RotationAngle(f float64) float64 {
 // magnitudes.
 func (s *Surface) RotationDegrees(f float64) float64 {
 	return math.Abs(units.Degrees(s.RotationAngle(f)))
-}
-
-// DifferentialPhase returns δ = arg(Ty) − arg(Tx) (radians, wrapped to
-// (−π, π]) of the BFS at frequency f with the current bias — the quantity
-// the rotator halves (θr = δ/2, Eq. 8).
-func (s *Surface) DifferentialPhase(f float64) float64 {
-	tx := s.AxisTransmission(AxisX, f, s.biasX)
-	ty := s.AxisTransmission(AxisY, f, s.biasY)
-	return units.NormalizeAngle(cmplx.Phase(ty) - cmplx.Phase(tx))
-}
-
-// InsertionLossDB returns the best-case power insertion loss (dB ≥ 0) of
-// the surface in transmissive mode at frequency f for an X-polarized
-// wave: −10·log10(efficiency).
-func (s *Surface) InsertionLossDB(f float64) float64 {
-	return -s.EfficiencyDB(AxisX, f)
 }
 
 // BandwidthAboveDB returns the contiguous bandwidth (Hz) around the design

@@ -117,6 +117,8 @@ func tableFor(fp string) *responseTable {
 }
 
 // TableCount returns the number of design tables currently registered.
+//
+//lint:allow unused read by the benchmark harness under _perfbench, which the tree walk skips, and by tests
 func TableCount() int {
 	tablesMu.Lock()
 	defer tablesMu.Unlock()
@@ -126,6 +128,8 @@ func TableCount() int {
 // ResetResponseTables empties the table registry (test isolation, and
 // A/B benchmarks that need a cold exact path). Surfaces built before
 // the reset keep their old table; build surfaces after resetting.
+//
+//lint:allow unused test hook, also called by the benchmark harness under _perfbench for a cold start
 func ResetResponseTables() {
 	tablesMu.Lock()
 	defer tablesMu.Unlock()
@@ -152,7 +156,7 @@ const (
 
 // TableExport is the store-friendly serialization of one design's
 // response table: pure string rows, so internal/store can persist it
-// without importing this package. Produced by ExportResponseTables,
+// without importing this package. Produced by ExportResponseTable,
 // consumed by ImportResponseTable.
 type TableExport struct {
 	// Fingerprint is the DesignFingerprint the entries belong to.
@@ -164,9 +168,6 @@ type TableExport struct {
 	// columns each), sorted canonically.
 	QWP [][]string
 }
-
-// Entries returns the total entry count of the export.
-func (t TableExport) Entries() int { return len(t.Axis) + len(t.QWP) }
 
 // fmtFloat renders one float losslessly.
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -205,20 +206,6 @@ func registered() []*responseTable {
 	return list
 }
 
-// ExportResponseTables snapshots every registered design table in a
-// canonical order: tables sorted by fingerprint, axis entries by
-// (axis, frequency bits, bias bits), QWP entries by frequency bits.
-// Two processes holding the same entries export identical bytes, which
-// keeps persisted table records diff-stable.
-func ExportResponseTables() []TableExport {
-	list := registered()
-	out := make([]TableExport, 0, len(list))
-	for _, t := range list {
-		out = append(out, t.export())
-	}
-	return out
-}
-
 // TableVersion describes one registered table without its rows.
 type TableVersion struct {
 	// Fingerprint is the DesignFingerprint of the table.
@@ -249,8 +236,9 @@ func ResponseTableVersions() []TableVersion {
 }
 
 // ExportResponseTable snapshots the one table registered for
-// fingerprint fp, in the canonical order of ExportResponseTables, and
-// returns the version it holds every entry of: the version is read
+// fingerprint fp in canonical order — axis entries by (axis, frequency
+// bits, bias bits), QWP entries by frequency bits, so two processes
+// holding the same entries export identical bytes — and returns the version it holds every entry of: the version is read
 // before the rows, so the export may hold more than that version but
 // never less. ok is false when no table is registered for fp.
 func ExportResponseTable(fp string) (ex TableExport, version uint64, ok bool) {
@@ -373,20 +361,15 @@ func (r *rowReader) mat() mat2.Mat {
 // corrupt record never half-populates a table — callers treat an error
 // as "recompute from scratch". Imports do not advance any hit/miss
 // counters.
-func ImportResponseTable(ex TableExport) (int, error) {
-	n, _, _, err := ImportResponseTableVersion(ex)
-	return n, err
-}
-
-// ImportResponseTableVersion is ImportResponseTable that also reports
-// the table's version after the import and whether the table then holds
-// exactly the export's entries (exact). exact requires the export's
-// rows in strict canonical order, as ExportResponseTables writes them,
-// and no entry in the table beyond them. While the table stays at the
-// returned version, exporting it again would reproduce the same rows,
-// so a caller that read the export from a record need not write it
-// back. On an error nothing is imported and version is zero.
-func ImportResponseTableVersion(ex TableExport) (n int, version uint64, exact bool, err error) {
+//
+// It also reports the table's version after the import and whether the
+// table then holds exactly the export's entries (exact). exact requires
+// the export's rows in strict canonical order, as ExportResponseTable
+// writes them, and no entry in the table beyond them. While the table
+// stays at the returned version, exporting it again would reproduce the
+// same rows, so a caller that read the export from a record need not
+// write it back. On an error nothing is imported and version is zero.
+func ImportResponseTable(ex TableExport) (n int, version uint64, exact bool, err error) {
 	if ex.Fingerprint == "" {
 		return 0, 0, false, fmt.Errorf("metasurface: table import: empty fingerprint")
 	}

@@ -177,7 +177,7 @@ func TestTableExportImportRoundTrip(t *testing.T) {
 	}
 
 	ResetResponseTables()
-	n, err := ImportResponseTable(ex)
+	n, _, _, err := ImportResponseTable(ex)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -233,7 +233,7 @@ func TestImportRejectsCorrupt(t *testing.T) {
 		}},
 		"bad qwp arity": {Fingerprint: "fp", QWP: [][]string{{"2.45e9", "1"}}},
 	} {
-		if _, err := ImportResponseTable(ex); err == nil {
+		if _, _, _, err := ImportResponseTable(ex); err == nil {
 			t.Errorf("%s: corrupt import accepted", name)
 		}
 	}
@@ -245,10 +245,10 @@ func TestImportRejectsCorrupt(t *testing.T) {
 		Fingerprint: "mixed-fp",
 		Axis:        [][]string{good.Axis[0], {"X", "oops"}},
 	}
-	if _, err := ImportResponseTable(mixed); err == nil {
+	if _, _, _, err := ImportResponseTable(mixed); err == nil {
 		t.Fatal("mixed corrupt import accepted")
 	}
-	if n, err := ImportResponseTable(TableExport{Fingerprint: "mixed-fp"}); err != nil || n != 0 {
+	if n, _, _, err := ImportResponseTable(TableExport{Fingerprint: "mixed-fp"}); err != nil || n != 0 {
 		t.Fatalf("probe import: n=%d err=%v", n, err)
 	}
 	for _, ex := range ExportResponseTables() {
@@ -284,7 +284,7 @@ func TestTableVersions(t *testing.T) {
 
 	// Into an empty registry, a canonical export imports exactly.
 	ResetResponseTables()
-	_, v1, exact, err := ImportResponseTableVersion(ex)
+	_, v1, exact, err := ImportResponseTable(ex)
 	if err != nil || !exact {
 		t.Fatalf("import into an empty table: exact=%v err=%v", exact, err)
 	}
@@ -292,25 +292,25 @@ func TestTableVersions(t *testing.T) {
 		t.Error("a recreated table repeated a version")
 	}
 	// Importing the same rows again adds nothing: same version, still exact.
-	if _, v, exact, _ := ImportResponseTableVersion(ex); v != v1 || !exact {
+	if _, v, exact, _ := ImportResponseTable(ex); v != v1 || !exact {
 		t.Errorf("idempotent import: version %d exact=%v, want %d true", v, exact, v1)
 	}
 	// A new entry moves the version; the table now holds more than ex.
 	warm := MustNew(d)
 	warm.SetBias(8, 9)
 	warm.JonesTransmissive(units.DefaultCarrierHz)
-	if _, v, exact, _ := ImportResponseTableVersion(ex); v == v1 || exact {
+	if _, v, exact, _ := ImportResponseTable(ex); v == v1 || exact {
 		t.Errorf("import into a grown table: version %d (was %d) exact=%v, want a new version, not exact", v, v1, exact)
 	}
 
 	// Rows out of canonical order never import exactly.
 	ResetResponseTables()
 	reversed := TableExport{Fingerprint: fp, Axis: [][]string{ex.Axis[1], ex.Axis[0]}, QWP: ex.QWP}
-	if _, _, exact, err := ImportResponseTableVersion(reversed); err != nil || exact {
+	if _, _, exact, err := ImportResponseTable(reversed); err != nil || exact {
 		t.Errorf("non-canonical import: exact=%v err=%v, want not exact", exact, err)
 	}
 	// A rejected import reports no version.
-	if _, v, exact, err := ImportResponseTableVersion(TableExport{Fingerprint: fp, QWP: [][]string{{"1"}}}); err == nil || v != 0 || exact {
+	if _, v, exact, err := ImportResponseTable(TableExport{Fingerprint: fp, QWP: [][]string{{"1"}}}); err == nil || v != 0 || exact {
 		t.Errorf("rejected import: version %d exact=%v err=%v", v, exact, err)
 	}
 }

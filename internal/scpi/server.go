@@ -220,19 +220,6 @@ func (c *Client) Query(cmd string) (string, error) {
 	return strings.TrimRight(line, "\r\n"), nil
 }
 
-// QueryFloat runs Query and parses the response as a float64.
-func (c *Client) QueryFloat(cmd string) (float64, error) {
-	s, err := c.Query(cmd)
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("scpi: %q returned non-numeric %q", cmd, s)
-	}
-	return v, nil
-}
-
 // Close terminates the session.
 func (c *Client) Close() error { return c.conn.Close() }
 

@@ -282,6 +282,8 @@ func (s *Server) reapLeases() {
 
 // Fleet returns the lease coordinator, nil unless Config.Fleet was
 // set. Tests and operators use it for stats.
+//
+//lint:allow unused read by the benchmark harness under _perfbench, which the tree walk skips, for fleet stats
 func (s *Server) Fleet() *fleet.Coordinator { return s.fleetc }
 
 // ServeHTTP implements http.Handler.

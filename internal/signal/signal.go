@@ -1,7 +1,7 @@
 // Package signal provides the complex-baseband DSP used by the simulated
 // receivers: tone generation (the paper's USRP transmitter sends a
-// continuous cosine at a 500 kHz offset), AWGN, power/RSSI estimation, and
-// spectral analysis (Goertzel and a radix-2 FFT) for the sensing pipeline.
+// continuous cosine at a 500 kHz offset), AWGN, power estimation, and
+// spectral analysis (a radix-2 FFT) for the sensing pipeline.
 //
 // All buffers are []complex128 at an explicit sample rate. Functions that
 // stream samples accept caller-provided buffers so hot paths stay
@@ -95,69 +95,6 @@ func Power(buf []complex128) float64 {
 // PowerDBm returns Power in dBm, treating sample power as watts.
 func PowerDBm(buf []complex128) float64 { return units.WattsToDBm(Power(buf)) }
 
-// RSSIEstimator accumulates block power estimates with exponential
-// smoothing, the way a cheap receiver's RSSI register behaves.
-type RSSIEstimator struct {
-	// Alpha is the smoothing factor in (0, 1]; 1 = no smoothing.
-	Alpha float64
-
-	value float64
-	init  bool
-}
-
-// NewRSSIEstimator returns an estimator; it panics for alpha outside (0,1].
-func NewRSSIEstimator(alpha float64) *RSSIEstimator {
-	if alpha <= 0 || alpha > 1 {
-		panic("signal: RSSI alpha must be in (0,1]")
-	}
-	return &RSSIEstimator{Alpha: alpha}
-}
-
-// Update folds a block of samples into the estimate and returns the new
-// smoothed power in watts.
-func (r *RSSIEstimator) Update(buf []complex128) float64 {
-	p := Power(buf)
-	if !r.init {
-		r.value = p
-		r.init = true
-		return r.value
-	}
-	r.value = r.Alpha*p + (1-r.Alpha)*r.value
-	return r.value
-}
-
-// Value returns the current smoothed power in watts (0 before any update).
-func (r *RSSIEstimator) Value() float64 { return r.value }
-
-// ValueDBm returns the current estimate in dBm.
-func (r *RSSIEstimator) ValueDBm() float64 { return units.WattsToDBm(r.value) }
-
-// Reset clears the estimator state.
-func (r *RSSIEstimator) Reset() { r.value, r.init = 0, false }
-
-// Goertzel evaluates the DFT of buf at a single frequency binHz given the
-// sample rate, returning the complex bin value normalized by the buffer
-// length. It is the cheap way to track one tone (the receiver's 500 kHz
-// carrier) without a full FFT.
-func Goertzel(buf []complex128, binHz, sampleRateHz float64) complex128 {
-	if sampleRateHz <= 0 {
-		panic("signal: non-positive sample rate")
-	}
-	n := len(buf)
-	if n == 0 {
-		return 0
-	}
-	w := 2 * math.Pi * binHz / sampleRateHz
-	e := cmplx.Rect(1, -w)
-	var acc complex128
-	ph := complex(1, 0)
-	for _, x := range buf {
-		acc += x * ph
-		ph *= e
-	}
-	return acc / complex(float64(n), 0)
-}
-
 // FFT computes the in-place radix-2 decimation-in-time FFT of buf. The
 // length must be a power of two; it panics otherwise. The transform is
 // unnormalized (inverse = conj–FFT–conj/N).
@@ -196,19 +133,6 @@ func FFT(buf []complex128) {
 	}
 }
 
-// IFFT computes the unnormalized-companion inverse FFT of buf in place
-// (including the 1/N factor, so IFFT(FFT(x)) == x).
-func IFFT(buf []complex128) {
-	for i := range buf {
-		buf[i] = cmplx.Conj(buf[i])
-	}
-	FFT(buf)
-	n := complex(float64(len(buf)), 0)
-	for i := range buf {
-		buf[i] = cmplx.Conj(buf[i]) / n
-	}
-}
-
 // HannWindow applies a Hann window in place and returns buf.
 func HannWindow(buf []complex128) []complex128 {
 	n := len(buf)
@@ -235,19 +159,6 @@ func PeakBin(spectrum []complex128, lo, hi int) (int, float64) {
 		}
 	}
 	return best, bestMag
-}
-
-// BinFrequency converts an FFT bin index to hertz for an n-point
-// transform at the given sample rate, mapping upper-half bins to negative
-// frequencies.
-func BinFrequency(bin, n int, sampleRateHz float64) float64 {
-	if n <= 0 {
-		panic("signal: non-positive FFT size")
-	}
-	if bin >= n/2 {
-		bin -= n
-	}
-	return float64(bin) * sampleRateHz / float64(n)
 }
 
 // NextPow2 returns the smallest power of two ≥ n (minimum 1).

@@ -34,9 +34,6 @@ type Recurring struct {
 	canceled bool
 }
 
-// Cancel stops future firings of the recurring event.
-func (r *Recurring) Cancel() { r.canceled = true }
-
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -64,40 +61,6 @@ func New() *Clock {
 
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return c.now }
-
-// Time projects the current virtual time onto a wall-clock base:
-// base + Now(). It adapts the simulated timeline to APIs that take a
-// time.Time clock (the fleet coordinator's Config.Now), so lease-expiry
-// edges can be driven deterministically event by event.
-func (c *Clock) Time(base time.Time) time.Time { return base.Add(c.now) }
-
-// Schedule runs fn once, delay after the current time. A negative delay
-// panics: the simulator cannot deliver events to the past.
-func (c *Clock) Schedule(delay time.Duration, fn func(now time.Duration)) {
-	if delay < 0 {
-		panic("simclock: negative delay")
-	}
-	if fn == nil {
-		panic("simclock: nil event function")
-	}
-	c.nextID++
-	heap.Push(&c.queue, &event{at: c.now + delay, id: c.nextID, fn: fn})
-}
-
-// ScheduleEvery runs fn every period, starting one period from now, until
-// the returned handle is canceled. A non-positive period panics.
-func (c *Clock) ScheduleEvery(period time.Duration, fn func(now time.Duration)) *Recurring {
-	if period <= 0 {
-		panic("simclock: non-positive period")
-	}
-	if fn == nil {
-		panic("simclock: nil event function")
-	}
-	rec := &Recurring{period: period}
-	c.nextID++
-	heap.Push(&c.queue, &event{at: c.now + period, id: c.nextID, fn: fn, rec: rec})
-	return rec
-}
 
 // Step executes the next pending event and returns true, or returns false
 // when the queue is empty. Time jumps to the event's timestamp.
@@ -133,9 +96,6 @@ func (c *Clock) RunUntil(deadline time.Duration) {
 
 // RunFor advances the clock by d, executing due events.
 func (c *Clock) RunFor(d time.Duration) { c.RunUntil(c.now + d) }
-
-// Pending returns the number of queued events (recurring count once).
-func (c *Clock) Pending() int { return c.queue.Len() }
 
 // RNG derives a deterministic random stream from a master seed and a
 // stream label, so independent model components (noise, scatterers,

@@ -65,11 +65,6 @@ var runKind = &kind[RunRecord, *RunRecord]{sub: "runs", schema: RunSchemaVersion
 // header keys a run record by its run ID.
 func (r *RunRecord) header() (*int, *string, string, int64) { return &r.Schema, &r.Path, r.ID, 0 }
 
-// RunPath returns the path the record for a run ID lives at, whether or
-// not it exists yet. IDs are path-escaped like cell IDs, so a hostile
-// run ID can never traverse directories.
-func (s *Store) RunPath(id string) string { return runKind.path(s.dir, id, 0) }
-
 // PutRun atomically persists one run record, stamping its Schema and
 // Path.
 func (s *Store) PutRun(rec *RunRecord) error {

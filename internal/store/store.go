@@ -214,6 +214,8 @@ func (s *Store) Dir() string { return s.dir }
 
 // CellPath returns the path the record for (id, seed) lives at, whether
 // or not it exists yet.
+//
+//lint:allow unused test hook: experiments and fleet tests read and corrupt stored cells through it
 func (s *Store) CellPath(id string, seed int64) string { return cellKind.path(s.dir, id, seed) }
 
 // Put persists one cell record and stamps its Schema and Path.

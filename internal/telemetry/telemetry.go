@@ -38,6 +38,8 @@ const (
 // Flag bits.
 const (
 	// FlagSaturated marks samples whose front end was clipping.
+	//
+	//lint:allow unused bit 0 of the wire flags; deleting it would renumber the bits after it
 	FlagSaturated uint16 = 1 << iota
 	// FlagSweepActive marks samples taken during a bias sweep, so the
 	// controller can label them with voltage states (Eq. 13).
@@ -93,17 +95,6 @@ func (r *Report) SerializeTo(buf []byte) (int, error) {
 	crc := crc32.ChecksumIEEE(buf[:20])
 	binary.BigEndian.PutUint32(buf[20:24], crc)
 	return FrameLen, nil
-}
-
-// Append serializes the report onto the end of dst and returns the
-// extended slice.
-func (r *Report) Append(dst []byte) ([]byte, error) {
-	n := len(dst)
-	dst = append(dst, make([]byte, FrameLen)...)
-	if _, err := r.SerializeTo(dst[n:]); err != nil {
-		return dst[:n], err
-	}
-	return dst, nil
 }
 
 // DecodeFromBytes parses a frame in place, validating magic, version,

@@ -98,10 +98,6 @@ func NewCollector(addr string) (*Collector, error) {
 // Addr returns the bound address for reporters to dial.
 func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
 
-// Reports returns the delivery channel. It is closed when the collector
-// shuts down.
-func (c *Collector) Reports() <-chan Report { return c.reports }
-
 // Next waits for one report, honoring ctx.
 func (c *Collector) Next(ctx context.Context) (Report, error) {
 	select {
@@ -113,13 +109,6 @@ func (c *Collector) Next(ctx context.Context) (Report, error) {
 	case <-ctx.Done():
 		return Report{}, fmt.Errorf("telemetry: next: %w", ctx.Err())
 	}
-}
-
-// Malformed returns the count of datagrams rejected by decoding.
-func (c *Collector) Malformed() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.malformed
 }
 
 // Lost returns the count of reports inferred lost from sequence gaps plus

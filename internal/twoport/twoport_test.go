@@ -377,7 +377,7 @@ func TestCascadeNMatchesCascade(t *testing.T) {
 		want := Cascade(ns...)
 		got := CascadeN(layer, n)
 		scale := want.M.MaxAbs()
-		if d := got.M.Sub(want.M).MaxAbs(); d > 1e-9*scale {
+		if d := got.M.Add(want.M.Scale(-1)).MaxAbs(); d > 1e-9*scale {
 			t.Errorf("CascadeN(s, %d) differs from chain product by %g (scale %g)", n, d, scale)
 		}
 		if !got.IsReciprocal(1e-6 * scale * scale) {

@@ -59,21 +59,6 @@ func WattsToDBm(w float64) float64 {
 	return 10*math.Log10(w) + 30
 }
 
-// MilliwattsToDBm converts milliwatts to dBm.
-func MilliwattsToDBm(mw float64) float64 { return WattsToDBm(mw * 1e-3) }
-
-// DBmToMilliwatts converts dBm to milliwatts.
-func DBmToMilliwatts(dbm float64) float64 { return DBmToWatts(dbm) * 1e3 }
-
-// FieldRatioToDB converts a field (voltage/current) ratio to dB using the
-// 20·log10 convention.
-func FieldRatioToDB(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(ratio)
-}
-
 // DBToFieldRatio converts dB to a field (voltage) ratio via 10^(db/20).
 func DBToFieldRatio(db float64) float64 { return math.Pow(10, db/20) }
 
@@ -85,15 +70,6 @@ func Wavelength(f float64) float64 {
 		panic("units: non-positive frequency")
 	}
 	return C / f
-}
-
-// Frequency returns the frequency in hertz for a free-space wavelength in
-// meters. It panics if lambda <= 0.
-func Frequency(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("units: non-positive wavelength")
-	}
-	return C / lambda
 }
 
 // AngularFrequency returns ω = 2πf.
@@ -119,29 +95,10 @@ func NormalizeAngle(rad float64) float64 {
 	return rad
 }
 
-// NormalizeAngleDeg wraps an angle in degrees into (-180, 180].
-func NormalizeAngleDeg(deg float64) float64 {
-	return Degrees(NormalizeAngle(Radians(deg)))
-}
-
 // ThermalNoiseWatts returns kTB thermal noise power for bandwidth bw (Hz) at
 // room temperature.
 func ThermalNoiseWatts(bw float64) float64 {
 	return Boltzmann * RoomTemperatureK * bw
-}
-
-// ThermalNoiseDBm returns kTB noise power in dBm for bandwidth bw (Hz).
-func ThermalNoiseDBm(bw float64) float64 {
-	return WattsToDBm(ThermalNoiseWatts(bw))
-}
-
-// ShannonCapacity returns the Shannon capacity in bit/s for bandwidth bw
-// (Hz) and linear SNR. Negative SNR is clamped to zero capacity.
-func ShannonCapacity(bw, snr float64) float64 {
-	if snr <= 0 {
-		return 0
-	}
-	return bw * math.Log2(1+snr)
 }
 
 // SpectralEfficiency returns the Shannon spectral efficiency (bit/s/Hz) for
@@ -152,29 +109,6 @@ func SpectralEfficiency(snr float64) float64 {
 		return 0
 	}
 	return math.Log2(1 + snr)
-}
-
-// FriisReceivedPower returns the received power (watts) of a free-space
-// link via the Friis transmission equation.
-//
-//	Pr = Pt · Gt · Gr · (λ / 4πd)²
-//
-// pt is transmit power in watts, gt/gr are linear antenna gains, f is the
-// carrier in Hz and d the distance in meters. It panics on non-positive d,
-// because a zero-length path has no defined far field.
-func FriisReceivedPower(pt, gt, gr, f, d float64) float64 {
-	if d <= 0 {
-		panic("units: non-positive link distance")
-	}
-	lambda := Wavelength(f)
-	factor := lambda / (4 * math.Pi * d)
-	return pt * gt * gr * factor * factor
-}
-
-// FriisPathGain returns the (dimensionless, <1) free-space path gain
-// (λ/4πd)² between isotropic antennas.
-func FriisPathGain(f, d float64) float64 {
-	return FriisReceivedPower(1, 1, 1, f, d)
 }
 
 // FriisRangeExtension returns the factor by which the maximum link distance
@@ -199,6 +133,3 @@ func Clamp(v, lo, hi float64) float64 {
 		return v
 	}
 }
-
-// ApproxEqual reports whether a and b are equal within tol (absolute).
-func ApproxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
