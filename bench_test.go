@@ -279,9 +279,9 @@ func BenchmarkBiasPlaneScanUncached(b *testing.B) {
 // its own Surface of the shared design — the contention shape of the
 // sharded engine and the fleet workers. One op is one full plane scan
 // resolved through the batch API against the design's shared table;
-// after the untimed prewarm every lookup is a published-snapshot hit,
-// so scaling between the -cpu runs measures read-path contention and
-// nothing else.
+// after one untimed JonesBatch call every lookup is a published-snapshot
+// hit, so scaling between the -cpu runs measures read-path contention
+// and nothing else.
 func BenchmarkBiasPlaneScanParallel(b *testing.B) {
 	pts := make([]BatchPoint, 0, scanSteps*scanSteps)
 	for x := 0; x < scanSteps; x++ {
@@ -289,8 +289,8 @@ func BenchmarkBiasPlaneScanParallel(b *testing.B) {
 			pts = append(pts, BatchPoint{F: DefaultCarrierHz, VX: float64(x) * 1.4, VY: float64(y) * 1.4})
 		}
 	}
-	// Prewarm (and publish) the whole working set untimed.
-	NewSurface(OptimizedFR4(DefaultCarrierHz)).Warm(pts)
+	// Resolve (and publish) the whole working set untimed.
+	NewSurface(OptimizedFR4(DefaultCarrierHz)).JonesBatch(Transmissive, pts, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

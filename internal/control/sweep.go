@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"github.com/llama-surface/llama/internal/units"
 )
 
 // Actuator applies a bias-voltage pair to the surface (directly or through
@@ -96,6 +98,16 @@ type Result struct {
 	Switches int
 }
 
+// record appends one measurement to the history, counts its actuation,
+// and keeps it as the optimum when it beats the best so far.
+func (r *Result) record(s Sample) {
+	r.Samples = append(r.Samples, s)
+	r.Switches++
+	if s.PowerDBm > r.BestPowerDBm {
+		r.BestVx, r.BestVy, r.BestPowerDBm = s.Vx, s.Vy, s.PowerDBm
+	}
+}
+
 // Elapsed returns the wall/virtual time the sweep consumed at the given
 // switch period.
 func (r Result) Elapsed(period time.Duration) time.Duration {
@@ -141,10 +153,10 @@ func CoarseToFine(ctx context.Context, cfg SweepConfig, act Actuator, sen Sensor
 		}
 		// Narrow to one step around the winner (Algorithm 1's
 		// return Vr = [v−Vs, v]); clamp to the legal range.
-		loX = clamp(itBest.Vx-stepX, cfg.VMin, cfg.VMax)
-		hiX = clamp(itBest.Vx, cfg.VMin, cfg.VMax)
-		loY = clamp(itBest.Vy-stepY, cfg.VMin, cfg.VMax)
-		hiY = clamp(itBest.Vy, cfg.VMin, cfg.VMax)
+		loX = units.Clamp(itBest.Vx-stepX, cfg.VMin, cfg.VMax)
+		hiX = units.Clamp(itBest.Vx, cfg.VMin, cfg.VMax)
+		loY = units.Clamp(itBest.Vy-stepY, cfg.VMin, cfg.VMax)
+		hiY = units.Clamp(itBest.Vy, cfg.VMin, cfg.VMax)
 		if hiX <= loX {
 			hiX = loX + stepX/float64(cfg.Switches)
 		}
@@ -160,15 +172,14 @@ func CoarseToFine(ctx context.Context, cfg SweepConfig, act Actuator, sen Sensor
 	return res, nil
 }
 
-// ScanVoltages returns the per-axis voltage grid a FullScan with this
+// scanVoltages returns the per-axis voltage grid a FullScan with this
 // config and step visits: VMin + i·stepV for every i whose voltage fits
 // the range. Indexing (rather than accumulating vx += stepV) keeps every
 // scan of the same range on bit-identical voltages — accumulated
 // rounding error on non-representable steps (0.1, …) can drop or
 // duplicate the last grid column. The epsilon admits a last column that
-// lands within float noise of VMax. Exported so sweep runners can warm
-// response caches for the exact voltages a scan will visit.
-func ScanVoltages(cfg SweepConfig, stepV float64) []float64 {
+// lands within float noise of VMax.
+func scanVoltages(cfg SweepConfig, stepV float64) []float64 {
 	steps := int(math.Floor((cfg.VMax-cfg.VMin)/stepV + 1e-9))
 	out := make([]float64, steps+1)
 	for i := range out {
@@ -189,7 +200,7 @@ func FullScan(ctx context.Context, cfg SweepConfig, stepV float64, act Actuator,
 		return Result{}, errors.New("control: non-positive scan step")
 	}
 	res := Result{BestPowerDBm: math.Inf(-1)}
-	voltages := ScanVoltages(cfg, stepV)
+	voltages := scanVoltages(cfg, stepV)
 	for _, vx := range voltages {
 		for _, vy := range voltages {
 			if err := ctx.Err(); err != nil {
@@ -199,11 +210,7 @@ func FullScan(ctx context.Context, cfg SweepConfig, stepV float64, act Actuator,
 			if err != nil {
 				return res, err
 			}
-			res.Samples = append(res.Samples, s)
-			res.Switches++
-			if s.PowerDBm > res.BestPowerDBm {
-				res.BestVx, res.BestVy, res.BestPowerDBm = s.Vx, s.Vy, s.PowerDBm
-			}
+			res.record(s)
 		}
 	}
 	if err := act.Apply(res.BestVx, res.BestVy); err != nil {
@@ -268,11 +275,7 @@ func CoordinateDescent(ctx context.Context, cfg SweepConfig, rounds int, act Act
 			if err != nil {
 				return 0, err
 			}
-			res.Samples = append(res.Samples, s)
-			res.Switches++
-			if s.PowerDBm > res.BestPowerDBm {
-				res.BestVx, res.BestVy, res.BestPowerDBm = s.Vx, s.Vy, s.PowerDBm
-			}
+			res.record(s)
 			return s.PowerDBm, nil
 		})
 		if err != nil {
@@ -284,11 +287,7 @@ func CoordinateDescent(ctx context.Context, cfg SweepConfig, rounds int, act Act
 			if err != nil {
 				return 0, err
 			}
-			res.Samples = append(res.Samples, s)
-			res.Switches++
-			if s.PowerDBm > res.BestPowerDBm {
-				res.BestVx, res.BestVy, res.BestPowerDBm = s.Vx, s.Vy, s.PowerDBm
-			}
+			res.record(s)
 			return s.PowerDBm, nil
 		})
 		if err != nil {
@@ -312,14 +311,4 @@ func measureAt(act Actuator, sen Sensor, vx, vy float64) (Sample, error) {
 		return Sample{}, fmt.Errorf("control: measure at (%g, %g): %w", vx, vy, err)
 	}
 	return Sample{Vx: vx, Vy: vy, PowerDBm: p}, nil
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/llama-surface/llama/internal/units"
 )
 
 // Tracker maintains the surface's optimum under drift: a wearable swings
@@ -186,8 +188,8 @@ func (t *Tracker) refine(ctx context.Context) (float64, error) {
 			}
 			vx := t.vx + t.cfg.RefineWindowV*(2*float64(i)/float64(n-1)-1)
 			vy := t.vy + t.cfg.RefineWindowV*(2*float64(j)/float64(n-1)-1)
-			vx = clamp(vx, t.cfg.Sweep.VMin, t.cfg.Sweep.VMax)
-			vy = clamp(vy, t.cfg.Sweep.VMin, t.cfg.Sweep.VMax)
+			vx = units.Clamp(vx, t.cfg.Sweep.VMin, t.cfg.Sweep.VMax)
+			vy = units.Clamp(vy, t.cfg.Sweep.VMin, t.cfg.Sweep.VMax)
 			s, err := measureAt(t.act, t.sen, vx, vy)
 			if err != nil {
 				return 0, err

@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"github.com/llama-surface/llama/internal/metasurface"
 )
 
 // Pinned output digests: the science frozen across commits. Every other
@@ -132,5 +134,39 @@ func TestOutputDigests(t *testing.T) {
 	}
 	if !t.Failed() {
 		t.Logf("%d cells match their pinned digests", len(keys))
+	}
+}
+
+// TestRegistryMisses pins the physics work of one registry pass: the
+// response-table misses, each one distinct evaluation, that every
+// experiment at seed 1 makes from empty tables. The digests pin what a
+// run computes; this pins how much it computes, so a change that
+// repeats or skips evaluations shows here even when no byte moves. Hit
+// counts are left free: they count re-reads, which a change may add or
+// remove without changing the work. A sharded pass counts fewer misses
+// because its report's cache window closes before sharded cells run
+// Finish.
+func TestRegistryMisses(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("miss counts were pinned on amd64; this is %s", runtime.GOARCH)
+	}
+	for _, tc := range []struct {
+		name      string
+		shardRows bool
+		want      uint64
+	}{
+		{"sharded", true, 1711},
+		{"unsharded", false, 1852},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			metasurface.ResetResponseTables()
+			rep, err := Execute(context.Background(), Options{Seeds: []int64{1}, ShardRows: tc.shardRows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.CacheMisses != tc.want {
+				t.Errorf("%d misses, pinned %d (hits %d)", rep.CacheMisses, tc.want, rep.CacheHits)
+			}
+		})
 	}
 }

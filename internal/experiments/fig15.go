@@ -6,35 +6,10 @@ import (
 	"github.com/llama-surface/llama/internal/channel"
 	"github.com/llama-surface/llama/internal/control"
 	"github.com/llama-surface/llama/internal/metasurface"
-	"github.com/llama-surface/llama/internal/units"
 )
 
 // Fig15Distances are the paper's half-wavelength Tx–Rx steps (§5.1.1).
 var Fig15Distances = []float64{0.24, 0.30, 0.36, 0.42, 0.48, 0.54, 0.60}
-
-// warmScanAxis returns a Sweep.Warm hook that pre-resolves, in one
-// Surface.Warm call, every per-axis response a default-scene FullScan
-// with the given voltage step will look up. A bias-plane scan visits the
-// cross product of ScanVoltages on both axes, but the memoized axis
-// responses are keyed per axis by (frequency, bias) — so warming the
-// diagonal {v, v} covers the entire plane. The hook warms both Jones
-// modes at once (the memoized primitives are mode-agnostic) and is
-// bit-neutral: it populates exactly the cache entries the scan's own
-// lookups would create, regardless of batch bounds.
-func warmScanAxis(stepV float64) func(ctx context.Context, seed int64, start, count int) {
-	return func(ctx context.Context, seed int64, start, count int) {
-		surf, err := metasurface.New(optimizedFR4)
-		if err != nil {
-			return // the points will surface the error themselves
-		}
-		vs := control.ScanVoltages(control.DefaultSweepConfig(), stepV)
-		pts := make([]metasurface.BatchPoint, len(vs))
-		for i, v := range vs {
-			pts[i] = metasurface.BatchPoint{F: units.DefaultCarrierHz, VX: v, VY: v}
-		}
-		surf.Warm(pts)
-	}
-}
 
 func init() {
 	registerSweep(&Sweep{
@@ -44,7 +19,6 @@ func init() {
 		Columns:     []string{"dist_cm", "bestVx_V", "bestVy_V", "peak_dBm", "valley_dBm", "range_dB", "maxRot_deg", "minRot_deg"},
 		Points:      len(Fig15Distances),
 		Point:       fig15Point,
-		Warm:        warmScanAxis(1.5),
 		Finish: func(res *Result, seed int64) error {
 			res.AddNote("optimal bias pair shifts with distance (surface↔Tx standing wave); paper Fig. 15(h): rotation 3°–45°")
 			return nil
@@ -57,7 +31,6 @@ func init() {
 		Columns:     []string{"dist_cm", "with_dBm", "without_dBm", "gain_dB"},
 		Points:      len(Fig15Distances),
 		Point:       fig16Point,
-		Warm:        warmScanAxis(1),
 		Finish: func(res *Result, seed int64) error {
 			gains := res.Column(3)
 			res.AddNote("max gain %.1f dB across distances (paper: up to 15 dB → 5.6× range per Friis)", maxIn(gains))

@@ -20,7 +20,6 @@ func init() {
 		Columns:     []string{"dist_cm", "bestVx_V", "bestVy_V", "peak_dBm", "valley_dBm", "range_dB"},
 		Points:      len(Fig21Distances),
 		Point:       fig21Point,
-		Warm:        warmScanAxis(1.5),
 		Finish: func(res *Result, seed int64) error {
 			res.AddNote("bias dynamic range is much smaller than transmissive Fig. 15 (rotation largely cancels on reflection)")
 			return nil
@@ -33,7 +32,6 @@ func init() {
 		Columns:     []string{"dist_cm", "with_dBm", "without_dBm", "gain_dB", "se_with", "se_without"},
 		Points:      len(Fig21Distances),
 		Point:       fig22Point,
-		Warm:        warmScanAxis(1.5),
 		Finish: func(res *Result, seed int64) error {
 			gains := res.Column(3)
 			ses := res.Column(4)

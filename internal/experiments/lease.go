@@ -75,7 +75,8 @@ func (e *JobError) Unwrap() error { return e.Err }
 // registry. It is the one compute path: a local pool worker and every
 // lease holder call it. It is pure in desc (invariant 1 applied
 // remotely): any process with the same registry produces bit-identical
-// output for the same desc. A job covering its sweep's whole axis —
+// output for the same desc. It runs the desc's points in axis order and
+// nothing else. A job covering its sweep's whole axis —
 // every unsharded cell, and a sharded cell whose one batch spans the
 // axis (a one-point sweep, or BatchRows at least the axis length) —
 // checks ctx before each point, as the serial path does, so a cancelled
@@ -95,9 +96,6 @@ func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 		return ExternalResult{}, fmt.Errorf("experiments: %s: range [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
 	}
 	pts := make([]PointResult, d.Count)
-	if sw.Warm != nil {
-		sw.Warm(ctx, d.Seed, d.Point, d.Count)
-	}
 	whole := d.Point == 0 && d.Count == sw.Points
 	for i := range pts {
 		var err error

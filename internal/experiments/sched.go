@@ -30,33 +30,14 @@ import (
 	"github.com/llama-surface/llama/internal/store"
 )
 
-// RunSpec describes one submission: which experiments, across which
-// seeds, and how the work fans out. It is the submission-shaped
-// equivalent of Options (which remains the one-shot configuration).
-type RunSpec struct {
-	// IDs restricts the run to a subset of the registry; nil or empty
-	// means every registered experiment, and duplicates count once.
-	// Submit resolves, sorts and dedupes the list, so a handle's Spec
-	// always names the concrete IDs it runs.
-	IDs []string
-	// Seeds are the replication seeds; nil means {1}. A repeated seed
-	// counts once: Submit keeps each seed at its first appearance, so a
-	// handle's Spec names each seed it runs exactly once.
-	Seeds []int64
-	// ShardRows splits sweep-shaped experiments into per-point row jobs.
-	ShardRows bool
-	// BatchRows groups that many consecutive sweep points per sharded
-	// job; ≤1 means one point per job.
-	BatchRows int
-	// Resume consults the scheduler's store before queueing each cell
-	// and reuses valid records; requires the scheduler to have a store.
-	// Output is bit-identical to a fresh run (invariant 6).
-	Resume bool
-}
+// RunSpec describes one submission (see store.RunSpec for its fields).
+// It is the submission-shaped equivalent of Options (which remains the
+// one-shot configuration).
+type RunSpec = store.RunSpec
 
-// clone deep-copies the spec's slices so callers cannot mutate a
+// cloneSpec deep-copies the spec's slices so callers cannot mutate a
 // submission's layout after the fact.
-func (sp RunSpec) clone() RunSpec {
+func cloneSpec(sp RunSpec) RunSpec {
 	sp.IDs = append([]string(nil), sp.IDs...)
 	sp.Seeds = append([]int64(nil), sp.Seeds...)
 	return sp
@@ -790,7 +771,7 @@ type RunHandle struct{ sub *submission }
 // Spec returns the normalized spec the submission runs: IDs resolved
 // and sorted, seeds deduplicated in first-seen order and defaulted,
 // batch size clamped to ≥1 (and 1 unless ShardRows is set).
-func (h *RunHandle) Spec() RunSpec { return h.sub.spec.clone() }
+func (h *RunHandle) Spec() RunSpec { return cloneSpec(h.sub.spec) }
 
 // Done returns a channel closed when the submission has finished —
 // assembled, persisted and reported.

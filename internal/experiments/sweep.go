@@ -11,7 +11,10 @@ import (
 // order; the scheduler computes the same points as point-range jobs — one
 // job over the whole axis, or, when row sharding is enabled, one job per
 // point batch fanned out across its worker pool — and reassembles them in
-// slot (point) order, so every path produces bit-identical tables.
+// slot (point) order, so every path produces bit-identical tables. A
+// job runs its points and nothing else: the response tables fill as the
+// points themselves read them, so no path prepares state a point could
+// observe.
 //
 // A sweep point may produce several rows (a histogram computed in one
 // pass) or exactly one (a distance step of a §5 sweep). Experiments whose
@@ -36,16 +39,6 @@ type Sweep struct {
 	// over all rows). It runs exactly once, after every point, on the
 	// already-ordered rows — never concurrently. Optional.
 	Finish func(res *Result, seed int64) error
-	// Warm, when set, pre-populates memoization state for the point range
-	// [start, start+count) before it runs — typically one Surface.Warm
-	// covering the range's whole operating-point axis, so a cold process
-	// resolves the range's misses before its points run. Warm MUST be
-	// bit-neutral: it may only populate the same caches the points
-	// themselves would populate, never alter an output (a whole-axis
-	// job and the serial path warm the full axis, a sharded job only its
-	// batch, and every granularity must still reproduce the unwarmed
-	// tables bit-for-bit). Optional.
-	Warm func(ctx context.Context, seed int64, start, count int)
 }
 
 // PointResult is the output of one sweep point: the rows it contributes
@@ -144,9 +137,6 @@ func (s *Sweep) finish(res *Result, seed int64) error {
 // completed prefix.
 func (s *Sweep) runSerial(ctx context.Context, seed int64) (*Result, error) {
 	res := s.newResult()
-	if s.Warm != nil && s.Points > 0 {
-		s.Warm(ctx, seed, 0, s.Points)
-	}
 	for i := 0; i < s.Points; i++ {
 		if err := ctx.Err(); err != nil {
 			return res, err

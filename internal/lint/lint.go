@@ -376,12 +376,8 @@ func (s *Suite) Run(checks ...*Check) []Finding {
 		for _, c := range checks {
 			report := func(pos token.Pos, format string, args ...any) {
 				position := s.Fset.Position(pos)
-				file, err := filepath.Rel(s.Root, position.Filename)
-				if err != nil {
-					file = position.Filename
-				}
 				raw = append(raw, Finding{
-					File:    filepath.ToSlash(file),
+					File:    relToSlash(s.Root, position.Filename),
 					Line:    position.Line,
 					Check:   c.Name,
 					Message: fmt.Sprintf(format, args...),
@@ -436,11 +432,7 @@ func (s *Suite) directives(known map[string]bool) ([]allow, []Finding) {
 						continue
 					}
 					position := s.Fset.Position(c.Pos())
-					file, err := filepath.Rel(s.Root, position.Filename)
-					if err != nil {
-						file = position.Filename
-					}
-					file = filepath.ToSlash(file)
+					file := relToSlash(s.Root, position.Filename)
 					fields := strings.Fields(text)
 					switch {
 					case len(fields) == 0:

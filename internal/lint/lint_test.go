@@ -128,12 +128,18 @@ func TestDocLintFixtures(t *testing.T) {
 
 func TestUnusedFixtures(t *testing.T) {
 	// lib's importers are lib and user, so loading both judges lib:
-	// clean.go's cross-package use, interface method and reasoned allow
-	// pass, and bad.go's three orphans are findings.
+	// clean.go's cross-package use, interface method, reasoned allow and
+	// the allow's callee pass. bad.go's orphans are findings, and so is
+	// every export only dead code uses, in the same run: DeadA (called
+	// by DeadB) and the Ping/Pong cycle.
 	expectFindings(t, runFixture(t, nil, "unused/internal/lib", "unused/user"), []string{
 		"unused/internal/lib/bad.go:4: [unused] exported function Orphan has no non-test reference; delete it",
 		"unused/internal/lib/bad.go:10: [unused] exported method Widget.Spin has no non-test reference; delete it",
 		"unused/internal/lib/bad.go:13: [unused] exported const Limit has no non-test reference; delete it",
+		"unused/internal/lib/bad.go:16: [unused] exported function DeadB has no non-test reference; delete it",
+		"unused/internal/lib/bad.go:19: [unused] exported function DeadA has no non-test reference; delete it",
+		"unused/internal/lib/bad.go:22: [unused] exported function Ping has no non-test reference; delete it",
+		"unused/internal/lib/bad.go:30: [unused] exported function Pong has no non-test reference; delete it",
 	})
 	// A load that leaves out an importer cannot know what it uses, so
 	// it reports nothing.

@@ -18,4 +18,7 @@ func (w *Widget) String() string { return fmt.Sprint(w.n) }
 // Hook is kept for a caller outside the module tree.
 //
 //lint:allow unused fixture: read by a harness the tree walk skips
-func Hook() {}
+func Hook() int { return Helper() }
+
+// Helper is called only by the allowed Hook, which keeps it live.
+func Helper() int { return 4 }

@@ -13,6 +13,12 @@ package lint
 //     methods do not keep it alive). Each package is type-checked
 //     separately, so uses are keyed by package path and name, never by
 //     object identity;
+//   - a use inside the declaration of a reported identifier does not
+//     count: every judged export starts dead and comes alive when a use
+//     sits outside the dead declarations, to a fixed point. Exports
+//     that only dead code reaches (a chain or a cycle) are reported in
+//     one run, and an export under //lint:allow unused keeps what it
+//     uses alive;
 //   - a method whose name and signature match a method of some
 //     interface type in the suite counts as used (String, Error, the
 //     heap.Interface methods): it is called through that interface;
@@ -27,6 +33,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -37,10 +44,11 @@ var Unused = &Check{
 	Run:  runUnused,
 }
 
-// unusedIndex is the suite-wide reference table the check builds once.
+// unusedIndex is the suite-wide liveness table the check builds once.
 type unusedIndex struct {
-	// used holds the keys (see objKey) of every referenced object.
-	used map[string]bool
+	// dead holds the keys (see objKey) of every judged export that no
+	// live code refers to: the findings.
+	dead map[string]bool
 	// ifaceMethods holds name+signature keys of every interface method
 	// type in the suite.
 	ifaceMethods map[string]bool
@@ -52,28 +60,25 @@ type unusedIndex struct {
 // span is one declaration's source extent.
 type span struct{ pos, end token.Pos }
 
-// runUnused reports the unreferenced exports of one package.
+// ref is one use of a judged export: its key, and the judged exports
+// whose declarations hold the use.
+type ref struct {
+	key     string
+	holders []string
+}
+
+// runUnused reports the dead exports of one package.
 func runUnused(s *Suite, p *Package, report Reporter) {
-	scope, ok := visibilityScope(p.Rel)
-	if !ok {
-		return
-	}
 	idx := s.unusedIndex()
-	if !idx.completeScope(s, scope) {
-		return
-	}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				fn, _ := p.Info.Defs[d.Name].(*types.Func)
-				if !d.Name.IsExported() || fn == nil || idx.used[objKey(fn)] {
+				if fn == nil || !idx.dead[objKey(fn)] {
 					continue
 				}
 				if d.Recv != nil {
-					if idx.ifaceMethods[methodSig(fn)] {
-						continue
-					}
 					report(d.Name.Pos(), "exported method %s.%s has no non-test reference; delete it",
 						recvName(fn), fn.Name())
 					continue
@@ -82,7 +87,7 @@ func runUnused(s *Suite, p *Package, report Reporter) {
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					for _, name := range specNames(spec) {
-						if obj := p.Info.Defs[name]; name.IsExported() && obj != nil && !idx.used[objKey(obj)] {
+						if obj := p.Info.Defs[name]; obj != nil && idx.dead[objKey(obj)] {
 							report(name.Pos(), "exported %s %s has no non-test reference; delete it", d.Tok, name.Name)
 						}
 					}
@@ -119,57 +124,16 @@ func visibilityScope(rel string) (scope string, ok bool) {
 	return "", false
 }
 
-// unusedIndex builds (once) the suite's reference table.
+// unusedIndex builds (once) the suite's liveness table.
 func (s *Suite) unusedIndex() *unusedIndex {
 	s.unusedOnce.Do(func() { s.unused = buildUnusedIndex(s) })
 	return s.unused
 }
 
-// buildUnusedIndex walks every loaded package's uses, selections and
-// interface types.
+// buildUnusedIndex walks every loaded package's interface types,
+// declarations, uses and selections.
 func buildUnusedIndex(s *Suite) *unusedIndex {
-	idx := &unusedIndex{used: map[string]bool{}, ifaceMethods: map[string]bool{}, complete: map[string]bool{}}
-	// The object's own declaration does not keep it alive: a type's
-	// receivers and method bodies name it, a recursive function calls
-	// itself.
-	own := map[string][]span{}
-	for _, p := range s.Packages {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					sp := span{d.Pos(), d.End()}
-					if fn, ok := p.Info.Defs[d.Name].(*types.Func); ok {
-						own[objKey(fn)] = append(own[objKey(fn)], sp)
-						if named := recvNamed(fn); named != nil {
-							k := objKey(named.Obj())
-							own[k] = append(own[k], sp)
-						}
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						for _, name := range specNames(spec) {
-							if obj := p.Info.Defs[name]; obj != nil {
-								own[objKey(obj)] = append(own[objKey(obj)], span{spec.Pos(), spec.End()})
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	use := func(obj types.Object, pos token.Pos) {
-		k := objKey(obj)
-		if k == "" || idx.used[k] {
-			return
-		}
-		for _, sp := range own[k] {
-			if sp.pos <= pos && pos < sp.end {
-				return
-			}
-		}
-		idx.used[k] = true
-	}
+	idx := &unusedIndex{dead: map[string]bool{}, ifaceMethods: map[string]bool{}, complete: map[string]bool{}}
 	seen := map[*types.Package]bool{}
 	var addScope func(pkg *types.Package)
 	addScope = func(pkg *types.Package) {
@@ -189,16 +153,92 @@ func buildUnusedIndex(s *Suite) *unusedIndex {
 	idx.addInterface(types.Universe.Lookup("error").Type())
 	idx.addInterface(unwrapper())
 	for _, p := range s.Packages {
+		for _, tv := range p.Info.Types {
+			idx.addInterface(tv.Type)
+		}
+		addScope(p.TypesPkg)
+	}
+	// The object's own declaration does not keep it alive: a type's
+	// receivers and method bodies name it, a recursive function calls
+	// itself.
+	own := map[string][]span{}
+	allows, _ := s.directives(map[string]bool{"unused": true})
+	for _, p := range s.Packages {
+		scope, ok := visibilityScope(p.Rel)
+		judged := ok && idx.completeScope(s, scope)
+		declare := func(obj types.Object, sp span) {
+			k := objKey(obj)
+			own[k] = append(own[k], sp)
+			if !judged || !obj.Exported() {
+				return
+			}
+			if fn, ok := obj.(*types.Func); ok && recvNamed(fn) != nil && idx.ifaceMethods[methodSig(fn)] {
+				return
+			}
+			at := s.Fset.Position(obj.Pos())
+			if !allowed(allows, Finding{File: relToSlash(s.Root, at.Filename), Line: at.Line, Check: "unused"}) {
+				idx.dead[k] = true
+			}
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					sp := span{d.Pos(), d.End()}
+					if fn, ok := p.Info.Defs[d.Name].(*types.Func); ok {
+						declare(fn, sp)
+						if named := recvNamed(fn); named != nil {
+							k := objKey(named.Obj())
+							own[k] = append(own[k], sp)
+						}
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						for _, name := range specNames(spec) {
+							if obj := p.Info.Defs[name]; obj != nil {
+								declare(obj, span{spec.Pos(), spec.End()})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// Every judged export starts dead; record each use of one with the
+	// judged exports whose declarations hold it.
+	var refs []ref
+	use := func(obj types.Object, pos token.Pos) {
+		holds := func(sp span) bool { return sp.pos <= pos && pos < sp.end }
+		k := objKey(obj)
+		if !idx.dead[k] || slices.ContainsFunc(own[k], holds) {
+			return
+		}
+		r := ref{key: k}
+		for h := range idx.dead {
+			if slices.ContainsFunc(own[h], holds) {
+				r.holders = append(r.holders, h)
+			}
+		}
+		refs = append(refs, r)
+	}
+	for _, p := range s.Packages {
 		for id, obj := range p.Info.Uses {
 			use(obj, id.Pos())
 		}
 		for sel, selection := range p.Info.Selections {
 			use(selection.Obj(), sel.Sel.Pos())
 		}
-		for _, tv := range p.Info.Types {
-			idx.addInterface(tv.Type)
+	}
+	// An export comes alive when one of its uses has no dead holder;
+	// repeat until nothing changes.
+	for changed := true; changed; {
+		changed = false
+		for _, r := range refs {
+			if idx.dead[r.key] && !slices.ContainsFunc(r.holders, func(h string) bool { return idx.dead[h] }) {
+				delete(idx.dead, r.key)
+				changed = true
+			}
 		}
-		addScope(p.TypesPkg)
 	}
 	return idx
 }

@@ -1,9 +1,9 @@
 package metasurface
 
 // The batched evaluation API. A sweep runner visits a whole axis of
-// operating points per row — 21×21 bias pairs in a FullScan, seven
-// biases per fig11 frequency — and JonesBatch evaluates such an axis in
-// one call. Each point resolves through the same scalar lookups a
+// operating points per row — seven biases per fig11 frequency — and
+// JonesBatch evaluates such an axis in one call. JonesBatch loops the
+// scalar lookup: each point resolves through the same lookups a
 // SetBias+Jones query makes (Surface.axisAt / qwpAt, one table read
 // each) and assembles through the same helpers (jonesTransmissiveFrom /
 // jonesReflectiveFrom), so results are bit-identical to the scalar path
@@ -50,18 +50,6 @@ func (s *Surface) JonesBatch(mode Mode, pts []BatchPoint, dst []mat2.Mat) []mat2
 		}
 	}
 	return dst
-}
-
-// Warm pre-resolves (and thus memoizes) every response a later scan of
-// the given points will need — both axes and the QWP — without
-// assembling any Jones matrix. The memoized primitives serve both
-// modes, so one Warm covers transmissive and reflective queries alike.
-// Warming is bit-neutral by construction: it only populates the same
-// memoization state the scan itself would populate, never an output.
-func (s *Surface) Warm(pts []BatchPoint) {
-	for _, p := range pts {
-		s.responsesAt(p)
-	}
 }
 
 // responsesAt resolves one batch point's per-axis and QWP responses

@@ -127,39 +127,6 @@ func TestJonesBatchEmptyAndDst(t *testing.T) {
 	}
 }
 
-// TestWarmFillsTheTable: Warm must pre-resolve exactly the entries a
-// later scan needs, so the scan itself records zero misses — and it must
-// be bit-neutral, so the warmed scan equals the unwarmed reference.
-func TestWarmFillsTheTable(t *testing.T) {
-	ResetResponseTables()
-	d := OptimizedFR4Design(units.DefaultCarrierHz)
-	pts := batchTestPoints()
-
-	cold := MustNew(d)
-	want := cold.JonesBatch(Transmissive, pts, nil)
-
-	ResetResponseTables()
-	warmer := MustNew(d)
-	warmer.Warm(pts)
-	scan := MustNew(d)
-	since := window()
-	got := scan.JonesBatch(Transmissive, pts, nil)
-	if st := since(); st.Misses != 0 {
-		t.Fatalf("scan after Warm recorded %d misses, want 0", st.Misses)
-	}
-	for i := range pts {
-		if !sameMat(got[i], want[i]) {
-			t.Fatalf("point %d: warmed scan diverged from cold scan", i)
-		}
-	}
-	// Warming again is free: every entry already exists.
-	since = window()
-	warmer.Warm(pts)
-	if st := since(); st.Misses != 0 {
-		t.Fatalf("repeat Warm computed %d new entries", st.Misses)
-	}
-}
-
 // TestSingleflightBoundsRedundantEvals hammers the singleflight grouping
 // from both entry points at once, every goroutine released together.
 // Half the workers race scalar lookups over one fresh snapMap key set:

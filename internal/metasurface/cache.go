@@ -28,7 +28,7 @@ package metasurface
 // hit/miss counter (globalStats) is sharded across cache-line-padded
 // slots (statShard) so hit accounting never bounces one hot line
 // between cores. This scalar lookup is the only way into a table:
-// JonesBatch and Warm (batch.go) loop it point by point.
+// JonesBatch (batch.go) loops the scalar lookup point by point.
 
 import (
 	"math"

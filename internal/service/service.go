@@ -455,13 +455,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := fmt.Sprintf("run-%06d", s.nextID)
 	s.nextID++
-	norm := handle.Spec()
 	rec := &store.RunRecord{
-		ID: id,
-		Spec: store.RunSpec{
-			IDs: norm.IDs, Seeds: norm.Seeds,
-			ShardRows: norm.ShardRows, BatchRows: norm.BatchRows, Resume: norm.Resume,
-		},
+		ID:            id,
+		Spec:          handle.Spec(),
 		Status:        StatusRunning,
 		CreatedUnixNs: s.now().UnixNano(),
 	}
@@ -473,7 +469,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// watcher's terminal write (seq 2) is always ordered after it.
 	s.persistRun(rn)
 	go s.watch(rn)
-	s.logf("service: %s submitted (%d experiments × %d seeds)", id, len(norm.IDs), len(norm.Seeds))
+	s.logf("service: %s submitted (%d experiments × %d seeds)", id, len(rec.Spec.IDs), len(rec.Spec.Seeds))
 	w.Header().Set("Location", "/runs/"+id)
 	writeJSON(w, http.StatusCreated, s.runStatusOf(rn))
 }
@@ -682,11 +678,8 @@ func (s *Server) reportFor(ctx context.Context, rn *run) (*experiments.Report, e
 	s.mu.Lock()
 	spec := rn.rec.Spec
 	s.mu.Unlock()
-	handle, err := s.sched.SubmitPriority(ctx, experiments.RunSpec{
-		IDs: spec.IDs, Seeds: spec.Seeds,
-		ShardRows: spec.ShardRows, BatchRows: spec.BatchRows,
-		Resume: true,
-	})
+	spec.Resume = true
+	handle, err := s.sched.SubmitPriority(ctx, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -13,21 +13,31 @@ package store
 // RunSchemaVersion is the run-record format this package writes.
 const RunSchemaVersion = 1
 
-// RunSpec mirrors the engine's submission shape (experiments.RunSpec)
-// field-for-field. It is declared here rather than aliased because the
-// store sits below the experiments package in the layer diagram and
-// must not import upward.
+// RunSpec describes one submission: which experiments, across which
+// seeds, and how the work fans out. It is the one spec type: the
+// engine's experiments.RunSpec aliases it, so a run record stores the
+// normalized spec a run handle reports, as is. It is declared here
+// because the store sits below the experiments package in the layer
+// diagram and must not import upward.
 type RunSpec struct {
-	// IDs are the resolved experiment IDs the run executes.
+	// IDs restricts the run to a subset of the registry; nil or empty
+	// means every registered experiment, and duplicates count once.
+	// Submit resolves, sorts and dedupes the list, so a handle's Spec
+	// (and a run record) always names the concrete IDs it runs.
 	IDs []string `json:"ids"`
-	// Seeds are the replication seeds.
+	// Seeds are the replication seeds; nil means {1}. A repeated seed
+	// counts once: Submit keeps each seed at its first appearance, so a
+	// handle's Spec names each seed it runs exactly once.
 	Seeds []int64 `json:"seeds"`
-	// ShardRows and BatchRows record the fan-out shape (outputs are
-	// bit-identical across all of them).
+	// ShardRows splits sweep-shaped experiments into per-point row jobs.
 	ShardRows bool `json:"shard_rows,omitempty"`
-	BatchRows int  `json:"batch_rows,omitempty"`
-	// Resume records whether the run consulted the store before
-	// queueing cells.
+	// BatchRows groups that many consecutive sweep points per sharded
+	// job; ≤1 means one point per job. Outputs are bit-identical across
+	// every fan-out shape.
+	BatchRows int `json:"batch_rows,omitempty"`
+	// Resume consults the scheduler's store before queueing each cell
+	// and reuses valid records; requires the scheduler to have a store.
+	// Output is bit-identical to a fresh run (invariant 6).
 	Resume bool `json:"resume,omitempty"`
 }
 
