@@ -224,8 +224,7 @@ func (l *LeasedJob) check(res ExternalResult, partial bool) error {
 }
 
 // commit settles the job with done/err, drops its lease bookkeeping,
-// and only then accounts it — detach before jobDone, so fed is
-// released before the submission can finalize.
+// and accounts it if this holder won the settle.
 func (l *LeasedJob) commit(done ExternalResult, err error) {
 	won := l.sub.settle(l.jb, done, err)
 	l.detach()
@@ -256,26 +255,19 @@ func (l *LeasedJob) Abandon() {
 	delete(sub.leased, jb.ji)
 	if !sub.settled[jb.ji].Load() {
 		sub.requeue = append(sub.requeue, jb)
-		if !sub.inRing && !sub.fedClosed {
+		if !sub.inRing {
 			sub.inRing = true
 			s.lanes[sub.lane] = append(s.lanes[sub.lane], sub)
 		}
 		s.cond.Broadcast() // wake local workers for the requeued job
-	} else {
-		sub.dropSettledRequeueLocked()
-		sub.maybeReleaseLocked()
 	}
 	s.mu.Unlock()
 }
 
-// detach drops the job's lease bookkeeping and lets fed close if this
-// was the submission's last open obligation.
+// detach drops the job's lease bookkeeping.
 func (l *LeasedJob) detach() {
-	sub := l.sub
-	s := sub.sched
+	s := l.sub.sched
 	s.mu.Lock()
-	delete(sub.leased, l.jb.ji)
-	sub.dropSettledRequeueLocked()
-	sub.maybeReleaseLocked()
+	delete(l.sub.leased, l.jb.ji)
 	s.mu.Unlock()
 }

@@ -179,6 +179,45 @@ func TestLeaseDuplicateCompleteDropped(t *testing.T) {
 	}
 }
 
+// TestLeaseLateCompleteBeatsRequeue: an expired lease still forwards
+// its rows. The holder's job is abandoned back onto the queue, then the
+// presumed-dead holder completes it before anyone re-leases the copy.
+// The late completion settles the job, the submission finishes with
+// the reference bytes, and the stale requeued copy is never dealt.
+func TestLeaseLateCompleteBeatsRequeue(t *testing.T) {
+	spec := RunSpec{IDs: []string{"tab1"}, Seeds: []int64{1}}
+	want := tablesCSV(t, Options{IDs: spec.IDs, Seeds: spec.Seeds, Concurrency: 1})
+	s := NewScheduler(SchedulerConfig{LeaseOnly: true})
+	defer s.Close()
+	h, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj := s.TryLease()
+	if lj == nil {
+		t.Fatal("no job leased")
+	}
+	res, err := ComputeJob(context.Background(), lj.Desc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj.Abandon()
+	if err := lj.Complete(res); err != nil {
+		t.Fatalf("late complete: %v", err)
+	}
+	select {
+	case <-h.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("submission did not finish after the late completion")
+	}
+	if again := s.TryLease(); again != nil {
+		t.Errorf("stale requeued copy dealt again: %s", again.Desc())
+	}
+	if got := handleCSV(t, h); got != want {
+		t.Error("bytes differ after a late completion")
+	}
+}
+
 // TestLeaseFailFailsSubmission: a holder's compute failure reported
 // through Fail fails the submission fast, like a local worker error.
 func TestLeaseFailFailsSubmission(t *testing.T) {

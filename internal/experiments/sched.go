@@ -149,9 +149,8 @@ func (s *Scheduler) worker() {
 // submissions advance in lockstep regardless of size. Jobs requeued by
 // an expired lease are dealt before the submission's undispatched
 // tail, and jobs a late external completion already settled are
-// skipped. A leased job is recorded in sub.leased before the release
-// check: it may still be requeued, so the cancel watcher must stay
-// armed. Caller holds s.mu.
+// skipped. A leased job is recorded in sub.leased, so a cancellation
+// settles it even if its holder never reports back. Caller holds s.mu.
 func (s *Scheduler) dealLocked(lease bool) (schedJob, bool) {
 	for lane := range s.lanes {
 		for len(s.lanes[lane]) > 0 {
@@ -165,7 +164,6 @@ func (s *Scheduler) dealLocked(lease bool) (schedJob, bool) {
 				s.lanes[lane] = append(s.lanes[lane], sub)
 			} else {
 				sub.inRing = false
-				sub.maybeReleaseLocked()
 			}
 			if ok {
 				return jb, true
@@ -201,38 +199,14 @@ func (sub *submission) pendingLocked() bool {
 	return len(sub.requeue) > 0 || sub.nextJob < len(sub.queue)
 }
 
-// maybeReleaseLocked closes fed — releasing the cancel watcher — once
-// the submission can produce no further dispatches: every queue job
-// dealt, nothing requeued, and no lease outstanding that could requeue.
-// Caller holds the scheduler mutex.
-func (sub *submission) maybeReleaseLocked() {
-	if sub.fedClosed || sub.inRing || sub.pendingLocked() || len(sub.leased) > 0 {
-		return
-	}
-	sub.fedClosed = true
-	close(sub.fed)
-}
-
-// dropSettledRequeueLocked prunes requeued entries a late external
-// completion settled, so a stale copy can never hold fed open. Caller
-// holds the scheduler mutex.
-func (sub *submission) dropSettledRequeueLocked() {
-	keep := sub.requeue[:0]
-	for _, jb := range sub.requeue {
-		if !sub.settled[jb.ji].Load() {
-			keep = append(keep, jb)
-		}
-	}
-	sub.requeue = keep
-}
-
 // abandon settles a cancelled submission's unfinished jobs — requeued,
 // undispatched, and leased-out alike — and accounts them as done, so
 // the submission finalizes promptly even while every worker is busy
-// elsewhere and no lease holder ever reports back. Jobs already
-// dispatched to a local worker account for themselves in execute; a
-// lease completion arriving after this loses the settle race and is
-// dropped.
+// elsewhere and no lease holder ever reports back. launch registers it
+// with context.AfterFunc: it runs once, when the submission's context
+// dies, unless finish stopped it first. Jobs already dispatched to a
+// local worker account for themselves in execute; a lease completion
+// arriving after this loses the settle race and is dropped.
 func (s *Scheduler) abandon(sub *submission) {
 	s.mu.Lock()
 	n := 0
@@ -262,19 +236,8 @@ func (s *Scheduler) abandon(sub *submission) {
 		}
 		sub.inRing = false
 	}
-	sub.maybeReleaseLocked()
 	s.mu.Unlock()
 	sub.jobDone(n)
-}
-
-// watchCancel abandons the submission's unfed jobs the moment its
-// context dies; it exits quietly once every job has been dispatched.
-func (sub *submission) watchCancel(s *Scheduler) {
-	select {
-	case <-sub.ctx.Done():
-		s.abandon(sub)
-	case <-sub.fed:
-	}
 }
 
 // Submit validates and lays out spec, enqueues its jobs on the normal
@@ -311,7 +274,8 @@ func (s *Scheduler) submit(ctx context.Context, spec RunSpec, lane int) (*RunHan
 }
 
 // launch registers a laid-out submission and makes its jobs
-// dispatchable on the given lane.
+// dispatchable on the given lane, registering abandon on its context
+// in the same critical section.
 func (s *Scheduler) launch(sub *submission, lane int) error {
 	s.mu.Lock()
 	if s.closed {
@@ -334,9 +298,9 @@ func (s *Scheduler) launch(sub *submission, lane int) error {
 	}
 	sub.inRing = true
 	s.lanes[lane] = append(s.lanes[lane], sub)
+	sub.stopAbandon = context.AfterFunc(sub.ctx, func() { s.abandon(sub) })
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	go sub.watchCancel(s)
 	return nil
 }
 
@@ -392,10 +356,11 @@ func (jb schedJob) desc() JobDesc {
 type submission struct {
 	spec RunSpec // normalized: IDs resolved, seeds deduplicated and defaulted, batch clamped
 
-	parent     context.Context // the submitter's context: its cancellation wins
-	ctx        context.Context // derived; cancelled on failure/Cancel/Close
-	cancelFn   context.CancelFunc
-	userCancel atomic.Bool
+	parent      context.Context // the submitter's context: its cancellation wins
+	ctx         context.Context // derived; cancelled on failure/Cancel/Close, and released by finish
+	cancelFn    context.CancelFunc
+	userCancel  atomic.Bool
+	stopAbandon func() bool // unregisters launch's abandon callback; nil if no job was queued
 
 	sched   *Scheduler
 	st      *store.Store
@@ -403,19 +368,16 @@ type submission struct {
 
 	// Dispatch state, guarded by the scheduler's mu: the lane the
 	// submission queues on, the index of its next undispatched job, and
-	// whether it currently sits in its lane's ring. fed is closed (once,
-	// fedClosed guards the double-dispatch paths) when the submission can
-	// yield no further dispatch — every job dealt or abandoned, nothing
-	// requeued, no lease outstanding — releasing watchCancel. requeue
-	// holds jobs returned by expired/abandoned leases, dealt before the
-	// queue tail; leased tracks job indices currently out on a lease.
-	lane      int
-	nextJob   int
-	inRing    bool
-	fedClosed bool
-	fed       chan struct{}
-	requeue   []schedJob
-	leased    map[int]struct{}
+	// whether it currently sits in its lane's ring. requeue holds jobs
+	// returned by expired/abandoned leases, dealt before the queue tail
+	// (a copy a late completion settled is skipped at the next deal);
+	// leased tracks job indices currently out on a lease, which abandon
+	// settles on cancellation.
+	lane    int
+	nextJob int
+	inRing  bool
+	requeue []schedJob
+	leased  map[int]struct{}
 
 	// settled has one flag per queue slot; the first finisher — settle
 	// (every holder's commit) or abandonment — wins the CAS and alone
@@ -482,7 +444,6 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 		ctx:        runCtx,
 		cancelFn:   cancel,
 		st:         st,
-		fed:        make(chan struct{}),
 		start:      time.Now(),
 		cacheStart: metasurface.GlobalCacheStats(),
 		done:       make(chan struct{}),
@@ -603,9 +564,14 @@ func (sub *submission) jobDone(n int) {
 }
 
 // finish finalizes the submission (assembly, persistence, report),
-// publishes the result and unregisters from the scheduler.
+// publishes the result and unregisters from the scheduler. It stops the
+// abandon callback before it releases the derived context.
 func (sub *submission) finish() {
+	if sub.stopAbandon != nil {
+		sub.stopAbandon()
+	}
 	sub.finalize()
+	sub.cancelFn()
 	close(sub.done)
 	if s := sub.sched; s != nil {
 		s.mu.Lock()

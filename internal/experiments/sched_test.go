@@ -151,6 +151,40 @@ func TestSchedulerGoroutineBound(t *testing.T) {
 	}
 }
 
+// TestSubmissionContextReleased: a finished submission releases its
+// derived context, so a long-lived cancellable parent (Execute's
+// caller, a result request) does not keep one child per finished run.
+// It holds for a submission that queued jobs and for a resumed one the
+// store answers without any.
+func TestSubmissionContextReleased(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := NewScheduler(SchedulerConfig{Workers: 2, Store: st})
+	defer s.Close()
+	for _, resume := range []bool{false, true} {
+		h, err := s.Submit(parent, RunSpec{IDs: []string{"tab1"}, Seeds: []int64{1}, Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Report(); err != nil {
+			t.Fatalf("resume %v: %v", resume, err)
+		}
+		if p := h.Progress(); resume && p.TotalJobs != 0 {
+			t.Fatalf("resumed submission queued %d jobs, want 0", p.TotalJobs)
+		}
+		if h.sub.ctx.Err() == nil {
+			t.Errorf("resume %v: submission context still live after Report", resume)
+		}
+	}
+	if parent.Err() != nil {
+		t.Error("releasing a submission's context cancelled its parent")
+	}
+}
+
 // TestSubmitValidation: bad specs fail fast, before any job runs.
 func TestSubmitValidation(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1})

@@ -192,6 +192,68 @@ func FuzzFromWire(f *testing.F) {
 	})
 }
 
+// FuzzLeaseWire fuzzes both directions of the lease poll. As a
+// POST /fleet/lease body to an idle fleet-only coordinator, any bytes
+// get 200, 204 or 400 and never a panic. As the coordinator's 200
+// reply, any bytes decode in Client.Lease without a panic, exactly
+// when they decode as a lease reply, and a reply saying
+// "sharded": false yields a whole-cell grant. The seed corpus holds a
+// real lease request, a point-range grant and a whole-cell grant.
+func FuzzLeaseWire(f *testing.F) {
+	for _, name := range []string{"lease_request.json", "lease_grant.json", "lease_grant_whole_cell.json"} {
+		data, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sched := experiments.NewScheduler(experiments.SchedulerConfig{LeaseOnly: true})
+		defer sched.Close()
+		c, err := NewCoordinator(Config{Sched: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		Handler(c).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/lease", bytes.NewReader(data)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusNoContent, http.StatusBadRequest:
+		default:
+			t.Fatalf("lease request answered %d, want 200, 204 or 400", rec.Code)
+		}
+
+		client := &Client{Base: "http://coordinator", HTTP: &http.Client{Transport: replyWith(data)}}
+		g, ok, err := client.Lease("w", nil)
+		var want leaseResponse
+		werr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("Client.Lease err = %v, want one exactly when the reply does not decode (%v)", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !ok {
+			t.Fatal("a decoded 200 reply granted nothing")
+		}
+		if g.ID != want.LeaseID || g.Desc != want.Job.desc() || g.wholeCell != !want.Job.Sharded {
+			t.Fatalf("grant %+v from reply %+v", g, want)
+		}
+	})
+}
+
+// replyWith is a transport that answers every request with a 200
+// carrying body, as a coordinator's httptest reply.
+type replyWith []byte
+
+func (body replyWith) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		r.Body.Close()
+	}
+	rec := httptest.NewRecorder()
+	rec.Write(body)
+	return rec.Result(), nil
+}
+
 // resultDiff names the first difference between two results, comparing
 // floats by bits; "" when they are identical.
 func resultDiff(a, b experiments.ExternalResult) string {

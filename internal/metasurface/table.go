@@ -236,11 +236,12 @@ func ResponseTableVersions() []TableVersion {
 }
 
 // ExportResponseTable snapshots the one table registered for
-// fingerprint fp in canonical order — axis entries by (axis, frequency
-// bits, bias bits), QWP entries by frequency bits, so two processes
-// holding the same entries export identical bytes — and returns the version it holds every entry of: the version is read
-// before the rows, so the export may hold more than that version but
-// never less. ok is false when no table is registered for fp.
+// fingerprint fp in canonical order: axis entries by (axis, frequency
+// bits, bias bits), QWP entries by frequency bits. Two processes
+// holding the same entries therefore export identical bytes. It also
+// returns a version the export holds every entry of. The version is
+// read before the rows, so the export may hold more than that version
+// but never less. ok is false when no table is registered for fp.
 func ExportResponseTable(fp string) (ex TableExport, version uint64, ok bool) {
 	tablesMu.Lock()
 	t := tables[fp]
