@@ -20,6 +20,12 @@
 // reports its warm-start import counts and live cache hit rate to the
 // coordinator — visible per worker under GET /fleet/stats.
 //
+// The coordinator and its workers must speak the same lease wire
+// version. A coordinator of another version (or one built before the
+// wire was versioned) makes the worker exit 1 with a message naming
+// both versions; a server started without -fleet is reported as having
+// no fleet endpoints on every poll.
+//
 // SIGINT/SIGTERM stops the loop after the in-flight job; a harder kill
 // is always safe (that is the point of leases).
 package main

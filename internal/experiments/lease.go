@@ -25,15 +25,16 @@ import (
 // which seed, and which contiguous point range of the sweep axis — the
 // whole axis for an unsharded cell, one batch of a row-sharded one. It
 // is pure data; a worker process with the same experiment registry
-// recomputes the job from it bit-identically (ComputeJob).
+// recomputes the job from it bit-identically (ComputeJob). The fleet's
+// lease grants carry it as JSON under these tags.
 type JobDesc struct {
 	// ID and Seed name the (experiment, seed) cell the job belongs to.
-	ID   string
-	Seed int64
+	ID   string `json:"id"`
+	Seed int64  `json:"seed"`
 	// Point is the first axis index of the job's range.
-	Point int
+	Point int `json:"point"`
 	// Count is the number of consecutive points the job covers.
-	Count int
+	Count int `json:"count"`
 }
 
 // String renders the desc for logs, e.g. "fig15/seed7[3+2]".

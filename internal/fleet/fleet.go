@@ -234,10 +234,6 @@ type Grant struct {
 	// TTL is the heartbeat deadline interval; holders heartbeat at a
 	// fraction of it (Worker uses TTL/3).
 	TTL time.Duration
-	// wholeCell marks a grant from a coordinator that predates point
-	// ranges: its lease reply said "sharded": false, so the job is a
-	// whole-experiment cell whose Desc range means nothing here.
-	wholeCell bool
 }
 
 // Heartbeat extends a live lease's deadline to now+TTL. A heartbeat

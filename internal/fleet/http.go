@@ -12,59 +12,63 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/llama-surface/llama/internal/experiments"
 	"github.com/llama-surface/llama/internal/store"
 )
 
+// wireVersion versions every type below; bump it with any change to
+// them. Lease requests carry it and grants echo it, and a peer of any
+// other version is refused at lease time (VersionError). A peer from
+// before versioning sends none, which decodes as 0.
+const wireVersion = 2
+
+// VersionError is a lease poll between peers of different wire
+// versions: the coordinator's 400, and what Client.Lease returns for a
+// grant or refusal of another version. Worker.Run stops on it.
+type VersionError struct {
+	// Coordinator and Worker are the two sides' versions; 0 is a peer
+	// that predates versioning and sends none.
+	Coordinator, Worker int
+}
+
+// Error names both versions.
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("fleet: lease wire version mismatch: coordinator speaks version %d, worker speaks version %d; run a coordinator and workers of the same release",
+		e.Coordinator, e.Worker)
+}
+
+// errNoFleet is what a 404 to a lease poll means: the server mounts no
+// /fleet/* routes (the lease handler itself never answers 404).
+var errNoFleet = errors.New("fleet: the server has no fleet endpoints; start llama-serve with -fleet")
+
 // Wire types.
 
 // leaseRequest is the body of POST /fleet/lease.
 type leaseRequest struct {
+	// Wire is the worker's wireVersion.
+	Wire int `json:"wire"`
 	// Worker is a self-chosen worker name, used only in coordinator logs
 	// and stats attribution.
 	Worker string `json:"worker"`
 	// Tables, when present, piggybacks the worker's response-table
 	// warmth report on the lease poll (surfaced via GET /fleet/stats).
-	// Optional so pre-existing workers stay wire-compatible.
 	Tables *WorkerTables `json:"tables,omitempty"`
 }
 
 // leaseResponse is the 200 body of POST /fleet/lease; "no job" is a
 // bare 204.
 type leaseResponse struct {
+	// Wire is the coordinator's wireVersion.
+	Wire int `json:"wire"`
 	// LeaseID names the grant in heartbeat/complete calls.
 	LeaseID string `json:"lease_id"`
 	// Job is the work to compute.
-	Job wireDesc `json:"job"`
+	Job experiments.JobDesc `json:"job"`
 	// TTLMillis is the heartbeat deadline interval in milliseconds.
 	TTLMillis int64 `json:"ttl_ms"`
-}
-
-// wireDesc mirrors experiments.JobDesc field for field, plus Sharded:
-// always true, because every job is a point range. Workers built when a
-// job could also be a whole-experiment cell read it to compute the
-// range rather than run the full experiment; a worker that reads false
-// is talking to a coordinator from that time and fails the job (see
-// Worker).
-type wireDesc struct {
-	ID      string `json:"id"`
-	Seed    int64  `json:"seed"`
-	Sharded bool   `json:"sharded"`
-	Point   int    `json:"point"`
-	Count   int    `json:"count"`
-}
-
-func toWireDesc(d experiments.JobDesc) wireDesc {
-	return wireDesc{ID: d.ID, Seed: d.Seed, Sharded: true, Point: d.Point, Count: d.Count}
-}
-
-func (w wireDesc) desc() experiments.JobDesc {
-	return experiments.JobDesc{ID: w.ID, Seed: w.Seed, Point: w.Point, Count: w.Count}
 }
 
 // heartbeatRequest is the body of POST /fleet/heartbeat.
@@ -83,11 +87,7 @@ type completeRequest struct {
 	Error string `json:"error,omitempty"`
 	// Points carries the job's per-point output, in axis order.
 	Points []wirePoint `json:"points,omitempty"`
-	// ElapsedMillis is the worker's compute time for the job, kept for
-	// coordinators that do not read ElapsedNanos.
-	ElapsedMillis int64 `json:"elapsed_ms"`
-	// ElapsedNanos is the same time at full resolution; fromWire
-	// prefers it when present.
+	// ElapsedNanos is the worker's compute time for the job.
 	ElapsedNanos int64 `json:"elapsed_ns,omitempty"`
 }
 
@@ -97,27 +97,9 @@ type wirePoint struct {
 	Notes []string   `json:"notes,omitempty"`
 }
 
-// decodeWireRows parses string cells back to float64 rows (bit-exact,
-// NaN/±Inf included).
-func decodeWireRows(rows [][]string) ([][]float64, error) {
-	out := make([][]float64, len(rows))
-	for i, row := range rows {
-		dec := make([]float64, len(row))
-		for j, s := range row {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("row %d col %d: non-numeric cell %q", i, j, s)
-			}
-			dec[j] = v
-		}
-		out[i] = dec
-	}
-	return out, nil
-}
-
 // toWire encodes an in-memory result as a completion payload.
 func toWire(res experiments.ExternalResult) completeRequest {
-	req := completeRequest{ElapsedMillis: res.Elapsed.Milliseconds(), ElapsedNanos: int64(res.Elapsed)}
+	req := completeRequest{ElapsedNanos: int64(res.Elapsed)}
 	for _, p := range res.Points {
 		req.Points = append(req.Points, wirePoint{Rows: store.EncodeRows(p.Rows), Notes: p.Notes})
 	}
@@ -127,17 +109,14 @@ func toWire(res experiments.ExternalResult) completeRequest {
 // fromWire decodes a completion payload back to an ExternalResult.
 func fromWire(req completeRequest) (experiments.ExternalResult, error) {
 	var out experiments.ExternalResult
-	// A negative (or, in milliseconds, overflowing) compute time would
-	// turn the run's Timing.Busy and the stored Meta.ElapsedNs negative.
-	if req.ElapsedMillis < 0 || req.ElapsedMillis > math.MaxInt64/int64(time.Millisecond) || req.ElapsedNanos < 0 {
-		return out, fmt.Errorf("elapsed time out of range (elapsed_ms %d, elapsed_ns %d)", req.ElapsedMillis, req.ElapsedNanos)
+	// A negative compute time would turn the run's Timing.Busy and the
+	// stored Meta.ElapsedNs negative.
+	if req.ElapsedNanos < 0 {
+		return out, fmt.Errorf("negative elapsed time (elapsed_ns %d)", req.ElapsedNanos)
 	}
-	out.Elapsed = time.Duration(req.ElapsedMillis) * time.Millisecond
-	if req.ElapsedNanos != 0 {
-		out.Elapsed = time.Duration(req.ElapsedNanos)
-	}
+	out.Elapsed = time.Duration(req.ElapsedNanos)
 	for i, p := range req.Points {
-		rows, err := decodeWireRows(p.Rows)
+		rows, err := store.DecodeRows(p.Rows)
 		if err != nil {
 			return out, fmt.Errorf("point %d: %w", i, err)
 		}
@@ -148,7 +127,7 @@ func fromWire(req completeRequest) (experiments.ExternalResult, error) {
 
 // Handler serves the coordinator's lease protocol:
 //
-//	POST /fleet/lease      {"worker":W}            -> 200 grant | 204 no job
+//	POST /fleet/lease      {"wire":V, "worker":W}  -> 200 grant | 204 no job | 400 other version
 //	POST /fleet/heartbeat  {"lease_id":L}          -> 204 | 404 unknown | 409 expired
 //	POST /fleet/complete   {"lease_id":L, ...}     -> 204 | 404 unknown | 400 malformed
 //	GET  /fleet/stats                              -> 200 Stats JSON
@@ -162,6 +141,11 @@ func Handler(c *Coordinator) http.Handler {
 		if !readJSON(w, r, &req) {
 			return
 		}
+		if req.Wire != wireVersion {
+			err := &VersionError{Coordinator: wireVersion, Worker: req.Wire}
+			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "wire": wireVersion})
+			return
+		}
 		if req.Tables != nil {
 			c.RecordWorkerTables(req.Worker, *req.Tables)
 		}
@@ -171,8 +155,9 @@ func Handler(c *Coordinator) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, leaseResponse{
+			Wire:      wireVersion,
 			LeaseID:   g.ID,
-			Job:       toWireDesc(g.Desc),
+			Job:       g.Desc,
 			TTLMillis: g.TTL.Milliseconds(),
 		})
 	})
@@ -260,7 +245,8 @@ func (c *Client) httpClient() *http.Client {
 
 // post sends one JSON request and decodes the reply into out (when out
 // is non-nil and the reply has a body). It maps the protocol's error
-// statuses back to the coordinator's sentinel errors.
+// statuses back to the coordinator's sentinel errors, and an error
+// body that names a wire version to a VersionError.
 func (c *Client) post(path string, in, out any) (int, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -279,6 +265,12 @@ func (c *Client) post(path string, in, out any) (int, error) {
 	}
 	if resp.StatusCode >= 400 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		var refusal struct {
+			Wire int `json:"wire"`
+		}
+		if json.Unmarshal(msg, &refusal) == nil && refusal.Wire != 0 {
+			return resp.StatusCode, &VersionError{Coordinator: refusal.Wire, Worker: wireVersion}
+		}
 		return resp.StatusCode, fmt.Errorf("fleet: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
 	}
 	if out != nil && resp.StatusCode != http.StatusNoContent {
@@ -291,21 +283,25 @@ func (c *Client) post(path string, in, out any) (int, error) {
 
 // Lease requests a job, optionally piggybacking the worker's
 // response-table warmth report (nil to report nothing); ok is false
-// when the coordinator has none right now.
+// when the coordinator has none right now. A coordinator of another
+// wire version yields a *VersionError and no grant.
 func (c *Client) Lease(worker string, tables *WorkerTables) (grant Grant, ok bool, err error) {
 	var resp leaseResponse
-	status, err := c.post("/fleet/lease", leaseRequest{Worker: worker, Tables: tables}, &resp)
-	if err != nil {
+	status, err := c.post("/fleet/lease", leaseRequest{Wire: wireVersion, Worker: worker, Tables: tables}, &resp)
+	switch {
+	case status == http.StatusNotFound:
+		return Grant{}, false, errNoFleet
+	case err != nil:
 		return Grant{}, false, err
-	}
-	if status == http.StatusNoContent {
+	case status == http.StatusNoContent:
 		return Grant{}, false, nil
+	case resp.Wire != wireVersion:
+		return Grant{}, false, &VersionError{Coordinator: resp.Wire, Worker: wireVersion}
 	}
 	return Grant{
-		ID:        resp.LeaseID,
-		Desc:      resp.Job.desc(),
-		TTL:       time.Duration(resp.TTLMillis) * time.Millisecond,
-		wholeCell: !resp.Job.Sharded,
+		ID:   resp.LeaseID,
+		Desc: resp.Job,
+		TTL:  time.Duration(resp.TTLMillis) * time.Millisecond,
 	}, true, nil
 }
 

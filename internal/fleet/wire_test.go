@@ -106,8 +106,7 @@ func TestRemoteFailureOldWorker(t *testing.T) {
 }
 
 // TestWireElapsedNanos: a sub-millisecond compute time crosses the
-// completion payload unchanged (elapsed_ms alone truncates it to 0),
-// and a payload that carries only elapsed_ms still decodes.
+// completion payload unchanged.
 func TestWireElapsedNanos(t *testing.T) {
 	body, err := json.Marshal(toWire(experiments.ExternalResult{Elapsed: 300 * time.Microsecond}))
 	if err != nil {
@@ -120,31 +119,33 @@ func TestWireElapsedNanos(t *testing.T) {
 	if res, err := fromWire(req); err != nil || res.Elapsed != 300*time.Microsecond {
 		t.Errorf("elapsed = %v (%v), want 300µs; payload %s", res.Elapsed, err, body)
 	}
-	if res, err := fromWire(completeRequest{ElapsedMillis: 7}); err != nil || res.Elapsed != 7*time.Millisecond {
-		t.Errorf("elapsed_ms only: elapsed = %v (%v), want 7ms", res.Elapsed, err)
-	}
 }
 
 // TestFromWireRejectsNegativeElapsed: a completion whose compute time
-// is negative, or overflows when read in milliseconds, is malformed —
-// fromWire refuses it and /fleet/complete answers 400 — so no negative
-// time reaches Timing.Busy or the stored Meta.ElapsedNs.
+// is negative is malformed — fromWire refuses it and /fleet/complete
+// answers 400 — so no negative time reaches Timing.Busy or the stored
+// Meta.ElapsedNs. The refusal ends the live lease and requeues its job
+// at once, well inside the TTL.
 func TestFromWireRejectsNegativeElapsed(t *testing.T) {
-	for _, req := range []completeRequest{
-		{ElapsedMillis: -1},
-		{ElapsedNanos: -1},
-		{ElapsedMillis: 5, ElapsedNanos: -300},
-		{ElapsedMillis: -5, ElapsedNanos: 300},
-		{ElapsedMillis: math.MaxInt64 / 1000},
-	} {
-		if res, err := fromWire(req); err == nil {
-			t.Errorf("elapsed_ms %d, elapsed_ns %d: accepted as %v, want an error", req.ElapsedMillis, req.ElapsedNanos, res.Elapsed)
+	for _, ns := range []int64{-1, -300, math.MinInt64} {
+		if res, err := fromWire(completeRequest{ElapsedNanos: ns}); err == nil {
+			t.Errorf("elapsed_ns %d: accepted as %v, want an error", ns, res.Elapsed)
 		}
 	}
-	_, _, ts := httpFleet(t, 5*time.Second)
-	body := map[string]any{"lease_id": "any", "elapsed_ms": 3, "elapsed_ns": -3000000}
+	sched, c, ts := httpFleet(t, time.Minute)
+	if _, err := sched.Submit(context.Background(), experiments.RunSpec{IDs: []string{"tab1"}}); err != nil {
+		t.Fatal(err)
+	}
+	g, ok := c.Lease("bad")
+	if !ok {
+		t.Fatal("no lease granted")
+	}
+	body := map[string]any{"lease_id": g.ID, "elapsed_ns": -3000000}
 	if status := postJSON(t, ts.URL+"/fleet/complete", body, nil); status != http.StatusBadRequest {
 		t.Errorf("negative elapsed_ns: status %d, want 400", status)
+	}
+	if again, ok := c.Lease("honest"); !ok || again.Desc != g.Desc {
+		t.Errorf("wire-rejected job not requeued: re-lease %v (ok %v), want %s", again, ok, g.Desc)
 	}
 }
 
@@ -195,12 +196,13 @@ func FuzzFromWire(f *testing.F) {
 // FuzzLeaseWire fuzzes both directions of the lease poll. As a
 // POST /fleet/lease body to an idle fleet-only coordinator, any bytes
 // get 200, 204 or 400 and never a panic. As the coordinator's 200
-// reply, any bytes decode in Client.Lease without a panic, exactly
-// when they decode as a lease reply, and a reply saying
-// "sharded": false yields a whole-cell grant. The seed corpus holds a
-// real lease request, a point-range grant and a whole-cell grant.
+// reply, any bytes reach Client.Lease without a panic: a reply that
+// does not decode as a lease reply is an error, one of another wire
+// version is a *VersionError and no grant, and any other is the grant
+// it describes. The seed corpus holds a real lease request, a grant
+// and a grant of another version.
 func FuzzLeaseWire(f *testing.F) {
-	for _, name := range []string{"lease_request.json", "lease_grant.json", "lease_grant_whole_cell.json"} {
+	for _, name := range []string{"lease_request.json", "lease_grant.json", "lease_grant_other_version.json"} {
 		data, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			f.Fatal(err)
@@ -225,17 +227,19 @@ func FuzzLeaseWire(f *testing.F) {
 		client := &Client{Base: "http://coordinator", HTTP: &http.Client{Transport: replyWith(data)}}
 		g, ok, err := client.Lease("w", nil)
 		var want leaseResponse
-		werr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("Client.Lease err = %v, want one exactly when the reply does not decode (%v)", err, werr)
-		}
-		if err != nil {
-			return
-		}
-		if !ok {
-			t.Fatal("a decoded 200 reply granted nothing")
-		}
-		if g.ID != want.LeaseID || g.Desc != want.Job.desc() || g.wholeCell != !want.Job.Sharded {
+		var verr *VersionError
+		switch werr := json.NewDecoder(bytes.NewReader(data)).Decode(&want); {
+		case werr != nil:
+			if err == nil {
+				t.Fatalf("Client.Lease accepted a reply that does not decode (%v)", werr)
+			}
+		case want.Wire != wireVersion:
+			if !errors.As(err, &verr) || verr.Coordinator != want.Wire || verr.Worker != wireVersion || ok {
+				t.Fatalf("reply of wire version %d: grant %v (ok %v), err %v, want a *VersionError and no grant", want.Wire, g, ok, err)
+			}
+		case err != nil || !ok:
+			t.Fatalf("a decoded reply of this version granted nothing (err %v)", err)
+		case g.ID != want.LeaseID || g.Desc != want.Job:
 			t.Fatalf("grant %+v from reply %+v", g, want)
 		}
 	})
@@ -299,47 +303,60 @@ func postJSON(t *testing.T, url string, body, out any) int {
 	return resp.StatusCode
 }
 
-// TestLeaseReplySharded: every lease reply says "sharded": true — an
-// unsharded cell's whole-axis job as much as a sharded batch — so a
-// worker built when a job could also be a whole-experiment cell
-// computes the granted range rather than the full experiment.
-func TestLeaseReplySharded(t *testing.T) {
-	sched, _, ts := httpFleet(t, 5*time.Second)
-	for _, spec := range []experiments.RunSpec{
-		{IDs: []string{"tab1"}},
-		{IDs: []string{"tab1"}, ShardRows: true, BatchRows: 3},
-	} {
-		if _, err := sched.Submit(context.Background(), spec); err != nil {
-			t.Fatal(err)
-		}
+// TestLeaseWireVersion: the coordinator grants a lease only to a
+// worker of its own wire version and echoes that version in the grant.
+// A request from a worker that predates versioning (no "wire") or of
+// any other version gets 400 naming both versions and leases nothing.
+func TestLeaseWireVersion(t *testing.T) {
+	sched, c, ts := httpFleet(t, 5*time.Second)
+	if _, err := sched.Submit(context.Background(), experiments.RunSpec{IDs: []string{"tab1"}}); err != nil {
+		t.Fatal(err)
 	}
-	grants := 0
-	for {
-		var reply leaseResponse
-		status := postJSON(t, ts.URL+"/fleet/lease", leaseRequest{Worker: "old"}, &reply)
-		if status == http.StatusNoContent {
-			break
-		}
-		if status != http.StatusOK {
-			t.Fatalf("lease: status %d", status)
-		}
-		grants++
-		if !reply.Job.Sharded {
-			t.Errorf("lease %s: job %+v, want \"sharded\": true", reply.LeaseID, reply.Job)
-		}
-		res, err := experiments.ComputeJob(context.Background(), reply.Job.desc())
+	for _, body := range []string{`{"worker":"old"}`, `{"wire":1,"worker":"old"}`, `{"wire":3,"worker":"new"}`} {
+		resp, err := http.Post(ts.URL+"/fleet/lease", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := toWire(res)
-		req.LeaseID = reply.LeaseID
-		if status := postJSON(t, ts.URL+"/fleet/complete", req, nil); status != http.StatusNoContent {
-			t.Fatalf("complete %s: status %d", reply.LeaseID, status)
+		var refusal struct {
+			Error string `json:"error"`
+			Wire  int    `json:"wire"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&refusal)
+		resp.Body.Close()
+		var req leaseRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		names := fmt.Sprintf("coordinator speaks version %d, worker speaks version %d", wireVersion, req.Wire)
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || refusal.Wire != wireVersion || !strings.Contains(refusal.Error, names) {
+			t.Errorf("%s: status %d, body %+v (%v), want 400 with wire %d naming %q", body, resp.StatusCode, refusal, derr, wireVersion, names)
 		}
 	}
-	// One whole-axis job, then 7 points in batches of 3.
-	if grants != 1+3 {
-		t.Errorf("granted %d jobs, want 4", grants)
+	if st := c.Stats(); st.Granted != 0 {
+		t.Fatalf("refused requests granted %d leases", st.Granted)
+	}
+	var reply leaseResponse
+	if status := postJSON(t, ts.URL+"/fleet/lease", leaseRequest{Wire: wireVersion, Worker: "current"}, &reply); status != http.StatusOK {
+		t.Fatalf("versioned lease: status %d, want 200", status)
+	}
+	if reply.Wire != wireVersion || reply.LeaseID == "" {
+		t.Errorf("grant %+v, want lease echoing wire %d", reply, wireVersion)
+	}
+}
+
+// TestLeaseNoFleetEndpoints: a lease poll answered 404 reaches a server
+// without the /fleet/* routes (llama-serve started without -fleet), so
+// Client.Lease says that rather than ErrUnknownLease, which remains
+// what 404 means to heartbeat and complete.
+func TestLeaseNoFleetEndpoints(t *testing.T) {
+	ts := httptest.NewServer(http.NotFoundHandler())
+	defer ts.Close()
+	client := &Client{Base: ts.URL}
+	if _, ok, err := client.Lease("w", nil); !errors.Is(err, errNoFleet) || ok {
+		t.Errorf("Lease: ok %v, err %v, want %v", ok, err, errNoFleet)
+	}
+	if err := client.Heartbeat("lease-1"); !errors.Is(err, ErrUnknownLease) {
+		t.Errorf("Heartbeat: err %v, want %v", err, ErrUnknownLease)
 	}
 }
 
@@ -446,67 +463,52 @@ func TestWireRejectedCompletionRequeued(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesOldCoordinator: a coordinator that predates point
-// ranges leases an unsharded cell as {"sharded": false, "point": 0,
-// "count": 1}. Computing that one point would be rejected as a
-// malformed cell and the job requeued to the next worker forever, so
-// the worker fails the job instead, naming the mismatch, and computes
-// nothing.
+// TestWorkerRefusesOldCoordinator: a coordinator of another wire
+// version — one that predates versioning and grants with no "wire", or
+// one that refuses this worker's version with 400 — ends Worker.Run
+// with a *VersionError naming both versions, at the first lease. The
+// worker computes nothing, posts nothing back and does not poll again.
 func TestWorkerRefusesOldCoordinator(t *testing.T) {
-	reports := make(chan completeRequest, 1)
-	leased := false
-	var mu sync.Mutex
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/fleet/lease":
+	for _, tc := range []struct {
+		name   string
+		status int
+		reply  string
+		peer   int
+	}{
+		{"unversioned grant", http.StatusOK, `{"lease_id":"lease-1","job":{"id":"tab1","seed":1,"sharded":true,"point":0,"count":7},"ttl_ms":60000}`, 0},
+		{"newer refusal", http.StatusBadRequest, `{"error":"lease wire version mismatch","wire":3}`, 3},
+	} {
+		var mu sync.Mutex
+		var paths []string
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
-			first := !leased
-			leased = true
+			paths = append(paths, r.URL.Path)
 			mu.Unlock()
-			if !first {
-				w.WriteHeader(http.StatusNoContent)
-				return
-			}
-			fmt.Fprint(w, `{"lease_id":"lease-1","job":{"id":"tab1","seed":1,"sharded":false,"point":0,"count":1},"ttl_ms":60000}`)
-		case "/fleet/complete":
-			var req completeRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				t.Errorf("complete: %v", err)
-			}
-			reports <- req
-			w.WriteHeader(http.StatusNoContent)
-		default:
-			w.WriteHeader(http.StatusNoContent)
+			w.WriteHeader(tc.status)
+			fmt.Fprint(w, tc.reply)
+		}))
+		computed := false
+		wk, err := NewWorker(WorkerConfig{
+			Client: &Client{Base: ts.URL},
+			Poll:   time.Millisecond,
+			Compute: func(ctx context.Context, d experiments.JobDesc) (experiments.ExternalResult, error) {
+				computed = true
+				return experiments.ComputeJob(ctx, d)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}))
-	defer ts.Close()
-	computed := false
-	wk, err := NewWorker(WorkerConfig{
-		Client: &Client{Base: ts.URL},
-		Poll:   time.Millisecond,
-		Compute: func(ctx context.Context, d experiments.JobDesc) (experiments.ExternalResult, error) {
-			computed = true
-			return experiments.ComputeJob(ctx, d)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); _ = wk.Run(ctx) }()
-	var req completeRequest
-	select {
-	case req = <-reports:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never answered the whole-cell lease")
-	}
-	cancel()
-	<-done
-	if req.LeaseID != "lease-1" || len(req.Points) != 0 || !strings.Contains(req.Error, "upgrade the coordinator") {
-		t.Errorf("completion %+v, want a failure naming the coordinator mismatch and no points", req)
-	}
-	if computed {
-		t.Error("worker computed a whole-cell grant")
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = wk.Run(ctx)
+		cancel()
+		ts.Close()
+		var verr *VersionError
+		if !errors.As(err, &verr) || *verr != (VersionError{Coordinator: tc.peer, Worker: wireVersion}) {
+			t.Errorf("%s: Run = %v, want a *VersionError for coordinator version %d", tc.name, err, tc.peer)
+		}
+		if computed || !slices.Equal(paths, []string{"/fleet/lease"}) {
+			t.Errorf("%s: computed %v, calls %v; want one lease poll and nothing else", tc.name, computed, paths)
+		}
 	}
 }

@@ -9,7 +9,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -82,7 +81,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 func (w *Worker) Jobs() int64 { return w.jobs.Load() }
 
 // Run pulls and executes jobs until ctx is cancelled; it returns
-// ctx.Err() then. Transient coordinator errors (connection refused
+// ctx.Err() then. A coordinator of another wire version ends the loop
+// with its *VersionError. Other coordinator errors (connection refused
 // during a restart, 5xx) back off and retry rather than kill the loop.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
@@ -94,6 +94,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			wt = w.cfg.Tables()
 		}
 		grant, ok, err := w.cfg.Client.Lease(w.cfg.Name, wt)
+		var verr *VersionError
+		if errors.As(err, &verr) {
+			return err
+		}
 		if err != nil {
 			w.cfg.Logf("fleet worker %s: lease: %v (retrying)", w.cfg.Name, err)
 			if !sleepCtx(ctx, w.cfg.Poll) {
@@ -116,18 +120,6 @@ func (w *Worker) Run(ctx context.Context) error {
 // result or failure.
 func (w *Worker) runJob(ctx context.Context, g Grant) {
 	w.cfg.Logf("fleet worker %s: %s under %s", w.cfg.Name, g.Desc, g.ID)
-	if g.wholeCell {
-		// A coordinator that predates point ranges leased a whole
-		// experiment, which this worker cannot compute. Failing the job
-		// fails its run; leaving it to expire would requeue it to the
-		// next new worker, and the run would never end.
-		err := fmt.Errorf("fleet worker %s: coordinator leased %s as a whole-experiment cell; upgrade the coordinator to match its workers", w.cfg.Name, g.Desc.ID)
-		w.cfg.Logf("%v", err)
-		if ferr := w.cfg.Client.Fail(g.ID, g.Desc, err); ferr != nil {
-			w.cfg.Logf("fleet worker %s: reporting failure for %s: %v", w.cfg.Name, g.ID, ferr)
-		}
-		return
-	}
 	// The compute context dies with the lease: once a heartbeat comes
 	// back "expired" the job has been requeued, so burning more CPU on
 	// it only produces a duplicate the coordinator will drop anyway.

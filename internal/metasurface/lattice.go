@@ -3,8 +3,10 @@ package metasurface
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 
+	"github.com/llama-surface/llama/internal/jones"
 	"github.com/llama-surface/llama/internal/mat2"
 	"github.com/llama-surface/llama/internal/units"
 )
@@ -133,13 +135,12 @@ func (l *Lattice) unitJones(f float64, u latticeUnit) mat2.Mat {
 	// The detune deviation scales the differential phase by rotating
 	// ty's phase toward/away from tx's.
 	if u.detune != 1 {
-		dphi := units.NormalizeAngle(phase(ty) - phase(tx))
-		ty = rect(abs(ty), phase(tx)+dphi*u.detune)
+		dphi := units.NormalizeAngle(cmplx.Phase(ty) - cmplx.Phase(tx))
+		ty = cmplx.Rect(cmplx.Abs(ty), cmplx.Phase(tx)+dphi*u.detune)
 	}
 	bfs := mat2.Diag(tx, ty).Scale(complex(u.lossExcess, 0))
-	qPlus := d.qwpJones(f, math.Pi/4)
-	qMinus := d.qwpJones(f, -math.Pi/4)
-	return qPlus.Mul(bfs).Mul(qMinus)
+	q := d.qwpEval(f)
+	return q.plus.Mul(bfs).Mul(q.minus)
 }
 
 // JonesTransmissive returns the panel's aggregate Jones matrix: the
@@ -154,15 +155,13 @@ func (l *Lattice) JonesTransmissive(f float64) mat2.Mat {
 
 // RotationDegrees extracts the aggregate rotation magnitude in degrees.
 func (l *Lattice) RotationDegrees(f float64) float64 {
-	return math.Abs(units.Degrees(rotationAngleOf(l.JonesTransmissive(f))))
+	return math.Abs(units.Degrees(jones.RotationAngle(l.JonesTransmissive(f))))
 }
 
 // Efficiency returns the aggregate Eq. 11 efficiency for an X-polarized
 // wave.
 func (l *Lattice) Efficiency(f float64) float64 {
-	m := l.JonesTransmissive(f)
-	e := m.MulVec(mat2.Vec{X: 1})
-	return e.NormSq()
+	return JonesEfficiency(l.JonesTransmissive(f), AxisX)
 }
 
 // EfficiencyDB returns Efficiency in dB.
@@ -196,37 +195,4 @@ func (l *Lattice) Yield(f, vx, vy float64) (YieldReport, error) {
 		RotationLossDeg:  ideal.RotationDegrees(f) - l.RotationDegrees(f),
 		EfficiencyLossDB: ideal.EfficiencyDB(AxisX, f) - l.EfficiencyDB(f),
 	}, nil
-}
-
-// Small complex helpers that keep unitJones readable without importing
-// math/cmplx at every call site.
-func phase(c complex128) float64 { return math.Atan2(imag(c), real(c)) }
-func abs(c complex128) float64   { return math.Hypot(real(c), imag(c)) }
-func rect(r, th float64) complex128 {
-	return complex(r*math.Cos(th), r*math.Sin(th))
-}
-
-// rotationAngleOf mirrors jones.RotationAngle without the import cycle
-// (jones imports mat2 only, but keeping metasurface's dependency list
-// tight): extract the best-fit rotation angle of m.
-func rotationAngleOf(m mat2.Mat) float64 {
-	sum := m.A + m.D
-	dif := m.C - m.B
-	var ph float64
-	if abs(sum) >= abs(dif) {
-		ph = -phase(sum)
-	} else {
-		ph = -phase(dif)
-	}
-	rot := rect(1, ph)
-	c := real(sum * rot)
-	s := real(dif * rot)
-	th := math.Atan2(s, c)
-	for th > math.Pi/2 {
-		th -= math.Pi
-	}
-	for th <= -math.Pi/2 {
-		th += math.Pi
-	}
-	return th
 }

@@ -209,16 +209,6 @@ func (d Design) bfsTankAdmittance(f, v float64) complex128 {
 	return complex(0, b)
 }
 
-// qwpJones returns the Jones matrix of one QWP board rotated by theta,
-// computed from the per-axis circuit model.
-func (d Design) qwpJones(f, theta float64) mat2.Mat {
-	z0 := units.Z0FreeSpace
-	fastS := d.qwpAxisLine(f, false).ToS(z0)
-	slowS := d.qwpAxisLine(f, true).ToS(z0)
-	diag := mat2.Diag(fastS.S21, slowS.S21)
-	return jones.Rotated(diag, theta)
-}
-
 // loadedLine describes the varactor-loaded synthetic line of one BFS axis
 // whose diodes sit at capacitance cv (the bias enters only through C(v)):
 // characteristic impedance drops and phase constant grows with loading

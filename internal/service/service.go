@@ -23,10 +23,10 @@
 // The server is built for sustained traffic: submissions beyond
 // Config.MaxQueued are refused with 429 + Retry-After instead of
 // queueing without bound, result reconstruction rides the scheduler's
-// priority lane so it never waits behind live compute, and run-record
-// writes are sequence-versioned so a DELETE can never be undone by an
-// in-flight watcher write (determinism invariant 8: lifecycle traffic
-// never changes result bytes).
+// priority lane so it never waits behind live compute, and a deleted
+// run's tombstone stops any later record write, so a DELETE can never
+// be undone by an in-flight watcher write (determinism invariant 8:
+// lifecycle traffic never changes result bytes).
 package service
 
 import (
@@ -147,19 +147,17 @@ type Server struct {
 // footprint is bounded by the runs in flight, not the runs it has ever
 // served.
 //
-// Record writes are ordered by (seq, persisted, deleted), all guarded
-// by the server mutex: every in-memory mutation bumps seq, persistRun
-// writes only when seq is ahead of persisted, and deleted is a
-// tombstone no later write may cross. persistMu serializes the disk
+// A run record is written exactly twice: by handleSubmit, before the
+// watcher starts, and by the watcher when the run ends. A re-listed run
+// is never rewritten. deleted, guarded by the server mutex, is a
+// tombstone no later write may cross; persistMu serializes the disk
 // writes themselves (and DELETE's removal) without holding the server
-// mutex across I/O. Without this ordering a DELETE racing the
-// watcher's terminal write resurrects the record on disk.
+// mutex across I/O. Without the two a DELETE racing the watcher's
+// terminal write resurrects the record on disk.
 type run struct {
 	rec    *store.RunRecord
 	handle *experiments.RunHandle
 
-	seq       int
-	persisted int
 	deleted   bool
 	persistMu sync.Mutex
 	// finished is closed when the run reaches a terminal status, so
@@ -222,7 +220,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Every re-listed run is terminal (running ones were just marked
 	// interrupted), so their finished channels start closed and their
-	// on-disk records are already current (persisted == seq).
+	// on-disk records are already current.
 	relisted := make(chan struct{})
 	close(relisted)
 	for _, rec := range recs {
@@ -233,7 +231,7 @@ func New(cfg Config) (*Server, error) {
 				s.logf("service: marking %s interrupted: %v", rec.ID, err)
 			}
 		}
-		s.runs[rec.ID] = &run{rec: rec, seq: 1, persisted: 1, finished: relisted}
+		s.runs[rec.ID] = &run{rec: rec, finished: relisted}
 		if n := runNumber(rec.ID); n >= s.nextID {
 			s.nextID = n + 1
 		}
@@ -461,12 +459,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Status:        StatusRunning,
 		CreatedUnixNs: s.now().UnixNano(),
 	}
-	rn := &run{rec: rec, handle: handle, seq: 1, finished: make(chan struct{})}
+	rn := &run{rec: rec, handle: handle, finished: make(chan struct{})}
 	s.runs[id] = rn
 	s.watchers.Add(1)
 	s.mu.Unlock()
 	// The initial record lands on disk before the watcher starts, so the
-	// watcher's terminal write (seq 2) is always ordered after it.
+	// watcher's terminal write is always ordered after it.
 	s.persistRun(rn)
 	go s.watch(rn)
 	s.logf("service: %s submitted (%d experiments × %d seeds)", id, len(rec.Spec.IDs), len(rec.Spec.Seeds))
@@ -474,36 +472,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.runStatusOf(rn))
 }
 
-// persistRun writes rn's record to the store iff its in-memory state is
-// ahead of what is on disk and the run has not been deleted. persistMu
-// serializes writers per run; the seq/persisted pair makes each write
-// at-most-once per mutation; the deleted tombstone (checked under the
-// same mutex that sets it) guarantees no write starts after DELETE has
-// removed the record — and DELETE in turn takes persistMu before
-// removing, so it also cannot overtake a write already in flight.
+// persistRun writes a snapshot of rn's record to the store unless the
+// run has been deleted. persistMu serializes writers per run; the
+// deleted tombstone (checked under the same mutex that sets it)
+// guarantees no write starts after DELETE has removed the record — and
+// DELETE in turn takes persistMu before removing, so it also cannot
+// overtake a write already in flight.
 func (s *Server) persistRun(rn *run) {
 	rn.persistMu.Lock()
 	defer rn.persistMu.Unlock()
 	s.mu.Lock()
-	if rn.deleted || rn.seq <= rn.persisted {
+	if rn.deleted {
 		s.mu.Unlock()
 		return
 	}
-	seq := rn.seq
 	cp := *rn.rec
 	s.mu.Unlock()
 	if err := s.st.PutRun(&cp); err != nil {
 		// The run still executes and its cells still persist; only the
 		// run-level metadata is at risk. Say so rather than killing the
-		// submission. persisted still advances: a failed write is not
-		// retried until the next mutation bumps seq.
+		// submission; the write is not retried.
 		s.logf("service: persisting run record %s: %v", cp.ID, err)
 	}
 	s.mu.Lock()
 	rn.rec.Path = cp.Path
-	if seq > rn.persisted {
-		rn.persisted = seq
-	}
 	s.mu.Unlock()
 }
 
@@ -531,7 +523,6 @@ func (s *Server) watch(rn *run) {
 		rec.ReusedCells = rep.ReusedCells
 		rec.ComputedCells = rep.ComputedCells
 	}
-	rn.seq++
 	s.live--
 	id, status := rec.ID, rec.Status
 	s.mu.Unlock()
@@ -705,9 +696,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	live := rn.handle != nil && rn.rec.Status == StatusRunning
 	id := rn.rec.ID
 	if !live {
-		// Tombstone under the same lock that guards seq/persisted: any
-		// persistRun from here on is a no-op, so the record cannot be
-		// resurrected after removal.
+		// Tombstone under the server mutex: any persistRun from here on
+		// is a no-op, so the record cannot be resurrected after removal.
 		rn.deleted = true
 		delete(s.runs, id)
 	}

@@ -139,19 +139,11 @@ func EncodeRows(rows [][]float64) [][]string {
 	return out
 }
 
-// DecodeRows parses the record's string cells back into float64 rows,
-// enforcing column arity. The round trip is bit-exact for finite
-// values and preserves NaN/±Inf. The result is memoized on the record
-// (and shared across calls), so validation and consumption decode once.
-func (r *Record) DecodeRows() ([][]float64, error) {
-	if r.decoded != nil {
-		return r.decoded, nil
-	}
-	out := make([][]float64, len(r.Rows))
-	for i, row := range r.Rows {
-		if len(row) != len(r.Columns) {
-			return nil, fmt.Errorf("row %d arity %d != %d columns", i, len(row), len(r.Columns))
-		}
+// DecodeRows parses EncodeRows' string form back into float64 rows,
+// bit-exact, NaN/±Inf included.
+func DecodeRows(rows [][]string) ([][]float64, error) {
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
 		dec := make([]float64, len(row))
 		for j, s := range row {
 			v, err := strconv.ParseFloat(s, 64)
@@ -161,6 +153,25 @@ func (r *Record) DecodeRows() ([][]float64, error) {
 			dec[j] = v
 		}
 		out[i] = dec
+	}
+	return out, nil
+}
+
+// DecodeRows decodes the record's rows, enforcing column arity. The
+// result is memoized on the record (and shared across calls), so
+// validation and consumption decode once.
+func (r *Record) DecodeRows() ([][]float64, error) {
+	if r.decoded != nil {
+		return r.decoded, nil
+	}
+	for i, row := range r.Rows {
+		if len(row) != len(r.Columns) {
+			return nil, fmt.Errorf("row %d arity %d != %d columns", i, len(row), len(r.Columns))
+		}
+	}
+	out, err := DecodeRows(r.Rows)
+	if err != nil {
+		return nil, err
 	}
 	r.decoded = out
 	return out, nil
