@@ -15,6 +15,7 @@ import (
 
 	"github.com/llama-surface/llama/internal/control"
 	"github.com/llama-surface/llama/internal/experiments"
+	"github.com/llama-surface/llama/internal/jones"
 	"github.com/llama-surface/llama/internal/metasurface"
 	"github.com/llama-surface/llama/internal/units"
 )
@@ -365,7 +366,7 @@ func BenchmarkLatticeAggregation(b *testing.B) {
 	lat.SetBias(2, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := lat.RotationDegrees(DefaultCarrierHz); r <= 0 {
+		if r := jones.RotationAngle(lat.JonesTransmissive(DefaultCarrierHz)); r == 0 {
 			b.Fatal("no rotation")
 		}
 	}

@@ -15,9 +15,11 @@
 //	llama-bench -store DIR -resume    reuse stored cells; only missing seeds recompute
 //	llama-bench -timeout 30s          bound the whole run
 //
-// With -store DIR the run also warm-starts from (and re-persists) the
-// per-design response tables under DIR/tables, so repeated invocations
-// skip previously computed physics entirely.
+// With -store DIR a run that computes anything also warm-starts from
+// (and re-persists) the per-design response tables under DIR/tables, so
+// repeated invocations skip previously computed physics entirely. A
+// -resume run the store answers in full computes nothing, so it reads
+// and writes no table.
 //
 // Tables go to stdout (text, csv or json via -format); the per-experiment
 // timing summary goes to stderr so piped output stays parseable.

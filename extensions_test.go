@@ -42,9 +42,12 @@ func TestManufacturePanel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat.SetBias(2, 15)
-	if rot := lat.RotationDegrees(DefaultCarrierHz); rot < 30 {
-		t.Errorf("manufactured panel rotation = %v°", rot)
+	rep, err := lat.Yield(DefaultCarrierHz, 2, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RotationDeg < 30 {
+		t.Errorf("manufactured panel rotation = %v°", rep.RotationDeg)
 	}
 	bad := OptimizedFR4(DefaultCarrierHz)
 	bad.BFSLayers = 0

@@ -239,19 +239,23 @@ func Execute(ctx context.Context, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
-	// Warm-start: import every persisted response table before any
-	// compute, so a fresh process answers previously computed physics
-	// from memory, and persist the (possibly grown) tables after the
-	// run. Both directions are pure acceleration — their warnings ride
-	// in StoreWarnings, never fail the run.
-	var loadWarns []string
-	if st != nil {
-		_, _, loadWarns = LoadResponseTables(st)
-	}
 	spec := RunSpec{IDs: opts.IDs, Seeds: opts.Seeds, ShardRows: opts.ShardRows, BatchRows: opts.BatchRows, Resume: opts.Resume}
 	sub, err := newSubmission(ctx, spec, st)
 	if err != nil {
 		return nil, err
+	}
+	// Warm-start: when the submission queued a job, import every
+	// persisted response table before any compute, so a fresh process
+	// answers previously computed physics from memory, and persist the
+	// (possibly grown) tables after the run. A run the store answers in
+	// full computes nothing, so it reads and writes no table — not even
+	// tables an earlier run left in memory. Both directions are pure
+	// acceleration — their warnings ride in StoreWarnings, never fail
+	// the run.
+	warm := st != nil && len(sub.queue) > 0
+	var loadWarns []string
+	if warm {
+		_, _, loadWarns = LoadResponseTables(st)
 	}
 	// Size the pool to the run: never more workers than jobs.
 	workers := opts.Concurrency
@@ -269,7 +273,7 @@ func Execute(ctx context.Context, opts Options) (*Report, error) {
 	}
 	rep := sub.report
 	var saveWarns []string
-	if st != nil {
+	if warm {
 		_, _, saveWarns = SaveResponseTables(st)
 	}
 	rep.StoreWarnings = append(append(loadWarns, rep.StoreWarnings...), saveWarns...)

@@ -67,14 +67,25 @@ func TestEngineMatchesSerial(t *testing.T) {
 }
 
 // TestEngineCancellation cancels a run mid-flight and checks it returns
-// promptly with ctx.Err() and leaks no goroutines.
+// promptly with ctx.Err() and leaks no goroutines. The cancel comes from
+// inside the run — the point of a test sweep that sorts a few
+// experiments deep — so the run cannot finish before it.
 func TestEngineCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond) // a few experiments deep
-		cancel()
-	}()
+	defer cancel()
+	tempSweep(t, &Sweep{
+		ID:          "cancel-probe",
+		Description: "test sweep whose point cancels the run",
+		Title:       "cancelling sweep",
+		Columns:     []string{"i"},
+		Points:      1,
+		Point: func(pctx context.Context, seed int64, i int) (PointResult, error) {
+			cancel()
+			<-pctx.Done()
+			return PointResult{}, pctx.Err()
+		},
+	})
 	start := time.Now()
 	_, err := Execute(ctx, Options{Concurrency: 4})
 	if !errors.Is(err, context.Canceled) {

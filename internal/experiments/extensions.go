@@ -87,8 +87,7 @@ func ablYieldSweep() *Sweep {
 			if err != nil {
 				return PointResult{}, err
 			}
-			lat.SetBias(2, 15)
-			return Row(rate*100, float64(rep.FailedUnits), lat.RotationDegrees(f0),
+			return Row(rate*100, float64(rep.FailedUnits), rep.RotationDeg,
 				rep.RotationLossDeg, rep.EfficiencyLossDB), nil
 		},
 		Finish: func(res *Result, seed int64) error {

@@ -3,10 +3,12 @@ package experiments
 // Clean-table skipping in SaveResponseTables: a table that has not grown
 // since this store handle loaded or wrote its record, and whose record
 // file is unchanged, costs nothing on save; every other table takes the
-// union-merge path. Run under -race in CI.
+// union-merge path. Execute goes further: a run that queues no job loads
+// and saves no table at all. Run under -race in CI.
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -285,5 +287,91 @@ func TestLoadWarnsOnCorruptRecord(t *testing.T) {
 	}
 	if len(warns) != 1 || !strings.Contains(warns[0], bad) {
 		t.Errorf("warnings = %v, want exactly one naming %s", warns, bad)
+	}
+}
+
+// TestFullyStoredResumeTouchesNoTable: a resume the store answers in
+// full queues no job, so Execute imports no table and saves none —
+// whether the registry starts empty or still holds the tables of a run
+// on another store, which a save would merge into this store's records
+// and rewrite.
+func TestFullyStoredResumeTouchesNoTable(t *testing.T) {
+	ctx := context.Background()
+	seeds := seedRange(1, 2)
+	dir := t.TempDir()
+	metasurface.ResetResponseTables()
+	if _, err := Execute(ctx, Options{IDs: resumeTestIDs, Seeds: seeds, StoreDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	// Let the coarse file clock tick, so a rewrite would move mtimes.
+	time.Sleep(20 * time.Millisecond)
+	before := tableFiles(t, dir)
+	if len(before) == 0 {
+		t.Fatal("the cold run persisted no table")
+	}
+	for _, tc := range []struct {
+		name  string
+		prime func(t *testing.T)
+	}{
+		{"empty registry", func(t *testing.T) {}},
+		{"tables of another store", func(t *testing.T) {
+			if _, err := Execute(ctx, Options{IDs: resumeTestIDs, Seeds: seedRange(3, 3), StoreDir: t.TempDir()}); err != nil {
+				t.Fatal(err)
+			}
+			if metasurface.TableCount() == 0 {
+				t.Fatal("priming left no table in memory")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			metasurface.ResetResponseTables()
+			tc.prime(t)
+			tables := metasurface.TableCount()
+			rep, err := Execute(ctx, Options{IDs: resumeTestIDs, Seeds: seeds, StoreDir: dir, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(resumeTestIDs) * len(seeds); rep.ReusedCells != want || rep.ComputedCells != 0 {
+				t.Errorf("reused %d / computed %d cells, want %d / 0", rep.ReusedCells, rep.ComputedCells, want)
+			}
+			if rep.CacheMisses != 0 || len(rep.StoreWarnings) != 0 {
+				t.Errorf("%d misses, warnings %v; want 0, none", rep.CacheMisses, rep.StoreWarnings)
+			}
+			if n := metasurface.TableCount(); n != tables {
+				t.Errorf("%d tables in memory after the resume, want the %d before it", n, tables)
+			}
+			if ch := changedFiles(before, tableFiles(t, dir)); len(ch) != 0 {
+				t.Errorf("a resume that queued no job rewrote %v", ch)
+			}
+		})
+	}
+}
+
+// TestPartialResumeImportsTables: a resume that still queues a job
+// warm-starts from the store's tables, so computing the missing seed
+// misses fewer lookups than computing it cold.
+func TestPartialResumeImportsTables(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	metasurface.ResetResponseTables()
+	if _, err := Execute(ctx, Options{IDs: resumeTestIDs, Seeds: seedRange(1, 1), StoreDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	metasurface.ResetResponseTables()
+	cold, err := Execute(ctx, Options{IDs: resumeTestIDs, Seeds: seedRange(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metasurface.ResetResponseTables()
+	rep, err := Execute(ctx, Options{IDs: resumeTestIDs, Seeds: seedRange(1, 2), StoreDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(resumeTestIDs); rep.ReusedCells != n || rep.ComputedCells != n {
+		t.Fatalf("reused %d / computed %d cells, want %d / %d", rep.ReusedCells, rep.ComputedCells, n, n)
+	}
+	if rep.CacheMisses >= cold.CacheMisses {
+		t.Errorf("resume missed %d lookups, a cold run of the same seed %d: the store's tables were not imported",
+			rep.CacheMisses, cold.CacheMisses)
 	}
 }

@@ -417,9 +417,10 @@ func TestLegacyCellCompletionRejected(t *testing.T) {
 }
 
 // TestWireRejectedCompletionRequeued: a completion the wire decoder
-// refuses (here a negative elapsed_ms) answers 400 and, like one the
-// coordinator rejects, ends the live lease and requeues its job at
-// once, so an honest worker is granted it without waiting out the TTL.
+// refuses (here a row cell that is not a number) answers 400 and, like
+// one the coordinator rejects, ends the live lease and requeues its job
+// at once through Coordinator.reject, so an honest worker is granted it
+// without waiting out the TTL.
 func TestWireRejectedCompletionRequeued(t *testing.T) {
 	spec := experiments.RunSpec{IDs: []string{"tab1"}}
 	want := referenceCSV(t, spec)
@@ -432,9 +433,9 @@ func TestWireRejectedCompletionRequeued(t *testing.T) {
 	if !ok {
 		t.Fatal("no lease granted")
 	}
-	body := map[string]any{"lease_id": g.ID, "elapsed_ms": -1}
+	body := map[string]any{"lease_id": g.ID, "points": []map[string]any{{"rows": [][]string{{"not-a-number"}}}}}
 	if status := postJSON(t, ts.URL+"/fleet/complete", body, nil); status != http.StatusBadRequest {
-		t.Fatalf("negative elapsed_ms: status %d, want 400", status)
+		t.Fatalf("non-numeric row: status %d, want 400", status)
 	}
 	again, ok := c.Lease("honest")
 	if !ok || again.Desc != g.Desc {

@@ -54,7 +54,7 @@ func (s *Surface) JonesBatch(mode Mode, pts []BatchPoint, dst []mat2.Mat) []mat2
 
 // responsesAt resolves one batch point's per-axis and QWP responses
 // through the scalar lookups, clamping the biases as SetBias does.
-func (s *Surface) responsesAt(p BatchPoint) (xr, yr axisResponse, qw qwpResponse) {
+func (s *Surface) responsesAt(p BatchPoint) (xr, yr axisResponse, qw *qwpResponse) {
 	lo, hi := s.design.MinBiasV, s.design.MaxBiasV
 	xr = s.axisAt(AxisX, p.F, units.Clamp(p.VX, lo, hi))
 	yr = s.axisAt(AxisY, p.F, units.Clamp(p.VY, lo, hi))

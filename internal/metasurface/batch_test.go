@@ -261,7 +261,7 @@ func TestSnapshotPublicationRace(t *testing.T) {
 					default:
 					}
 					v := 0.001 * float64(i+1)
-					tbl.axisAt(d, AxisX, 2.31e9, v, uint32(i))
+					tbl.axisAt(&d, AxisX, 2.31e9, v, uint32(i))
 					lookups.Add(1)
 				}
 			}()
@@ -273,7 +273,7 @@ func TestSnapshotPublicationRace(t *testing.T) {
 					for i := 0; i < rounds; i++ {
 						ki := (i + r) % len(hot)
 						k := hot[ki]
-						got := tbl.axisAt(d, k.axis, k.f, k.v, uint32(r))
+						got := tbl.axisAt(&d, k.axis, k.f, k.v, uint32(r))
 						lookups.Add(1)
 						if !sameC(got.s.S21, refs[ki].s.S21) || !sameC(got.shortGamma, refs[ki].shortGamma) {
 							errs <- "axis response diverged from the pure evaluation under publication churn"

@@ -66,7 +66,7 @@ func newMutexTable() *mutexTable {
 	return &mutexTable{axis: make(map[axisKey]axisResponse)}
 }
 
-func (t *mutexTable) axisAt(d Design, axis Axis, f, v float64) axisResponse {
+func (t *mutexTable) axisAt(d *Design, axis Axis, f, v float64) axisResponse {
 	key := axisKey{axis: axis, f: math.Float64bits(f), v: math.Float64bits(v)}
 	t.mu.RLock()
 	r, ok := t.axis[key]
@@ -95,7 +95,7 @@ func BenchmarkTableParallelSnapshot(b *testing.B) {
 	tbl := newResponseTable("bench-snapshot")
 	pts := benchAxisKeys()
 	for _, p := range pts {
-		tbl.axisAt(d, p.axis, p.f, p.v, 0)
+		tbl.axisAt(&d, p.axis, p.f, p.v, 0)
 	}
 	tbl.axis.flush()
 	var seq atomic.Uint32
@@ -107,7 +107,7 @@ func BenchmarkTableParallelSnapshot(b *testing.B) {
 		for pb.Next() {
 			p := pts[i%len(pts)]
 			i++
-			r := tbl.axisAt(d, p.axis, p.f, p.v, shard)
+			r := tbl.axisAt(&d, p.axis, p.f, p.v, shard)
 			if r.s.Z0 == 0 {
 				b.Fatal("degenerate response")
 			}
@@ -122,7 +122,7 @@ func BenchmarkTableParallelMutex(b *testing.B) {
 	tbl := newMutexTable()
 	pts := benchAxisKeys()
 	for _, p := range pts {
-		tbl.axisAt(d, p.axis, p.f, p.v)
+		tbl.axisAt(&d, p.axis, p.f, p.v)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -131,7 +131,7 @@ func BenchmarkTableParallelMutex(b *testing.B) {
 		for pb.Next() {
 			p := pts[i%len(pts)]
 			i++
-			r := tbl.axisAt(d, p.axis, p.f, p.v)
+			r := tbl.axisAt(&d, p.axis, p.f, p.v)
 			if r.s.Z0 == 0 {
 				b.Fatal("degenerate response")
 			}
@@ -147,14 +147,14 @@ func BenchmarkTableBatchAxis(b *testing.B) {
 	tbl := newResponseTable("bench-batch")
 	pts := benchAxisKeys()
 	for _, p := range pts {
-		tbl.axisAt(d, p.axis, p.f, p.v, 0)
+		tbl.axisAt(&d, p.axis, p.f, p.v, 0)
 	}
 	tbl.axis.flush()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pts {
-			if r := tbl.axisAt(d, p.axis, p.f, p.v, 0); r.s.Z0 == 0 {
+			if r := tbl.axisAt(&d, p.axis, p.f, p.v, 0); r.s.Z0 == 0 {
 				b.Fatal("degenerate response")
 			}
 		}

@@ -356,7 +356,7 @@ type responseTable struct {
 	fingerprint string
 
 	axis *snapMap[axisKey, axisResponse]
-	qwp  *snapMap[uint64, qwpResponse]
+	qwp  *snapMap[uint64, *qwpResponse]
 
 	version atomic.Uint64
 }
@@ -367,7 +367,7 @@ func newResponseTable(fp string) *responseTable {
 	t := &responseTable{
 		fingerprint: fp,
 		axis:        newSnapMap[axisKey, axisResponse](),
-		qwp:         newSnapMap[uint64, qwpResponse](),
+		qwp:         newSnapMap[uint64, *qwpResponse](),
 	}
 	t.version.Store(tableVersions.Add(1))
 	t.axis.version = &t.version
@@ -378,8 +378,8 @@ func newResponseTable(fp string) *responseTable {
 // axisAt returns the memoized per-axis response, computing and storing
 // it on first use. shard selects the caller's counter slot. The hit
 // path is one snapshot probe plus one sharded counter add — no lock, no
-// allocation.
-func (t *responseTable) axisAt(d Design, axis Axis, f, v float64, shard uint32) axisResponse {
+// allocation, and no copy of the design, which only a miss reads.
+func (t *responseTable) axisAt(d *Design, axis Axis, f, v float64, shard uint32) axisResponse {
 	key := axisKey{axis: axis, f: math.Float64bits(f), v: math.Float64bits(v)}
 	if r, ok := t.axis.get(key); ok {
 		globalStats.count(shard, true)
@@ -391,14 +391,16 @@ func (t *responseTable) axisAt(d Design, axis Axis, f, v float64, shard uint32) 
 }
 
 // qwpAt returns the memoized QWP response at frequency f, computing and
-// storing it on first use. The hit path performs no allocation.
-func (t *responseTable) qwpAt(d Design, f float64, shard uint32) qwpResponse {
+// storing it on first use. The table holds each response behind a
+// pointer, so a hit hands out the stored entry, read-only, instead of
+// copying its 272 bytes; the hit path performs no allocation.
+func (t *responseTable) qwpAt(d *Design, f float64, shard uint32) *qwpResponse {
 	key := math.Float64bits(f)
 	if r, ok := t.qwp.get(key); ok {
 		globalStats.count(shard, true)
 		return r
 	}
-	r, hit := t.qwp.lookup(key, func() qwpResponse { return d.qwpEval(f) })
+	r, hit := t.qwp.lookup(key, func() *qwpResponse { q := d.qwpEval(f); return &q })
 	globalStats.count(shard, hit)
 	return r
 }

@@ -118,9 +118,11 @@ func (l *Lattice) FailedUnits() int {
 }
 
 // unitJones evaluates one unit's transmissive Jones matrix at frequency f
-// under the current rails.
-func (l *Lattice) unitJones(f float64, u latticeUnit) mat2.Mat {
-	d := l.design
+// under the current rails. q is the design's QWP response at f: it
+// depends on neither the unit nor the bias, so the caller evaluates it
+// once per panel.
+func (l *Lattice) unitJones(f float64, u *latticeUnit, q *qwpResponse) mat2.Mat {
+	d := &l.design
 	vx, vy := l.biasX+u.biasErrX, l.biasY+u.biasErrY
 	if u.failedX {
 		vx = 0
@@ -139,34 +141,24 @@ func (l *Lattice) unitJones(f float64, u latticeUnit) mat2.Mat {
 		ty = cmplx.Rect(cmplx.Abs(ty), cmplx.Phase(tx)+dphi*u.detune)
 	}
 	bfs := mat2.Diag(tx, ty).Scale(complex(u.lossExcess, 0))
-	q := d.qwpEval(f)
 	return q.plus.Mul(bfs).Mul(q.minus)
 }
 
 // JonesTransmissive returns the panel's aggregate Jones matrix: the
 // coherent mean of the unit responses.
 func (l *Lattice) JonesTransmissive(f float64) mat2.Mat {
+	q := l.design.qwpEval(f)
 	var acc mat2.Mat
-	for _, u := range l.units {
-		acc = acc.Add(l.unitJones(f, u))
+	for i := range l.units {
+		acc = acc.Add(l.unitJones(f, &l.units[i], &q))
 	}
 	return acc.Scale(complex(1/float64(len(l.units)), 0))
 }
 
-// RotationDegrees extracts the aggregate rotation magnitude in degrees.
-func (l *Lattice) RotationDegrees(f float64) float64 {
-	return math.Abs(units.Degrees(jones.RotationAngle(l.JonesTransmissive(f))))
-}
-
-// Efficiency returns the aggregate Eq. 11 efficiency for an X-polarized
-// wave.
-func (l *Lattice) Efficiency(f float64) float64 {
-	return JonesEfficiency(l.JonesTransmissive(f), AxisX)
-}
-
-// EfficiencyDB returns Efficiency in dB.
-func (l *Lattice) EfficiencyDB(f float64) float64 {
-	return units.LinearToDB(l.Efficiency(f))
+// rotationDegrees is the rotation magnitude, in degrees, of a
+// transmissive Jones matrix — Surface.RotationDegrees' extraction.
+func rotationDegrees(m mat2.Mat) float64 {
+	return math.Abs(units.Degrees(jones.RotationAngle(m)))
 }
 
 // YieldReport quantifies manufacturing robustness: the rotation and
@@ -175,6 +167,9 @@ func (l *Lattice) EfficiencyDB(f float64) float64 {
 type YieldReport struct {
 	// FailedUnits is the count with ≥1 dead axis.
 	FailedUnits int
+	// RotationDeg is the panel's aggregate rotation magnitude at the
+	// compared bias, in degrees.
+	RotationDeg float64
 	// RotationLossDeg is how much of the ideal rotation the panel lost.
 	RotationLossDeg float64
 	// EfficiencyLossDB is the extra insertion loss vs ideal.
@@ -182,7 +177,9 @@ type YieldReport struct {
 }
 
 // Yield compares the lattice against the ideal surface at bias (vx, vy)
-// and frequency f.
+// and frequency f, and leaves the lattice's rails at that bias. Each
+// side's rotation and X-polarized efficiency come from one aggregate
+// Jones matrix.
 func (l *Lattice) Yield(f, vx, vy float64) (YieldReport, error) {
 	ideal, err := New(l.design)
 	if err != nil {
@@ -190,9 +187,14 @@ func (l *Lattice) Yield(f, vx, vy float64) (YieldReport, error) {
 	}
 	ideal.SetBias(vx, vy)
 	l.SetBias(vx, vy)
+	im := ideal.JonesTransmissive(f)
+	m := l.JonesTransmissive(f)
+	rot := rotationDegrees(m)
 	return YieldReport{
-		FailedUnits:      l.FailedUnits(),
-		RotationLossDeg:  ideal.RotationDegrees(f) - l.RotationDegrees(f),
-		EfficiencyLossDB: ideal.EfficiencyDB(AxisX, f) - l.EfficiencyDB(f),
+		FailedUnits:     l.FailedUnits(),
+		RotationDeg:     rot,
+		RotationLossDeg: rotationDegrees(im) - rot,
+		EfficiencyLossDB: units.LinearToDB(JonesEfficiency(im, AxisX)) -
+			units.LinearToDB(JonesEfficiency(m, AxisX)),
 	}, nil
 }

@@ -108,6 +108,28 @@ func TestFabricationSpreadDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestYieldRotationMatchesLattice: the rotation Yield returns is the
+// panel's own RotationDegrees at the compared bias, bit for bit, for
+// every failure rate abl-yield sweeps.
+func TestYieldRotationMatchesLattice(t *testing.T) {
+	d := OptimizedFR4Design(units.DefaultCarrierHz)
+	f0 := units.DefaultCarrierHz
+	for _, rate := range []float64{0, 0.005, 0.02, 0.05, 0.15, 0.30} {
+		spec := DefaultLatticeSpec()
+		spec.FailureRate = rate
+		lat := MustNewLattice(d, spec, 1)
+		rep, err := lat.Yield(f0, 2, 15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := MustNewLattice(d, spec, 1)
+		ref.SetBias(2, 15)
+		if got, want := rep.RotationDeg, ref.RotationDegrees(f0); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("rate %v: Yield rotation %v, RotationDegrees %v", rate, got, want)
+		}
+	}
+}
+
 func TestFailureInjectionDegradesRotation(t *testing.T) {
 	// Killing a growing fraction of varactor banks must monotonically
 	// (approximately) pull the aggregate rotation toward the dead-cell

@@ -28,6 +28,17 @@ func (l *Lattice) Units() int { return len(l.units) }
 // Bias returns the rail voltages.
 func (l *Lattice) Bias() (vx, vy float64) { return l.biasX, l.biasY }
 
+// RotationDegrees extracts the aggregate rotation magnitude in degrees.
+func (l *Lattice) RotationDegrees(f float64) float64 {
+	return rotationDegrees(l.JonesTransmissive(f))
+}
+
+// Efficiency returns the aggregate Eq. 11 efficiency for an X-polarized
+// wave.
+func (l *Lattice) Efficiency(f float64) float64 {
+	return JonesEfficiency(l.JonesTransmissive(f), AxisX)
+}
+
 // Entries returns the total entry count of the export.
 func (t TableExport) Entries() int { return len(t.Axis) + len(t.QWP) }
 

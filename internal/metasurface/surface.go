@@ -133,17 +133,19 @@ func (s *Surface) axisAt(axis Axis, f, v float64) axisResponse {
 	if s.table == nil || !CachingEnabled() {
 		return s.design.axisEval(axis, f, v)
 	}
-	return s.table.axisAt(s.design, axis, f, v, s.shard)
+	return s.table.axisAt(&s.design, axis, f, v, s.shard)
 }
 
 // qwpAt returns the QWP response, through the shared table when caching
 // is enabled. The QWP is bias-independent: one evaluation per
-// frequency.
-func (s *Surface) qwpAt(f float64) qwpResponse {
+// frequency. The result is read-only: with caching on it is the table's
+// own entry.
+func (s *Surface) qwpAt(f float64) *qwpResponse {
 	if s.table == nil || !CachingEnabled() {
-		return s.design.qwpEval(f)
+		q := s.design.qwpEval(f)
+		return &q
 	}
-	return s.table.qwpAt(s.design, f, s.shard)
+	return s.table.qwpAt(&s.design, f, s.shard)
 }
 
 // qwpAxisLine returns the ABCD network of one QWP board along one
@@ -278,7 +280,7 @@ func (d Design) bfsAxisNetwork(f float64, axis Axis, bias float64) twoport.ABCD 
 // this function, which is what makes batched ≡ scalar bit-identity
 // (determinism invariant #11) hold by construction rather than by test
 // alone.
-func jonesTransmissiveFrom(xr, yr axisResponse, q qwpResponse) mat2.Mat {
+func jonesTransmissiveFrom(xr, yr axisResponse, q *qwpResponse) mat2.Mat {
 	bfs := mat2.Diag(xr.s.S21, yr.s.S21)
 	return q.plus.Mul(bfs).Mul(q.minus)
 }
@@ -319,7 +321,7 @@ func (s *Surface) JonesReflective(f float64) mat2.Mat {
 // jonesReflectiveFrom assembles the reflective-mode Jones matrix from
 // resolved responses — the shared assembly of the scalar and batched
 // paths (see jonesTransmissiveFrom).
-func jonesReflectiveFrom(xr, yr axisResponse, q qwpResponse) mat2.Mat {
+func jonesReflectiveFrom(xr, yr axisResponse, q *qwpResponse) mat2.Mat {
 	inner := mat2.Diag(xr.shortGamma, yr.shortGamma)
 	round := q.minus.Transpose().Mul(inner).Mul(q.minus)
 	// Front-face specular term: reflection of the (slightly mismatched)

@@ -434,9 +434,9 @@ func ImportResponseTable(ex TableExport) (n int, version uint64, exact bool, err
 		axisKeys[i], axisVals[i] = e.key, e.val
 	}
 	qwpKeys := make([]uint64, len(qwpEntries))
-	qwpVals := make([]qwpResponse, len(qwpEntries))
-	for i, e := range qwpEntries {
-		qwpKeys[i], qwpVals[i] = e.key, e.val
+	qwpVals := make([]*qwpResponse, len(qwpEntries))
+	for i := range qwpEntries {
+		qwpKeys[i], qwpVals[i] = qwpEntries[i].key, &qwpEntries[i].val
 	}
 	// merge publishes the union snapshot immediately: warm-started
 	// entries are lock-free from the first lookup.
