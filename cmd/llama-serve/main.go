@@ -74,9 +74,14 @@ func main() {
 	if *storeDir == "" {
 		fatal(errors.New("-store DIR is required: the store is the service's durable result backend"))
 	}
-	if (*fleetOnly || flag.Lookup("lease-ttl").Value.String() != (10*time.Second).String()) && !*fleetOn {
-		fatal(errors.New("-fleet-only and -lease-ttl need -fleet"))
-	}
+	// A fleet flag given without -fleet is refused whatever its value:
+	// comparing values with the defaults would accept an explicit
+	// default.
+	flag.Visit(func(f *flag.Flag) {
+		if (f.Name == "fleet-only" || f.Name == "lease-ttl") && !*fleetOn {
+			fatal(errors.New("-fleet-only and -lease-ttl need -fleet"))
+		}
+	})
 	if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unknown arguments %v", flag.Args()))
 	}

@@ -12,13 +12,14 @@
 //
 //	llama-worker -coordinator http://host:8080               join a fleet
 //	llama-worker -coordinator URL -name worker-a             name it in coordinator logs
-//	llama-worker -coordinator URL -store DIR                 also persist whole-axis cells directly
+//	llama-worker -coordinator URL -store DIR                 warm-start response tables from a shared store
 //	llama-worker -coordinator URL -poll 100ms                idle lease-poll backoff
 //
-// With -store DIR the worker also warm-starts its per-design response
-// tables from DIR/tables (and persists the grown tables on exit), and
-// reports its warm-start import counts and live cache hit rate to the
-// coordinator — visible per worker under GET /fleet/stats.
+// With -store DIR the worker warm-starts its per-design response tables
+// from DIR/tables (and persists the grown tables on exit), and reports
+// its warm-start import counts and live cache hit rate to the
+// coordinator — visible per worker under GET /fleet/stats. It writes no
+// cell: the coordinator persists each cell as its last job settles.
 //
 // The coordinator and its workers must speak the same lease wire
 // version. A coordinator of another version (or one built before the
@@ -51,7 +52,7 @@ func main() {
 	var (
 		coordinator = flag.String("coordinator", "", "base URL of the llama-serve -fleet instance to join (required)")
 		name        = flag.String("name", "", "worker name shown in coordinator logs (default worker-<pid>)")
-		storeDir    = flag.String("store", "", "optional shared results store: the cell of every job covering a sweep's whole axis (every cell of an unsharded run, and a sharded cell whose one batch spans its axis) is persisted directly as well as reported back")
+		storeDir    = flag.String("store", "", "optional shared results store: response tables are warm-started from it and the grown tables saved back on exit (cells are persisted by the coordinator)")
 		poll        = flag.Duration("poll", 200*time.Millisecond, "idle backoff between lease attempts when the coordinator has no work")
 	)
 	flag.Parse()
@@ -83,7 +84,6 @@ func main() {
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
 		Client: &fleet.Client{Base: *coordinator},
 		Name:   *name,
-		Store:  st,
 		Poll:   *poll,
 		Logf:   log.Printf,
 		Tables: func() *fleet.WorkerTables {

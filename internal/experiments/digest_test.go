@@ -143,9 +143,8 @@ func TestOutputDigests(t *testing.T) {
 // run computes; this pins how much it computes, so a change that
 // repeats or skips evaluations shows here even when no byte moves. Hit
 // counts are left free: they count re-reads, which a change may add or
-// remove without changing the work. A sharded pass counts fewer misses
-// because its report's cache window closes before sharded cells run
-// Finish.
+// remove without changing the work. Both shapes do the same work, so
+// they count the same misses.
 func TestRegistryMisses(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("miss counts were pinned on amd64; this is %s", runtime.GOARCH)
@@ -155,7 +154,7 @@ func TestRegistryMisses(t *testing.T) {
 		shardRows bool
 		want      uint64
 	}{
-		{"sharded", true, 1711},
+		{"sharded", true, 1852},
 		{"unsharded", false, 1852},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/llama-surface/llama/internal/store"
@@ -303,7 +304,8 @@ func resolveIDs(sel []string) ([]string, error) {
 // cellRun is the per-(experiment, seed) collection state of one engine
 // run. Workers write only into their job's own slot (points[p],
 // elapsed[p], errs[p]), so the cell needs no locking; everything else is
-// touched single-threaded during assembly.
+// touched by the one goroutine that completes the cell — the settle
+// that retires its last job, or finalize.
 type cellRun struct {
 	id   string
 	seed int64
@@ -327,6 +329,11 @@ type cellRun struct {
 	partial   *Result
 	err       error
 	assembled bool
+	// pending counts the cell's unsettled jobs, set at layout; the
+	// settle that takes it to zero completes the cell. storeErr is the
+	// error of completion's store write.
+	pending  atomic.Int32
+	storeErr error
 }
 
 // busy sums the compute time of the cell's executed jobs.
@@ -364,8 +371,8 @@ func (c *cellRun) span() time.Duration {
 // axis order — bit-identical to the serial path — and on a point failure
 // the contiguous completed prefix is salvaged and the failing point
 // named. It runs once per computed cell, single-threaded over the
-// cell's slots: in settle when an unsharded cell's one job settles,
-// otherwise in finalize; a second call is a no-op.
+// cell's slots: in the settle that retires the cell's last job, or in
+// finalize for a cell no settle completed; a second call is a no-op.
 func (c *cellRun) assemble() {
 	if c.assembled {
 		return

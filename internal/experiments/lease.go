@@ -114,26 +114,6 @@ func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 	return ExternalResult{Points: pts, Elapsed: time.Since(start)}, nil
 }
 
-// AssembleCell folds the points of a job covering its sweep's whole axis
-// into the cell's table, exactly as a submission's finalize assembles
-// it: points in axis order, then the sweep's Finish. ok is false when
-// the job covers less than the whole axis (its points are only part of
-// a cell), the point count does not match, or Finish fails.
-func AssembleCell(d JobDesc, points []PointResult) (res *Result, ok bool) {
-	sw := sweeps[d.ID]
-	if sw == nil || d.Point != 0 || d.Count != sw.Points || len(points) != sw.Points {
-		return nil, false
-	}
-	res = sw.newResult()
-	for _, pt := range points {
-		sw.appendPoint(res, pt)
-	}
-	if sw.finish(res, d.Seed) != nil {
-		return nil, false
-	}
-	return res, true
-}
-
 // LeasedJob is one job dealt to an external holder by TryLease. The
 // holder must end it exactly one way — Complete, Fail, or Abandon —
 // though calling into an already-settled job is always safe (the

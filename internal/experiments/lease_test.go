@@ -18,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/llama-surface/llama/internal/store"
 )
 
 // drainLeases runs a simulated fleet of n holders against the
@@ -360,37 +362,126 @@ func TestComputeJobValidatesDesc(t *testing.T) {
 	}
 }
 
-// TestLeaseRoundTripEncoding: the points of a whole-axis job, folded by
-// AssembleCell (the fleet worker's persistence path), render exactly the
+// TestLeaseRoundTripEncoding: the points of a whole-axis job, computed
+// by a holder and delivered through Complete, assemble to exactly the
 // table the serial path computes; the fleet package's wire tests guard
-// the string encoding in between. A range short of the whole axis is
-// not a cell.
+// the string encoding in between.
 func TestLeaseRoundTripEncoding(t *testing.T) {
 	ctx := context.Background()
-	d := JobDesc{ID: "tab1", Seed: 1, Count: len(Table1Biases)}
-	res, err := ComputeJob(ctx, d)
+	s := NewScheduler(SchedulerConfig{LeaseOnly: true})
+	defer s.Close()
+	h, err := s.Submit(ctx, RunSpec{IDs: []string{"tab1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, ok := AssembleCell(d, res.Points)
-	if !ok || len(cell.Rows) == 0 {
-		t.Fatal("whole-axis job assembled no table")
+	lj := s.TryLease()
+	if lj == nil {
+		t.Fatal("no job to lease")
+	}
+	if d := lj.Desc(); d.Point != 0 || d.Count != len(Table1Biases) {
+		t.Fatalf("unsharded tab1 leased as %s, want its whole axis", d)
+	}
+	res, err := ComputeJob(ctx, lj.Desc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lj.Complete(res); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Report()
+	if err != nil {
+		t.Fatal(err)
 	}
 	serial, err := Run(ctx, "tab1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got, want bytes.Buffer
-	if err := cell.Render(&got); err != nil {
+	if err := rep.Results[0].Render(&got); err != nil {
 		t.Fatal(err)
 	}
 	if err := serial.Render(&want); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Errorf("assembled cell differs from the serial table:\n%s\nwant:\n%s", got.String(), want.String())
+		t.Errorf("leased cell differs from the serial table:\n%s\nwant:\n%s", got.String(), want.String())
 	}
-	if _, ok := AssembleCell(JobDesc{ID: "tab1", Seed: 1, Count: 1}, res.Points[:1]); ok {
-		t.Error("a one-point range of tab1 assembled as a cell")
+}
+
+// TestCellPersistsWhenLastJobSettles: a cell is persisted by the settle
+// that retires its last job, not at the end of the run. With every job
+// leased out, completing all jobs of one cell leaves its record in the
+// store, decoding to the serial table, while the sibling seed's jobs
+// are still out and the submission has not finished — for whole-axis
+// and row-sharded jobs alike.
+func TestCellPersistsWhenLastJobSettles(t *testing.T) {
+	ctx := context.Background()
+	serial, err := Run(ctx, "tab1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []bool{false, true} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(SchedulerConfig{LeaseOnly: true, Store: st})
+		h, err := s.Submit(ctx, RunSpec{IDs: []string{"tab1"}, Seeds: []int64{1, 2}, ShardRows: shard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rest []*LeasedJob
+		for _, lj := range leaseAll(s) {
+			if lj.Desc().Seed != 1 {
+				rest = append(rest, lj)
+				continue
+			}
+			res, err := ComputeJob(ctx, lj.Desc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lj.Complete(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(rest) == 0 {
+			t.Fatalf("shard %v: the sibling seed queued no job", shard)
+		}
+		select {
+		case <-h.Done():
+			t.Fatalf("shard %v: submission finished with %d jobs still leased", shard, len(rest))
+		default:
+		}
+		rec, err := st.Get("tab1", 1)
+		if err != nil {
+			t.Fatalf("shard %v: completed cell not persisted before the run finished: %v", shard, err)
+		}
+		got, err := resultFromRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, serial) {
+			t.Errorf("shard %v: persisted record does not decode to the serial table", shard)
+		}
+		if _, err := st.Get("tab1", 2); !store.IsNotFound(err) {
+			t.Errorf("shard %v: cell with leased jobs already stored (err %v)", shard, err)
+		}
+		for _, lj := range rest {
+			res, err := ComputeJob(ctx, lj.Desc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lj.Complete(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := h.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.PersistedCells != 2 {
+			t.Errorf("shard %v: persisted %d cells, want 2", shard, rep.PersistedCells)
+		}
+		s.Close()
 	}
 }

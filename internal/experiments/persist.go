@@ -16,15 +16,13 @@ import (
 )
 
 // CellRecord converts one computed cell into its persisted store form.
-// It is the one constructor of cell records: a submission's finalize
-// and a fleet worker's -store persistence both build through it. Their
-// records of the same cell are content-equal — same title, columns,
-// rows and notes — but not byte-identical, because their Meta differs:
-// a worker records Concurrency 1 and its job's ElapsedNs, finalize the
-// run's concurrency, ShardRows and BatchRows, and each stamps its own
-// SavedUnixNs. Store.Put confirms a content-equal record instead of
-// rewriting it, so whichever write lands second leaves the first
-// record, and its Meta, in place.
+// It is the one constructor of cell records, called where a submission
+// completes a cell: the settle that retires the cell's last job, or
+// finalize for a cell that never had one. Meta records the run's
+// concurrency, ShardRows and BatchRows and the cell's compute time.
+// Runs that recompute a stored cell build a content-equal record — same
+// title, columns, rows and notes — which Store.Put confirms instead of
+// rewriting, so the first record, and its Meta, stay in place.
 func CellRecord(res *Result, seed int64, meta store.Meta) *store.Record {
 	return &store.Record{
 		ID:      res.ID,

@@ -332,3 +332,50 @@ func TestStorePersistsCompletedCellsOnFailure(t *testing.T) {
 		t.Fatalf("failed cell must not be stored: %v", err)
 	}
 }
+
+// TestStoreErrorSurfaces: a cell the store cannot write fails the run
+// with an error naming it, and the same error is a store warning; the
+// sibling seed's cell is still persisted and the report keeps both
+// tables. The blocked cell's path is a non-empty directory, so the
+// write's rename fails whatever the process's privileges.
+func TestStoreErrorSurfaces(t *testing.T) {
+	opts := Options{IDs: []string{"tab1"}, Seeds: []int64{1, 2}}
+	want := tablesCSV(t, opts)
+	for _, shard := range []bool{false, true} {
+		dir := t.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocked := st.CellPath("tab1", 1)
+		if err := os.MkdirAll(filepath.Join(blocked, "occupied"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.ShardRows, o.StoreDir = shard, dir
+		rep, err := Execute(context.Background(), o)
+		if err == nil || !strings.Contains(err.Error(), "persisting result") {
+			t.Fatalf("shard %v: err = %v, want a persisting-result failure", shard, err)
+		}
+		warned := false
+		for _, w := range rep.StoreWarnings {
+			warned = warned || w == err.Error()
+		}
+		if !warned {
+			t.Errorf("shard %v: store warnings %q do not carry the run error %q", shard, rep.StoreWarnings, err)
+		}
+		if rep.PersistedCells != 1 {
+			t.Errorf("shard %v: persisted %d cells, want 1 (the sibling seed)", shard, rep.PersistedCells)
+		}
+		if _, err := st.Get("tab1", 2); err != nil {
+			t.Errorf("shard %v: sibling seed not persisted: %v", shard, err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteTables(&buf, "csv"); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != want {
+			t.Errorf("shard %v: a store failure changed the reported tables", shard)
+		}
+	}
+}

@@ -53,8 +53,9 @@ type SchedulerConfig struct {
 	// Workers bounds the shared pool; ≤0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Store, when non-nil, is the durable results backend: every
-	// submission persists its freshly computed cells there, and Resume
-	// submissions consult it before queueing jobs.
+	// submission persists each freshly computed cell there as the cell's
+	// last job settles, and Resume submissions consult it before
+	// queueing jobs.
 	Store *store.Store
 	// LeaseOnly starts no local workers at all: jobs are dispatched
 	// exclusively through TryLease (the fleet coordinator's pull path),
@@ -305,9 +306,9 @@ func (s *Scheduler) launch(sub *submission, lane int) error {
 }
 
 // Close cancels every live submission, waits for them to finalize
-// (completed cells of in-flight runs persist to the store — the salvage
-// path), then stops and releases the worker pool. Safe to call more
-// than once.
+// (cells completed before the cancellation are already in the store —
+// the salvage path), then stops and releases the worker pool. Safe to
+// call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -453,10 +454,14 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	// covers a contiguous range of sweep points — the whole axis, or a
 	// batch when sharded — but collection slots stay per point, so the
 	// range size cannot reorder rows.
+	// The cells slice never grows past its capacity, so a cell's address
+	// is fixed from here on.
 	sub.cells = make([]cellRun, 0, len(ids)*len(seeds))
 	for _, id := range ids {
 		for _, seed := range seeds {
-			c := cellRun{id: id, seed: seed}
+			ci := len(sub.cells)
+			sub.cells = append(sub.cells, cellRun{id: id, seed: seed})
+			c := &sub.cells[ci]
 			if spec.Resume && st != nil {
 				// A valid stored record stands in for the whole cell: no
 				// jobs are queued and res is the decoded table, so
@@ -464,7 +469,6 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 				if res, warn, ok := loadStored(st, id, seed); ok {
 					c.loaded = true
 					c.res = res
-					sub.cells = append(sub.cells, c)
 					sub.reused++
 					continue
 				} else if warn != "" {
@@ -478,14 +482,13 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 			c.errs = make([]error, slots)
 			c.started = make([]time.Time, slots)
 			c.elapsed = make([]time.Duration, slots)
-			ci := len(sub.cells)
-			sub.cells = append(sub.cells, c)
 			step := slots // an unsharded cell is one whole-axis job
 			if spec.ShardRows {
 				step = batch
 			}
 			for p := 0; p < slots; p += step {
 				sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: p, count: min(step, slots-p), ji: len(sub.queue)})
+				c.pending.Add(1)
 			}
 		}
 	}
@@ -512,12 +515,11 @@ func (sub *submission) execute(jb schedJob) {
 // records the job's timing at its first slot and commits done — on
 // failure, the completed part. A *PointError inside the range lands at
 // its point as its inner error, which assemble wraps exactly once; any
-// other failure lands at the first point. In an unsharded run the job
-// is its cell's only one, so settle assembles the cell on the spot:
-// Finish follows the points inside the job, as it does on the serial
-// path. Finalize assembles every other cell (a sharded one once every
-// batch is in). A failure, or a Finish error, cancels the submission.
-// The caller runs jobDone on true.
+// other failure lands at the first point. The settle that retires a
+// cell's last job completes the cell on the spot, whichever holder
+// settled it: Finish follows the points, as it does on the serial path,
+// and the table is persisted. A failure, or a Finish error, cancels the
+// submission. The caller runs jobDone on true.
 func (sub *submission) settle(jb schedJob, done ExternalResult, err error) bool {
 	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
 		return false
@@ -540,20 +542,47 @@ func (sub *submission) settle(jb schedJob, done ExternalResult, err error) bool 
 	if err != nil {
 		c.errs[fail] = err
 	}
-	if !sub.spec.ShardRows {
-		c.assemble()
+	last := c.pending.Add(-1) == 0
+	if last {
+		sub.complete(c)
 	}
-	if err != nil || c.err != nil {
+	if err != nil || last && c.err != nil {
 		sub.cancelFn()
 	}
 	return true
 }
 
+// complete assembles a cell and, when that yields its table and the
+// submission has a store, persists it, recording a write failure for
+// finalize to fold. It runs once per cell: in the settle that
+// retires the cell's last job, or in finalize for a cell that never had
+// a job (a zero-point sweep). The atomic pending count orders every
+// other job's slot writes before it.
+func (sub *submission) complete(c *cellRun) {
+	c.assemble()
+	if sub.st == nil || c.res == nil {
+		return
+	}
+	rec := CellRecord(c.res, c.seed, store.Meta{
+		Concurrency: sub.concurrency(), ShardRows: sub.spec.ShardRows, BatchRows: sub.spec.BatchRows,
+		ElapsedNs: int64(c.busy()),
+	})
+	if err := sub.st.Put(rec); err != nil {
+		c.storeErr = fmt.Errorf("experiments: %s (seed %d): persisting result: %w", c.id, c.seed, err)
+	}
+}
+
+// concurrency is the worker count the submission reports and records:
+// the pool size, capped at its job count, and at least 1.
+func (sub *submission) concurrency() int {
+	return max(1, min(sub.workers, len(sub.queue)))
+}
+
 // jobDone accounts n finished (or abandoned) job slots; retiring the
 // last slot triggers finalization. The atomic counter orders every
-// worker's slot writes before the finalizer's reads, and finish runs
-// on its own goroutine so a pool worker is never stalled behind
-// another submission's assembly and fsync'd persistence.
+// worker's slot writes and cell completions before the finalizer's
+// reads, and finish runs on its own goroutine so the holder that
+// settled the last job returns at once.
 func (sub *submission) jobDone(n int) {
 	if n == 0 {
 		return
@@ -563,7 +592,7 @@ func (sub *submission) jobDone(n int) {
 	}
 }
 
-// finish finalizes the submission (assembly, persistence, report),
+// finish finalizes the submission (salvage, store verdicts, report),
 // publishes the result and unregisters from the scheduler. It stops the
 // abandon callback before it releases the derived context.
 func (sub *submission) finish() {
@@ -582,36 +611,39 @@ func (sub *submission) finish() {
 }
 
 // finalize is the single-threaded tail of a submission: slot-ordered
-// assembly (sweep reassembly, salvage, per-cell errors), deterministic
-// error policy, persistence of freshly computed cells, and report
-// aggregation — byte-for-byte the same policy the one-shot engine
-// applied, so a submission's report cannot depend on what else shared
-// the pool.
+// salvage of the cells no settle completed, deterministic error policy,
+// the fold of every cell's store verdict, and report aggregation —
+// byte-for-byte the same policy the one-shot engine applied, so a
+// submission's report cannot depend on what else shared the pool.
 func (sub *submission) finalize() {
+	cells := sub.cells
+	seeds := sub.spec.Seeds
+	// Every cell whose jobs all settled is already complete. A cell that
+	// never had a job (a zero-point sweep) completes here; one with an
+	// abandoned job is assembled for salvage only — it cannot have a
+	// table, so nothing of it is persisted.
+	for ci := range cells {
+		switch c := &cells[ci]; {
+		case c.loaded:
+		case len(c.points) == 0:
+			sub.complete(c)
+		default:
+			c.assemble()
+		}
+	}
 	cs := metasurface.GlobalCacheStats().Sub(sub.cacheStart)
-	conc := max(1, min(sub.workers, len(sub.queue)))
 	rep := &Report{
 		Seeds:       append([]int64(nil), sub.spec.Seeds...),
-		Concurrency: conc,
+		Concurrency: sub.concurrency(),
 		Wall:        time.Since(sub.start),
 		ShardRows:   sub.spec.ShardRows,
 		BatchRows:   sub.spec.BatchRows,
 		CacheHits:   cs.Hits,
 		CacheMisses: cs.Misses,
 	}
-	cells := sub.cells
-	seeds := sub.spec.Seeds
-	// Assemble, in slot order, every computed cell settle did not: all
-	// sharded cells, and the unsharded cells whose job never settled
-	// (abandoned, or a zero-point sweep with no job). Then resolve the
-	// error policy deterministically: the submitter's cancellation wins,
-	// then the first real (non-cancellation) cell failure by slot index,
-	// then any remaining cell error.
-	for ci := range cells {
-		if !cells[ci].loaded {
-			cells[ci].assemble()
-		}
-	}
+	// Resolve the error policy deterministically: the submitter's
+	// cancellation wins, then the first real (non-cancellation) cell
+	// failure by slot index, then any remaining cell error.
 	firstErr := sub.parent.Err()
 	if firstErr == nil && sub.userCancel.Load() {
 		firstErr = context.Canceled
@@ -632,42 +664,30 @@ func (sub *submission) finalize() {
 		}
 	}
 
-	// Persist every freshly computed cell — including completed cells of
-	// a run that failed or was cancelled elsewhere, so partial progress
-	// survives and a later Resume recomputes only what is actually
-	// missing. A write failure names its cell and always surfaces — as
-	// the run error when nothing else failed first, and as a store
-	// warning regardless, so a compute failure can never mask it — but
-	// never discards the in-memory results.
-	storeWarns := sub.storeWarns
-	persisted := 0
-	if sub.st != nil {
-		for ci := range cells {
-			c := &cells[ci]
-			if c.loaded || c.res == nil {
-				continue
-			}
-			rec := CellRecord(c.res, c.seed, store.Meta{
-				Concurrency: conc, ShardRows: sub.spec.ShardRows, BatchRows: sub.spec.BatchRows,
-				ElapsedNs: int64(c.busy()),
-			})
-			if err := sub.st.Put(rec); err != nil {
-				err = fmt.Errorf("experiments: %s (seed %d): persisting result: %w", c.id, c.seed, err)
-				storeWarns = append(storeWarns, err.Error())
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			persisted++
-		}
-	}
-	rep.PersistedCells = persisted
+	// Every freshly computed cell was persisted as it completed —
+	// including completed cells of a run that failed or was cancelled
+	// elsewhere, so partial progress survives and a later Resume
+	// recomputes only what is actually missing. A write failure names
+	// its cell and always surfaces — as the run error when nothing else
+	// failed first, and as a store warning regardless, so a compute
+	// failure can never mask it — but never discards the in-memory
+	// results.
 	rep.ReusedCells = sub.reused
-	rep.StoreWarnings = storeWarns
+	rep.StoreWarnings = sub.storeWarns
 	for ci := range cells {
-		if !cells[ci].loaded && cells[ci].res != nil {
-			rep.ComputedCells++
+		c := &cells[ci]
+		if c.loaded || c.res == nil {
+			continue
+		}
+		rep.ComputedCells++
+		switch {
+		case c.storeErr != nil:
+			rep.StoreWarnings = append(rep.StoreWarnings, c.storeErr.Error())
+			if firstErr == nil {
+				firstErr = c.storeErr
+			}
+		case sub.st != nil:
+			rep.PersistedCells++
 		}
 	}
 

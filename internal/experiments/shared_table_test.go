@@ -53,7 +53,6 @@ func TestSharedTableTransparent(t *testing.T) {
 				// into fresh shared tables (and persists them via StoreDir),
 				// pass 1 is warm-started from disk alone.
 				metasurface.ResetResponseTables()
-				metasurface.ResetGlobalCacheStats()
 				rep, err := Execute(ctx, Options{
 					IDs: ids, Seeds: []int64{seed},
 					Concurrency: workers, ShardRows: workers > 1,
@@ -113,7 +112,6 @@ func TestFig15CrossSurfaceReuse(t *testing.T) {
 
 	// Baseline: one distance from a cold registry.
 	metasurface.ResetResponseTables()
-	metasurface.ResetGlobalCacheStats()
 	before := metasurface.GlobalCacheStats()
 	if _, err := fig15Point(ctx, 1, 0); err != nil {
 		t.Fatal(err)

@@ -287,7 +287,8 @@ func (c *Coordinator) Complete(id string, res experiments.ExternalResult, workEr
 	c.mu.Unlock()
 
 	// Forward outside the coordinator lock: Complete/Fail take the
-	// scheduler's lock and may trigger a submission's finalize.
+	// scheduler's lock, and settling a cell's last job assembles and
+	// persists the cell (an fsync'd write).
 	var err error
 	if workErr != "" {
 		l.job.Fail(failure(l.desc, res, workErr))

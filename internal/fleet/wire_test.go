@@ -55,7 +55,7 @@ func TestRemoteFailureNamedOnce(t *testing.T) {
 		{IDs: []string{"fleet-fail"}},
 	} {
 		sched, _, ts := httpFleet(t, 5*time.Second)
-		_, stop := startWorkers(t, ts.URL, 1, nil)
+		_, stop := startWorkers(t, ts.URL, 1)
 		h, err := sched.Submit(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,8 @@ package fleet
 // lease a job, heartbeat it at TTL/3 while computing, post the result,
 // repeat. Compute is pure in the job desc (experiments.ComputeJob), so
 // any worker — or the coordinator recomputing after this worker's
-// death — produces the same bytes.
+// death — produces the same bytes. A worker writes no cell record: the
+// coordinator persists each cell as its last job settles.
 
 import (
 	"context"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"github.com/llama-surface/llama/internal/experiments"
-	"github.com/llama-surface/llama/internal/store"
 )
 
 // WorkerConfig configures a Worker.
@@ -23,19 +23,6 @@ type WorkerConfig struct {
 	// Name identifies the worker in coordinator logs; defaults to
 	// "worker".
 	Name string
-	// Store, when non-nil, persists the cell of every job that covers
-	// its sweep's whole axis directly (shared filesystem deployments),
-	// assembled with experiments.AssembleCell: every unsharded cell, and
-	// a sharded cell whose one batch spans the axis (a one-point sweep,
-	// or a batch at least the axis length). A job covering only part of
-	// the axis is a partial cell and flows back only through the
-	// coordinator, whose finalize persists it. Duplicate cell writes
-	// are safe: every writer builds the record with
-	// experiments.CellRecord, so the tables are equal (only Meta
-	// differs), writes are atomic, and Store.Put confirms a record
-	// whose table is already stored instead of rewriting it (see
-	// internal/store's cross-process notes).
-	Store *store.Store
 	// Poll is the idle backoff between lease attempts when the
 	// coordinator has no work; defaults to 200ms.
 	Poll time.Duration
@@ -166,16 +153,6 @@ func (w *Worker) runJob(ctx context.Context, g Grant) {
 			w.cfg.Logf("fleet worker %s: reporting failure for %s: %v", w.cfg.Name, g.ID, err)
 		}
 		return
-	}
-	if w.cfg.Store != nil {
-		if cell, ok := experiments.AssembleCell(g.Desc, res.Points); ok {
-			rec := experiments.CellRecord(cell, g.Desc.Seed, store.Meta{
-				Concurrency: 1, ElapsedNs: int64(res.Elapsed),
-			})
-			if perr := w.cfg.Store.Put(rec); perr != nil {
-				w.cfg.Logf("fleet worker %s: persisting %s: %v", w.cfg.Name, g.Desc, perr)
-			}
-		}
 	}
 	if err := w.cfg.Client.Complete(g.ID, res); err != nil {
 		w.cfg.Logf("fleet worker %s: completing %s: %v", w.cfg.Name, g.ID, err)

@@ -124,14 +124,6 @@ func (s *shardedStats) load() CacheStats {
 	return out
 }
 
-// reset zeroes every shard (test isolation).
-func (s *shardedStats) reset() {
-	for i := range s.shards {
-		s.shards[i].hits.Store(0)
-		s.shards[i].misses.Store(0)
-	}
-}
-
 // globalStats is the response tables' one hit/miss counter: every
 // lookup against any design table in the process counts here exactly
 // once, so harnesses (llama-bench, the experiment scheduler, the perf
@@ -153,11 +145,6 @@ func nextStatShard() uint32 { return shardSeq.Add(1) % statShards }
 // wanting a windowed measurement snapshot before/after and use
 // CacheStats.Sub.
 func GlobalCacheStats() CacheStats { return globalStats.load() }
-
-// ResetGlobalCacheStats zeroes the process-wide counters (test isolation).
-//
-//lint:allow unused test hook: isolates the process-wide counters between tests
-func ResetGlobalCacheStats() { globalStats.reset() }
 
 // axisKey identifies one per-axis evaluation by the exact float bit
 // patterns of its operating point, so keys never alias across distinct

@@ -138,37 +138,33 @@ func TestCacheDisabledCountsNothing(t *testing.T) {
 }
 
 // TestGlobalCacheStats: the process-wide counters aggregate across
-// surfaces and reset cleanly. Two surfaces of the same design share one
+// surfaces and window cleanly. Two surfaces of the same design share one
 // response table, so the second surface's identical query hits the
 // entries the first one computed — the global view must show exactly
 // one computation of the shared physics, not two.
 func TestGlobalCacheStats(t *testing.T) {
 	ResetResponseTables()
-	ResetGlobalCacheStats()
+	since := window()
 	a := MustNew(OptimizedFR4Design(units.DefaultCarrierHz))
 	b := MustNew(OptimizedFR4Design(units.DefaultCarrierHz))
 	a.SetBias(8, 8)
 	b.SetBias(8, 8)
 	a.JonesTransmissive(units.DefaultCarrierHz)
-	if st := GlobalCacheStats(); st.Hits != 0 || st.Misses != 3 {
+	if st := since(); st.Hits != 0 || st.Misses != 3 {
 		t.Fatalf("first surface = %+v, want 0 hits / 3 misses", st)
 	}
 	b.JonesTransmissive(units.DefaultCarrierHz)
-	g := GlobalCacheStats()
+	g := since()
 	if g.Misses != 3 || g.Hits != 3 {
 		t.Fatalf("global stats = %+v, want 3 misses (first surface computes) + 3 hits (same-design sibling reuses)", g)
 	}
 	a.JonesTransmissive(units.DefaultCarrierHz)
-	now := GlobalCacheStats()
+	now := since()
 	if now.Hits != 6 {
 		t.Fatalf("global stats = %+v, want 6 hits", now)
 	}
 	if d := now.Sub(g); d.Hits != 3 || d.Misses != 0 {
 		t.Errorf("windowed delta = %+v, want 3 hits / 0 misses", d)
-	}
-	ResetGlobalCacheStats()
-	if g := GlobalCacheStats(); g.Lookups() != 0 {
-		t.Errorf("reset left %+v", g)
 	}
 }
 

@@ -1,8 +1,8 @@
 package store
 
-// Cross-process writer property: fleet deployments point several
-// llama-worker processes at one shared store directory, so the same
-// cell can be persisted by racing writers. Because records are a pure
+// Cross-process writer property: several processes (llama-serve and
+// llama-bench runs) may point at one shared store directory, so the
+// same cell can be persisted by racing writers. Because records are a pure
 // function of (experiment, seed) and every write is temp-file + fsync +
 // rename, the race must resolve to exactly one valid, byte-identical
 // record per cell — never a torn read. Two Store handles on one
@@ -19,7 +19,7 @@ import (
 	"testing"
 )
 
-// fleetCellRecord builds the deterministic record two racing workers
+// fleetCellRecord builds the deterministic record two racing writers
 // would both compute for one cell: same rows, same pinned Meta, so the
 // encoded bytes are identical no matter who writes.
 func fleetCellRecord(id string, seed int64) *Record {

@@ -41,14 +41,16 @@
 // carries NaN/±Inf (which encoding/json rejects as numbers), so a
 // resumed run can reproduce a fresh run bit-for-bit.
 //
-// Cross-process writers: several processes (llama-serve plus fleet
-// llama-worker processes on a shared filesystem) may hold the same
-// directory open and persist the same cell concurrently. That is safe
-// by construction, not by locking: a record's table is a pure function
-// of (experiment, seed), so racing writers carry equal tables (their
-// Meta may differ), the atomic rename means the last rename wins with
-// the same table, and a writer that finds the table stored confirms
-// it instead.
+// Cross-process writers: several processes (llama-serve and
+// llama-bench runs, or fleet llama-worker processes saving their
+// response tables, on a shared filesystem) may hold the same directory
+// open and persist the same record concurrently. Fleet workers write
+// only tables; cells are written by the process that runs the
+// submission. Concurrent writes are safe by construction, not by
+// locking: a cell's table is a pure function of (experiment, seed), so
+// racing writers carry equal tables (their Meta may differ), the
+// atomic rename means the last rename wins with the same table, and a
+// writer that finds the table stored confirms it instead.
 // The property test TestCrossProcessWriters drives two handles
 // concurrently and checks exactly this.
 package store
