@@ -305,7 +305,7 @@ func resolveIDs(sel []string) ([]string, error) {
 // run. Workers write only into their job's own slot (points[p],
 // elapsed[p], errs[p]), so the cell needs no locking; everything else is
 // touched by the one goroutine that completes the cell — the settle
-// that retires its last job, or finalize.
+// that retires its last job, or finalize for a cell without jobs.
 type cellRun struct {
 	id   string
 	seed int64
@@ -324,11 +324,9 @@ type cellRun struct {
 	elapsed []time.Duration
 	// res is the assembled table (nil when the cell failed or was
 	// cancelled); partial is the salvaged prefix of a failed sweep.
-	// assembled marks that assemble has run: it runs once per cell.
-	res       *Result
-	partial   *Result
-	err       error
-	assembled bool
+	res     *Result
+	partial *Result
+	err     error
 	// pending counts the cell's unsettled jobs, set at layout; the
 	// settle that takes it to zero completes the cell. storeErr is the
 	// error of completion's store write.
@@ -371,20 +369,15 @@ func (c *cellRun) span() time.Duration {
 // axis order — bit-identical to the serial path — and on a point failure
 // the contiguous completed prefix is salvaged and the failing point
 // named. It runs once per computed cell, single-threaded over the
-// cell's slots: in the settle that retires the cell's last job, or in
-// finalize for a cell no settle completed; a second call is a no-op.
+// cell's slots, when the cell completes.
 func (c *cellRun) assemble() {
-	if c.assembled {
-		return
-	}
-	c.assembled = true
 	s := c.sweep
 	// Lowest incomplete slot bounds the salvageable prefix. The failure
 	// is named by the lowest point with a real (non-cancellation) error —
 	// fail-fast cancellation lands context.Canceled in whatever points
-	// were in flight, and those must not mask the point that actually
-	// broke; a cancellation error is reported only when no real one
-	// exists.
+	// were in flight or abandoned, and those must not mask the point that
+	// actually broke; a cancellation error is reported only when no real
+	// one exists.
 	prefix := s.Points
 	for p := 0; p < s.Points; p++ {
 		if !c.done[p] {

@@ -204,51 +204,41 @@ func (l *LeasedJob) check(res ExternalResult, partial bool) error {
 	return nil
 }
 
-// commit settles the job with done/err, drops its lease bookkeeping,
-// and accounts it if this holder won the settle.
+// commit drops the job's lease bookkeeping and settles it with
+// done/err.
 func (l *LeasedJob) commit(done ExternalResult, err error) {
-	won := l.sub.settle(l.jb, done, err)
-	l.detach()
-	if won {
-		l.sub.jobDone(1)
-	}
+	s := l.sub.sched
+	s.mu.Lock()
+	delete(l.sub.leased, l.jb.ji)
+	s.mu.Unlock()
+	l.sub.settle(l.jb, done, err)
 }
 
 // Abandon returns an unfinished job to its submission's queue — the
 // lease expired, the worker reported a malformed payload, or the
 // coordinator is shutting down — so another holder (or a local worker)
 // picks it up. If the submission has meanwhile been cancelled the job
-// is settled instead of requeued, so a dead run never keeps work
-// circulating. Idempotent.
+// is settled with the context's error instead, like any other failed
+// job, so a dead run never keeps work circulating. The context is
+// checked under the scheduler's lock, so a job requeued here is one
+// the cancellation callback will find. Idempotent.
 func (l *LeasedJob) Abandon() {
-	sub, jb := l.sub, l.jb
-	if sub.ctx.Err() != nil {
-		// Cancelled submission: account the slot instead of recirculating.
-		won := sub.settled[jb.ji].CompareAndSwap(false, true)
-		l.detach()
-		if won {
-			sub.jobDone(1)
-		}
-		return
-	}
-	s := sub.sched
+	sub, jb, s := l.sub, l.jb, l.sub.sched
 	s.mu.Lock()
-	delete(sub.leased, jb.ji)
-	if !sub.settled[jb.ji].Load() {
-		sub.requeue = append(sub.requeue, jb)
-		if !sub.inRing {
-			sub.inRing = true
-			s.lanes[sub.lane] = append(s.lanes[sub.lane], sub)
+	err := sub.ctx.Err()
+	if err == nil {
+		delete(sub.leased, jb.ji)
+		if !sub.settled[jb.ji].Load() {
+			sub.requeue = append(sub.requeue, jb)
+			if !sub.inRing {
+				sub.inRing = true
+				s.lanes[sub.lane] = append(s.lanes[sub.lane], sub)
+			}
+			s.cond.Broadcast() // wake local workers for the requeued job
 		}
-		s.cond.Broadcast() // wake local workers for the requeued job
 	}
 	s.mu.Unlock()
-}
-
-// detach drops the job's lease bookkeeping.
-func (l *LeasedJob) detach() {
-	s := l.sub.sched
-	s.mu.Lock()
-	delete(l.sub.leased, l.jb.ji)
-	s.mu.Unlock()
+	if err != nil {
+		l.commit(ExternalResult{}, err)
+	}
 }

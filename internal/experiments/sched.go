@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +46,13 @@ func cloneSpec(sp RunSpec) RunSpec {
 
 // ErrSchedulerClosed is returned by Submit once Close has begun: the
 // pool is draining and can accept no further work. Service fronts map
-// it to a retryable (503-style) condition rather than a spec error.
+// it to a retryable (503-style) condition rather than a spec error. It
+// is also the run error of a submission Close stopped.
 var ErrSchedulerClosed = errors.New("experiments: scheduler is closed")
+
+// errJobFailed is the cause a failed job cancels its submission with.
+// finalize skips it and reports the failing cell's own error instead.
+var errJobFailed = errors.New("experiments: a job failed")
 
 // SchedulerConfig sizes a Scheduler.
 type SchedulerConfig struct {
@@ -200,45 +206,33 @@ func (sub *submission) pendingLocked() bool {
 	return len(sub.requeue) > 0 || sub.nextJob < len(sub.queue)
 }
 
-// abandon settles a cancelled submission's unfinished jobs — requeued,
-// undispatched, and leased-out alike — and accounts them as done, so
-// the submission finalizes promptly even while every worker is busy
-// elsewhere and no lease holder ever reports back. launch registers it
-// with context.AfterFunc: it runs once, when the submission's context
-// dies, unless finish stopped it first. Jobs already dispatched to a
-// local worker account for themselves in execute; a lease completion
-// arriving after this loses the settle race and is dropped.
+// abandon ends a cancelled submission's unfinished jobs — requeued,
+// undispatched, and leased-out alike: it takes them off the dispatch
+// state under s.mu, then settles each outside the lock with the
+// context's error, like any other failed job. The submission thus
+// finalizes promptly even while every worker is busy elsewhere and no
+// lease holder ever reports back. launch registers it with
+// context.AfterFunc: it runs once, when the submission's context dies,
+// unless finish stopped it first. Jobs running on a local worker settle
+// themselves; a lease completion arriving after this loses the settle
+// race and is dropped.
 func (s *Scheduler) abandon(sub *submission) {
 	s.mu.Lock()
-	n := 0
-	settle := func(ji int) {
-		if sub.settled[ji].CompareAndSwap(false, true) {
-			n++
-		}
-	}
-	for _, jb := range sub.requeue {
-		settle(jb.ji)
-	}
-	sub.requeue = nil
-	for ; sub.nextJob < len(sub.queue); sub.nextJob++ {
-		settle(sub.queue[sub.nextJob].ji)
-	}
+	jobs := slices.Concat(sub.requeue, sub.queue[sub.nextJob:])
+	sub.requeue, sub.nextJob = nil, len(sub.queue)
 	for ji := range sub.leased {
-		settle(ji)
-		delete(sub.leased, ji)
+		jobs = append(jobs, sub.queue[ji])
 	}
+	clear(sub.leased)
 	if sub.inRing {
-		ring := s.lanes[sub.lane]
-		for i, x := range ring {
-			if x == sub {
-				s.lanes[sub.lane] = append(ring[:i], ring[i+1:]...)
-				break
-			}
-		}
+		s.lanes[sub.lane] = slices.DeleteFunc(s.lanes[sub.lane], func(x *submission) bool { return x == sub })
 		sub.inRing = false
 	}
 	s.mu.Unlock()
-	sub.jobDone(n)
+	err := sub.ctx.Err()
+	for _, jb := range jobs {
+		sub.settle(jb, ExternalResult{}, err)
+	}
 }
 
 // Submit validates and lays out spec, enqueues its jobs on the normal
@@ -281,7 +275,7 @@ func (s *Scheduler) launch(sub *submission, lane int) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		sub.cancelFn() // release the derived context
+		sub.cancel(ErrSchedulerClosed) // release the derived context
 		return ErrSchedulerClosed
 	}
 	sub.sched = s
@@ -305,7 +299,8 @@ func (s *Scheduler) launch(sub *submission, lane int) error {
 	return nil
 }
 
-// Close cancels every live submission, waits for them to finalize
+// Close cancels every live submission with ErrSchedulerClosed as the
+// cause, so each one's Report returns it, waits for them to finalize
 // (cells completed before the cancellation are already in the store —
 // the salvage path), then stops and releases the worker pool. Safe to
 // call more than once.
@@ -322,7 +317,7 @@ func (s *Scheduler) Close() {
 	}
 	s.mu.Unlock()
 	for _, sub := range live {
-		sub.cancelFn()
+		sub.cancel(ErrSchedulerClosed)
 	}
 	s.subs.Wait()
 	s.mu.Lock()
@@ -357,10 +352,11 @@ func (jb schedJob) desc() JobDesc {
 type submission struct {
 	spec RunSpec // normalized: IDs resolved, seeds deduplicated and defaulted, batch clamped
 
-	parent      context.Context // the submitter's context: its cancellation wins
-	ctx         context.Context // derived; cancelled on failure/Cancel/Close, and released by finish
-	cancelFn    context.CancelFunc
-	userCancel  atomic.Bool
+	// ctx is derived from the submitter's context. Its cause says why the
+	// run stopped — Cancel, Close, a failed job or the submitter's
+	// context, whichever came first — and finish releases it.
+	ctx         context.Context
+	cancel      context.CancelCauseFunc
 	stopAbandon func() bool // unregisters launch's abandon callback; nil if no job was queued
 
 	sched   *Scheduler
@@ -380,11 +376,11 @@ type submission struct {
 	requeue []schedJob
 	leased  map[int]struct{}
 
-	// settled has one flag per queue slot; the first finisher — settle
-	// (every holder's commit) or abandonment — wins the CAS and alone
-	// writes the job's collection slots and accounts it in jobDone.
-	// Everyone else drops their result. That single gate is what makes
-	// duplicate completions, reassignment races, and late replies from
+	// settled has one flag per queue slot; the first settle — a holder's
+	// commit or abandon's — wins the CAS and alone writes the job's
+	// collection slots and counts it in completed. Everyone else drops
+	// their result. That single gate is what makes duplicate
+	// completions, reassignment races, and late replies from
 	// presumed-dead workers safe (invariant 9).
 	settled []atomic.Bool
 
@@ -396,7 +392,7 @@ type submission struct {
 	storeWarns []string
 	reused     int
 
-	completed atomic.Int64 // job slots executed or abandoned
+	completed atomic.Int64 // jobs settled
 	done      chan struct{}
 	report    *Report
 	err       error
@@ -432,7 +428,7 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	if batch < 1 || !spec.ShardRows {
 		batch = 1
 	}
-	runCtx, cancel := context.WithCancel(ctx)
+	runCtx, cancel := context.WithCancelCause(ctx)
 	sub := &submission{
 		spec: RunSpec{
 			IDs:       ids,
@@ -441,9 +437,8 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 			BatchRows: batch,
 			Resume:    spec.Resume,
 		},
-		parent:     ctx,
 		ctx:        runCtx,
-		cancelFn:   cancel,
+		cancel:     cancel,
 		st:         st,
 		start:      time.Now(),
 		cacheStart: metasurface.GlobalCacheStats(),
@@ -497,32 +492,33 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	return sub, nil
 }
 
-// execute runs one job on a pool worker: ComputeJob, then settle, then
-// jobDone when this worker won the settle.
+// execute runs one job on a pool worker: ComputeJob, then settle.
 func (sub *submission) execute(jb schedJob) {
 	if sub.settled[jb.ji].Load() {
 		return // a late external completion beat the requeue; nothing to do
 	}
 	res, err := ComputeJob(sub.ctx, jb.desc())
-	if sub.settle(jb, res, err) {
-		sub.jobDone(1)
-	}
+	sub.settle(jb, res, err)
 }
 
-// settle is the one commit of a job's slots for every finisher: the
-// local pool, Complete and Fail. Only the winner of the job's settle
-// CAS writes (a requeued job can race a late external completion); it
-// records the job's timing at its first slot and commits done — on
-// failure, the completed part. A *PointError inside the range lands at
-// its point as its inner error, which assemble wraps exactly once; any
-// other failure lands at the first point. The settle that retires a
-// cell's last job completes the cell on the spot, whichever holder
-// settled it: Finish follows the points, as it does on the serial path,
-// and the table is persisted. A failure, or a Finish error, cancels the
-// submission. The caller runs jobDone on true.
-func (sub *submission) settle(jb schedJob, done ExternalResult, err error) bool {
+// settle is the one way a job ends, for every finisher: the local pool,
+// Complete, Fail, and abandonment on cancellation. Only the winner of
+// the job's settle CAS writes (a requeued job can race a late external
+// completion); it records the job's timing at its first slot and
+// commits done — on failure, the completed part. A *PointError inside
+// the range lands at its point as its inner error, which assemble wraps
+// exactly once; any other failure (an abandoned job's cancellation
+// too) lands at the first point. The settle that retires a cell's last
+// job completes the cell on the spot, whichever holder settled it:
+// Finish follows the points, as it does on the serial path, and the
+// table is persisted. A failure, or a Finish error, cancels the
+// submission. The settle that retires the submission's last job
+// triggers finalization; the atomic counter orders every holder's slot
+// writes and cell completions before the finalizer's reads, and finish
+// runs on its own goroutine so that holder returns at once.
+func (sub *submission) settle(jb schedJob, done ExternalResult, err error) {
 	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
-		return false
+		return
 	}
 	c := &sub.cells[jb.cell]
 	c.started[jb.point] = time.Now().Add(-done.Elapsed)
@@ -547,17 +543,19 @@ func (sub *submission) settle(jb schedJob, done ExternalResult, err error) bool 
 		sub.complete(c)
 	}
 	if err != nil || last && c.err != nil {
-		sub.cancelFn()
+		sub.cancel(errJobFailed)
 	}
-	return true
+	if sub.completed.Add(1) == int64(len(sub.queue)) {
+		go sub.finish()
+	}
 }
 
 // complete assembles a cell and, when that yields its table and the
 // submission has a store, persists it, recording a write failure for
 // finalize to fold. It runs once per cell: in the settle that
-// retires the cell's last job, or in finalize for a cell that never had
-// a job (a zero-point sweep). The atomic pending count orders every
-// other job's slot writes before it.
+// retires the cell's last job — abandoned or not — or in finalize for
+// a cell that never had a job (a zero-point sweep). The atomic pending
+// count orders every other job's slot writes before it.
 func (sub *submission) complete(c *cellRun) {
 	c.assemble()
 	if sub.st == nil || c.res == nil {
@@ -578,20 +576,6 @@ func (sub *submission) concurrency() int {
 	return max(1, min(sub.workers, len(sub.queue)))
 }
 
-// jobDone accounts n finished (or abandoned) job slots; retiring the
-// last slot triggers finalization. The atomic counter orders every
-// worker's slot writes and cell completions before the finalizer's
-// reads, and finish runs on its own goroutine so the holder that
-// settled the last job returns at once.
-func (sub *submission) jobDone(n int) {
-	if n == 0 {
-		return
-	}
-	if sub.completed.Add(int64(n)) == int64(len(sub.queue)) {
-		go sub.finish()
-	}
-}
-
 // finish finalizes the submission (salvage, store verdicts, report),
 // publishes the result and unregisters from the scheduler. It stops the
 // abandon callback before it releases the derived context.
@@ -600,7 +584,7 @@ func (sub *submission) finish() {
 		sub.stopAbandon()
 	}
 	sub.finalize()
-	sub.cancelFn()
+	sub.cancel(nil)
 	close(sub.done)
 	if s := sub.sched; s != nil {
 		s.mu.Lock()
@@ -610,25 +594,19 @@ func (sub *submission) finish() {
 	}
 }
 
-// finalize is the single-threaded tail of a submission: slot-ordered
-// salvage of the cells no settle completed, deterministic error policy,
-// the fold of every cell's store verdict, and report aggregation —
-// byte-for-byte the same policy the one-shot engine applied, so a
-// submission's report cannot depend on what else shared the pool.
+// finalize is the single-threaded tail of a submission: completion of
+// the cells that never had a job, deterministic error policy, the fold
+// of every cell's store verdict, and report aggregation — byte-for-byte
+// the same policy the one-shot engine applied, so a submission's report
+// cannot depend on what else shared the pool.
 func (sub *submission) finalize() {
 	cells := sub.cells
 	seeds := sub.spec.Seeds
-	// Every cell whose jobs all settled is already complete. A cell that
-	// never had a job (a zero-point sweep) completes here; one with an
-	// abandoned job is assembled for salvage only — it cannot have a
-	// table, so nothing of it is persisted.
+	// Every cell with a job completed in the settle of its last one; a
+	// cell that never had a job (a zero-point sweep) completes here.
 	for ci := range cells {
-		switch c := &cells[ci]; {
-		case c.loaded:
-		case len(c.points) == 0:
+		if c := &cells[ci]; !c.loaded && len(c.points) == 0 {
 			sub.complete(c)
-		default:
-			c.assemble()
 		}
 	}
 	cs := metasurface.GlobalCacheStats().Sub(sub.cacheStart)
@@ -641,12 +619,14 @@ func (sub *submission) finalize() {
 		CacheHits:   cs.Hits,
 		CacheMisses: cs.Misses,
 	}
-	// Resolve the error policy deterministically: the submitter's
-	// cancellation wins, then the first real (non-cancellation) cell
-	// failure by slot index, then any remaining cell error.
-	firstErr := sub.parent.Err()
-	if firstErr == nil && sub.userCancel.Load() {
-		firstErr = context.Canceled
+	// Resolve the error policy deterministically: the run error is the
+	// cause that stopped the context first — Cancel, Close or the
+	// submitter's context. When a failed job stopped it, or nothing did,
+	// it is the first real (non-cancellation) cell failure by slot
+	// index, then any remaining cell error.
+	firstErr := context.Cause(sub.ctx)
+	if firstErr == errJobFailed {
+		firstErr = nil
 	}
 	if firstErr == nil {
 		for ci := range cells {
@@ -763,18 +743,20 @@ func (h *RunHandle) Spec() RunSpec { return cloneSpec(h.sub.spec) }
 // assembled, persisted and reported.
 func (h *RunHandle) Done() <-chan struct{} { return h.sub.done }
 
-// Cancel stops the submission: unfed jobs are abandoned, in-flight jobs
-// see a cancelled context, and completed cells still persist to the
-// store (the salvage path), so a cancelled run's finished work survives
-// for a later Resume. Safe to call repeatedly; a no-op once the
-// submission finished.
-func (h *RunHandle) Cancel() {
-	h.sub.userCancel.Store(true)
-	h.sub.cancelFn()
-}
+// Cancel stops the submission with context.Canceled as its cause:
+// unfed jobs are abandoned, in-flight jobs see a cancelled context, and
+// completed cells still persist to the store (the salvage path), so a
+// cancelled run's finished work survives for a later Resume. Safe to
+// call repeatedly; a no-op once the submission finished or stopped for
+// another reason first.
+func (h *RunHandle) Cancel() { h.sub.cancel(context.Canceled) }
 
 // Report blocks until the submission finishes and returns its report
-// and error — exactly what Execute returns for the same spec.
+// and error — exactly what Execute returns for the same spec. When the
+// run was stopped, the error is the first cause: context.Canceled for
+// Cancel, ErrSchedulerClosed for Close, the submitter's context's cause,
+// or the failing cell's error when a job failed first. A stopped run's
+// report still carries its completed cells and salvaged prefixes.
 func (h *RunHandle) Report() (*Report, error) {
 	<-h.sub.done
 	return h.sub.report, h.sub.err

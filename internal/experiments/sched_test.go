@@ -405,3 +405,192 @@ func TestConcurrentSubmitStress(t *testing.T) {
 		}
 	}
 }
+
+// blockingSweep is an n-point counting sweep whose point 0 closes
+// started and then waits for release, so a test can act while a job of
+// the sweep is in flight on a worker.
+func blockingSweep(id string, n int, started, release chan struct{}) *Sweep {
+	s := countingSweep(id, n)
+	inner := s.Point
+	s.Point = func(ctx context.Context, seed int64, i int) (PointResult, error) {
+		if i == 0 {
+			close(started)
+			<-release
+		}
+		return inner(ctx, seed, i)
+	}
+	return s
+}
+
+// TestCloseMidRunReportsClosed: a submission Close stops is reported as
+// stopped, never as a success with tables missing. Report returns
+// ErrSchedulerClosed, the cell completed before Close is persisted and
+// kept in the report, and an interrupted cell's completed prefix is
+// salvaged. It holds for a local pool worker caught mid-job and for a
+// lease-only scheduler with one leased job completed and one still out.
+func TestCloseMidRunReportsClosed(t *testing.T) {
+	ctx := context.Background()
+	t.Run("local", func(t *testing.T) {
+		started, release := make(chan struct{}), make(chan struct{})
+		tempSweep(t, countingSweep("zz-close-a", 1))
+		tempSweep(t, blockingSweep("zz-close-b", 3, started, release))
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(SchedulerConfig{Workers: 1, Store: st})
+		defer s.Close()
+		h, err := s.Submit(ctx, RunSpec{IDs: []string{"zz-close-a", "zz-close-b"}, ShardRows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started // zz-close-a is done; zz-close-b's first job is in flight
+		closed := make(chan struct{})
+		go func() { s.Close(); close(closed) }()
+		// Release the job once the cancellation has abandoned the other
+		// two: zz-close-a's job and those two have settled.
+		for h.Progress().DoneJobs != 3 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		<-closed
+		rep, err := h.Report()
+		if !errors.Is(err, ErrSchedulerClosed) {
+			t.Fatalf("err = %v, want ErrSchedulerClosed", err)
+		}
+		if len(rep.Results) != 1 || rep.Results[0].ID != "zz-close-a" {
+			t.Errorf("results = %d tables, want the completed zz-close-a", len(rep.Results))
+		}
+		if len(rep.Salvaged) != 1 || len(rep.Salvaged[0].Rows) != 1 {
+			t.Errorf("salvaged %+v, want zz-close-b's one-row prefix", rep.Salvaged)
+		}
+		checkClosedStore(t, st, rep, "zz-close-a", "zz-close-b")
+	})
+	t.Run("lease", func(t *testing.T) {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(SchedulerConfig{LeaseOnly: true, Store: st})
+		defer s.Close()
+		h, err := s.Submit(ctx, RunSpec{IDs: []string{"tab1"}, Seeds: []int64{1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, out := s.TryLease(), s.TryLease()
+		res, err := ComputeJob(ctx, done.Desc())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := done.Complete(res); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		rep, err := h.Report()
+		if !errors.Is(err, ErrSchedulerClosed) {
+			t.Fatalf("err = %v, want ErrSchedulerClosed", err)
+		}
+		if len(rep.Results) != 0 || len(rep.Salvaged) != 1 || rep.Salvaged[0].ID != "tab1" {
+			t.Errorf("results %d, salvaged %d tables; want 0 and the completed seed-1 table", len(rep.Results), len(rep.Salvaged))
+		}
+		checkClosedStore(t, st, rep, "tab1", "")
+		// The holder still out reports back after Close: dropped quietly.
+		late, err := ComputeJob(ctx, out.Desc())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Complete(late); err != nil {
+			t.Errorf("late complete after Close: %v", err)
+		}
+		if _, err := st.Get("tab1", out.Desc().Seed); !store.IsNotFound(err) {
+			t.Errorf("late completion after Close persisted a cell: %v", err)
+		}
+	})
+}
+
+// checkClosedStore asserts that a closed run persisted exactly the
+// completed cell done (seed 1) and not the interrupted one, if named.
+func checkClosedStore(t *testing.T, st *store.Store, rep *Report, done, interrupted string) {
+	t.Helper()
+	if rep.PersistedCells != 1 {
+		t.Errorf("persisted %d cells, want the one completed before Close", rep.PersistedCells)
+	}
+	if _, err := st.Get(done, 1); err != nil {
+		t.Errorf("completed cell %s not persisted: %v", done, err)
+	}
+	if interrupted == "" {
+		return
+	}
+	if _, err := st.Get(interrupted, 1); !store.IsNotFound(err) {
+		t.Errorf("interrupted cell %s: Get err = %v, want not found", interrupted, err)
+	}
+}
+
+// TestRunErrorIsFirstCause pins the run error policy: the first cause
+// that stopped the submission wins. Cancel reports context.Canceled, a
+// parent deadline context.DeadlineExceeded, and a failing point its
+// *PointError even when a Cancel or the parent's cancellation follows
+// it before the run finalizes.
+func TestRunErrorIsFirstCause(t *testing.T) {
+	t.Run("cancel", func(t *testing.T) {
+		s := NewScheduler(SchedulerConfig{LeaseOnly: true})
+		defer s.Close()
+		h, err := s.Submit(context.Background(), RunSpec{IDs: []string{"tab1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Cancel()
+		if _, err := h.Report(); !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("deadline", func(t *testing.T) {
+		s := NewScheduler(SchedulerConfig{LeaseOnly: true})
+		defer s.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		h, err := s.Submit(ctx, RunSpec{IDs: []string{"tab1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Report(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("err = %v, want context.DeadlineExceeded", err)
+		}
+	})
+	boom := errors.New("boom")
+	for _, then := range []string{"cancel", "parent"} {
+		t.Run("fail-then-"+then, func(t *testing.T) {
+			started, release := make(chan struct{}), make(chan struct{})
+			s := blockingSweep("zz-cause", 2, started, release)
+			inner := s.Point
+			s.Point = func(ctx context.Context, seed int64, i int) (PointResult, error) {
+				if i == 1 {
+					return PointResult{}, boom
+				}
+				return inner(ctx, seed, i)
+			}
+			tempSweep(t, s)
+			sched := NewScheduler(SchedulerConfig{Workers: 2})
+			defer sched.Close()
+			parent, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			h, err := sched.Submit(parent, RunSpec{IDs: []string{"zz-cause"}, ShardRows: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-started
+			<-h.sub.ctx.Done() // point 1 failed while point 0 is in flight
+			if then == "cancel" {
+				h.Cancel()
+			} else {
+				cancel()
+			}
+			close(release)
+			_, err = h.Report()
+			var pe *PointError
+			if !errors.As(err, &pe) || pe.Point != 1 || !errors.Is(err, boom) {
+				t.Errorf("err = %v, want the *PointError of point 1", err)
+			}
+		})
+	}
+}

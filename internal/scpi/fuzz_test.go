@@ -43,62 +43,91 @@ func TestDispatchNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
-// TestDispatchAdversarialCorpus runs a table of hand-picked nasty inputs.
+// adversarialCorpus is a table of hand-picked nasty inputs: the
+// corpus test runs it and FuzzSCPIDispatch grows from it.
+var adversarialCorpus = []string{
+	"",
+	";;;;",
+	":::::",
+	"?",
+	"*",
+	"VOLT",                         // set with no argument
+	"VOLT ",                        // trailing space, no argument
+	"VOLT 1 2 3",                   // too many tokens (parsed as one arg string)
+	"VOLT NaN",                     // non-numeric
+	"VOLT 1e309",                   // float overflow
+	"VOLT -0",                      // negative zero is a legal 0
+	"APPL",                         // missing everything
+	"APPL CH1",                     // missing voltage
+	"APPL CH1,",                    // empty voltage
+	"APPL ,5",                      // empty channel
+	"APPL CH99,5",                  // bad channel
+	"APPL CH1,5,9",                 // extra arg
+	"INST:SEL",                     // missing parameter
+	"INST:SEL CHX",                 // malformed channel
+	"OUTP MAYBE",                   // bad boolean
+	"*IDN",                         // identification as a set
+	"MEAS:VOLT 5",                  // query-only used as set
+	"SYST:ERR",                     // query-only used as set
+	strings.Repeat("VOLT 5;", 200), // long chains
+	strings.Repeat("A", 4000),      // long header
+	"INST:SEL:EXTRA:DEEP:PATH CH1", // overlong path
+	"vOlT? ; iNsT:sEl? ;  *idn?",   // case soup with spaces
+}
+
+// checkIDN fails unless *IDN? still answers with the supply's identity.
+func checkIDN(t *testing.T, tree *Tree) {
+	t.Helper()
+	resp, err := tree.Dispatch("*IDN?")
+	if err != nil || !strings.Contains(resp, "2230G") {
+		t.Fatalf("instrument wedged: *IDN? = %q, %v", resp, err)
+	}
+}
+
+// checkErrorQueueDrains fails unless the error queue empties within
+// its bound: at most errQueueCap queued errors, then the no-error
+// sentinel.
+func checkErrorQueueDrains(t *testing.T, tree *Tree) {
+	t.Helper()
+	for i := 0; tree.PopError() != `0,"No error"`; i++ {
+		if i >= errQueueCap {
+			t.Fatalf("error queue still not drained after %d pops", errQueueCap+1)
+		}
+	}
+}
+
+// TestDispatchAdversarialCorpus runs the adversarial corpus.
 func TestDispatchAdversarialCorpus(t *testing.T) {
 	tree, supply := boundInstrument()
-	corpus := []string{
-		"",
-		";;;;",
-		":::::",
-		"?",
-		"*",
-		"VOLT",                         // set with no argument
-		"VOLT ",                        // trailing space, no argument
-		"VOLT 1 2 3",                   // too many tokens (parsed as one arg string)
-		"VOLT NaN",                     // non-numeric
-		"VOLT 1e309",                   // float overflow
-		"VOLT -0",                      // negative zero is a legal 0
-		"APPL",                         // missing everything
-		"APPL CH1",                     // missing voltage
-		"APPL CH1,",                    // empty voltage
-		"APPL ,5",                      // empty channel
-		"APPL CH99,5",                  // bad channel
-		"APPL CH1,5,9",                 // extra arg
-		"INST:SEL",                     // missing parameter
-		"INST:SEL CHX",                 // malformed channel
-		"OUTP MAYBE",                   // bad boolean
-		"*IDN",                         // identification as a set
-		"MEAS:VOLT 5",                  // query-only used as set
-		"SYST:ERR",                     // query-only used as set
-		strings.Repeat("VOLT 5;", 200), // long chains
-		strings.Repeat("A", 4000),      // long header
-		"INST:SEL:EXTRA:DEEP:PATH CH1", // overlong path
-		"vOlT? ; iNsT:sEl? ;  *idn?",   // case soup with spaces
-	}
-	for _, line := range corpus {
+	for _, line := range adversarialCorpus {
 		// No panics allowed; queries may error.
 		tree.Dispatch(line) //nolint:errcheck
 	}
 	// The instrument must still be fully functional afterwards.
-	resp, err := tree.Dispatch("*IDN?")
-	if err != nil || !strings.Contains(resp, "2230G") {
-		t.Fatalf("instrument wedged after corpus: %q, %v", resp, err)
-	}
+	checkIDN(t, tree)
 	if err := supply.Select(psu.CH2); err != nil {
 		t.Fatal(err)
 	}
 	if resp, err := tree.Dispatch("INST:SEL?"); err != nil || resp != "CH2" {
 		t.Fatalf("selection broken after corpus: %q, %v", resp, err)
 	}
-	// Drain the error queue: it must terminate.
-	for i := 0; ; i++ {
-		if tree.PopError() == `0,"No error"` {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("error queue never drains")
-		}
+	checkErrorQueueDrains(t, tree)
+}
+
+// FuzzSCPIDispatch throws arbitrary lines, seeded from the adversarial
+// corpus, at a fully bound instrument: Dispatch must never panic,
+// *IDN? must still answer afterwards, and the error queue must drain
+// within its bound.
+func FuzzSCPIDispatch(f *testing.F) {
+	for _, line := range adversarialCorpus {
+		f.Add(line)
 	}
+	f.Fuzz(func(t *testing.T, line string) {
+		tree, _ := boundInstrument()
+		tree.Dispatch(line) //nolint:errcheck
+		checkIDN(t, tree)
+		checkErrorQueueDrains(t, tree)
+	})
 }
 
 // TestNegativeZeroVoltage pins the edge semantics: "-0" parses to 0,

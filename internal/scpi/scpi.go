@@ -187,11 +187,14 @@ outer:
 	return nil
 }
 
+// errQueueCap bounds the error queue: errors past it are dropped.
+const errQueueCap = 16
+
 // pushError appends to the bounded error queue.
 func (t *Tree) pushError(msg string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.errq) >= 16 {
+	if len(t.errq) >= errQueueCap {
 		return // queue overflow is silently dropped, like hardware
 	}
 	t.errq = append(t.errq, msg)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -269,27 +270,37 @@ func TestGCConcurrentEqualReputs(t *testing.T) {
 	}
 }
 
-// TestGCRemovesOldTempFiles: a temp file a dead writer left behind is
-// removed once it is older than the window; a young one, which may be
-// a write in flight, stays even under a 1ns window, and so does a file
-// the store never writes.
+// TestGCRemovesOldTempFiles: a temp file a dead writer left behind —
+// in cells/, tables/ or runs/ — is removed once it is older than the
+// window; a young one, which may be a write in flight, stays even under
+// a 1ns window, and so does a file the store never writes.
 func TestGCRemovesOldTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := filepath.Join(dir, "cells")
-	old := filepath.Join(cells, "tab1__seed1.json.tmp123456")
-	young := filepath.Join(cells, "tab1__seed2.json.tmp654321")
-	foreign := filepath.Join(cells, "notes.txt.tmp1")
-	for _, p := range []string{old, young, foreign} {
+	var old, young, foreign []string
+	for sub, rec := range map[string][2]string{
+		"cells":  {"tab1__seed1.json", "tab1__seed2.json"},
+		"tables": {"a1b2c3.json", "d4e5f6.json"},
+		"runs":   {"run-000001.json", "run-000002.json"},
+	} {
+		d := filepath.Join(dir, sub)
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, filepath.Join(d, rec[0]+".tmp123456"))
+		young = append(young, filepath.Join(d, rec[1]+".tmp654321"))
+		foreign = append(foreign, filepath.Join(d, "notes.txt.tmp1"))
+	}
+	for _, p := range slices.Concat(old, young, foreign) {
 		if err := os.WriteFile(p, []byte(`{"schema":1,"id":"ta`), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	past := time.Now().Add(-2 * time.Hour)
-	for _, p := range []string{old, foreign} {
+	for _, p := range slices.Concat(old, foreign) {
 		if err := os.Chtimes(p, past, past); err != nil {
 			t.Fatal(err)
 		}
@@ -298,20 +309,22 @@ func TestGCRemovesOldTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RemovedTemps != 1 || res.RemovedBytes != 20 || res.Scanned != 0 {
-		t.Errorf("GC = %+v, want one 20-byte temp file removed and no cell scanned", res)
+	if res.RemovedTemps != 3 || res.RemovedBytes != 60 || res.Scanned != 0 {
+		t.Errorf("GC = %+v, want three 20-byte temp files removed and no cell scanned", res)
 	}
-	if _, err := os.Stat(old); !os.IsNotExist(err) {
-		t.Errorf("old temp file survived GC: %v", err)
+	for _, p := range old {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("old temp file %s survived GC: %v", p, err)
+		}
 	}
 	// A tiny window does not reach a temp file younger than tempMinAge:
 	// it may still be renamed into place.
 	if res, err := s.GC(GCPolicy{MinAge: time.Nanosecond}); err != nil || res.RemovedTemps != 0 {
-		t.Errorf("GC with a 1ns window = %+v, %v; want the young temp file kept", res, err)
+		t.Errorf("GC with a 1ns window = %+v, %v; want the young temp files kept", res, err)
 	}
-	for _, p := range []string{young, foreign} {
+	for _, p := range slices.Concat(young, foreign) {
 		if _, err := os.Stat(p); err != nil {
-			t.Errorf("%s removed, want kept: %v", filepath.Base(p), err)
+			t.Errorf("%s removed, want kept: %v", p, err)
 		}
 	}
 }

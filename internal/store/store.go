@@ -305,9 +305,9 @@ type GCPolicy struct {
 	// table already stored). Recency stands in for liveness — a cell a
 	// concurrent writer persisted moments ago is never collected, whether
 	// or not its run record landed yet. Temp files a dead writer left in
-	// cells/ are removed once their modification time is MinAge old, and
-	// never younger than tempMinAge: a younger one may belong to a write
-	// in flight, whose rename would then fail.
+	// cells/, tables/ or runs/ are removed once their modification time
+	// is MinAge old, and never younger than tempMinAge: a younger one may
+	// belong to a write in flight, whose rename would then fail.
 	MinAge time.Duration
 	// Now anchors the age check; the zero value means time.Now(). Tests
 	// pin it to exercise retention without sleeping.
@@ -346,9 +346,10 @@ type GCResult struct {
 // confirmation take, so a cell persisted mid-sweep is seen fresh and
 // kept. A cell that vanished since the listing (a concurrent sweep) is
 // skipped without being counted as kept or removed. GC also removes
-// orphaned temp files older than the window (see GCPolicy.MinAge), and
-// forgets confirmations of removed cells and confirmations older than
-// the window, so the handle's memory stays bounded too.
+// orphaned temp files older than the window from cells/, tables/ and
+// runs/ (see GCPolicy.MinAge), and forgets confirmations of removed
+// cells and confirmations older than the window, so the handle's memory
+// stays bounded too.
 func (s *Store) GC(p GCPolicy) (GCResult, error) {
 	now := p.Now
 	if now.IsZero() {
@@ -406,22 +407,27 @@ func (s *Store) GC(p GCPolicy) (GCResult, error) {
 		}
 	}
 	s.mu.Unlock()
-	temps, err := cellKind.temps(s.dir)
-	if err != nil {
-		return res, err
-	}
-	for _, t := range temps {
-		if age := now.Sub(t.ModTime()); age < p.MinAge || age < tempMinAge {
-			continue
+	for _, k := range []struct {
+		sub   string
+		temps func(root string) ([]os.FileInfo, error)
+	}{{cellKind.sub, cellKind.temps}, {tableKind.sub, tableKind.temps}, {runKind.sub, runKind.temps}} {
+		temps, err := k.temps(s.dir)
+		if err != nil {
+			return res, err
 		}
-		if err := os.Remove(filepath.Join(s.dir, cellKind.sub, t.Name())); err != nil {
-			if os.IsNotExist(err) {
-				continue // renamed into place or removed since the listing
+		for _, t := range temps {
+			if age := now.Sub(t.ModTime()); age < p.MinAge || age < tempMinAge {
+				continue
 			}
-			return res, fmt.Errorf("store: remove temp file: %w", err)
+			if err := os.Remove(filepath.Join(s.dir, k.sub, t.Name())); err != nil {
+				if os.IsNotExist(err) {
+					continue // renamed into place or removed since the listing
+				}
+				return res, fmt.Errorf("store: remove temp file: %w", err)
+			}
+			res.RemovedTemps++
+			res.RemovedBytes += t.Size()
 		}
-		res.RemovedTemps++
-		res.RemovedBytes += t.Size()
 	}
 	return res, nil
 }

@@ -326,8 +326,9 @@ type ExperimentScheduler = experiments.Scheduler
 // NewExperimentScheduler starts a long-lived scheduler: workers bounds
 // the shared pool (≤0 = GOMAXPROCS) and storeDir, when non-empty, opens
 // (creating if needed) the durable results store the scheduler persists
-// into and resumes from. Close the scheduler to release the pool;
-// completed cells of in-flight submissions persist on Close.
+// into and resumes from. Close the scheduler to release the pool:
+// in-flight submissions stop, their completed cells persist, and each
+// one's Report returns the scheduler-closed error instead of success.
 func NewExperimentScheduler(workers int, storeDir string) (*ExperimentScheduler, error) {
 	cfg := experiments.SchedulerConfig{Workers: workers}
 	if storeDir != "" {
